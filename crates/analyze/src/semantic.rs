@@ -542,9 +542,9 @@ pub fn link(facts: &[FileFacts]) -> Vec<Violation> {
     }
 
     // nondet_taint: nondeterminism sources transitively callable from
-    // metrics/report emission, or from the inspect recorder / event
-    // wire codec — a nondeterministic value reaching the event log
-    // would break record→replay byte-identity.
+    // metrics/report emission, the event folds (metrics, timeline), or
+    // the inspect recorder / event wire codec — a nondeterministic value
+    // reaching the event log would break record→replay byte-identity.
     let sinks: Vec<FnId> = table
         .fns
         .iter()
@@ -555,12 +555,11 @@ pub fn link(facts: &[FileFacts]) -> Vec<Violation> {
                 && (s.self_ty.as_deref() == Some("Metrics")
                     || s.self_ty.as_deref() == Some("LifecycleEvent")
                     || s.self_ty.as_deref() == Some("EventLogWriter")
-                    || s.self_ty.as_deref() == Some("MetricsDeriver")
                     || s.file.ends_with("metrics.rs")
+                    || s.file.ends_with("timeline.rs")
                     || s.file.ends_with("report.rs")
                     || s.file.ends_with("inspect/recorder.rs")
-                    || s.file.ends_with("inspect/event.rs")
-                    || s.file.ends_with("inspect/cursor.rs"))
+                    || s.file.ends_with("inspect/event.rs"))
         })
         .map(|(id, _)| id)
         .collect();

@@ -91,17 +91,12 @@ impl<S: Scheme, E: EventSink> System<S, E> {
                     if let Some(mut task) = self.wrq.remove(i) {
                         if self.power.try_admit(task.id, task.round_mut()) {
                             self.emit_power(task.id.get(), PowerOp::Admit, true);
-                            if E::ENABLED {
-                                let ev = LifecycleEvent::WriteAdmitted {
-                                    id: task.id.get(),
-                                    bank: task.bank.get(),
-                                    at: self.now.get(),
-                                    queue_delay: self.now.saturating_sub(task.arrival).get(),
-                                };
-                                self.emit(ev);
-                            }
-                            self.metrics.write_queue_delay +=
-                                self.now.saturating_sub(task.arrival).get();
+                            self.emit(LifecycleEvent::WriteAdmitted {
+                                id: task.id.get(),
+                                bank: task.bank.get(),
+                                at: self.now.get(),
+                                queue_delay: self.now.saturating_sub(task.arrival).get(),
+                            });
                             task.round_started_at = self.now;
                             self.issue_write(bank, task);
                             continue; // same index now holds the next entry
@@ -199,15 +194,12 @@ impl<S: Scheme, E: EventSink> System<S, E> {
             let arrival = self.wrq[i].arrival;
             let task = self.make_task(line, core, arrival);
             let old = std::mem::replace(&mut self.wrq[i], task);
-            if E::ENABLED {
-                let ev = LifecycleEvent::WriteCoalesced {
-                    old_id: old.id.get(),
-                    new_id: self.wrq[i].id.get(),
-                    line: line.get(),
-                    at: self.now.get(),
-                };
-                self.emit(ev);
-            }
+            self.emit(LifecycleEvent::WriteCoalesced {
+                old_id: old.id.get(),
+                new_id: self.wrq[i].id.get(),
+                line: line.get(),
+                at: self.now.get(),
+            });
             if !self.reference_alloc {
                 self.pool.recycle_rounds(old.rounds);
             }
@@ -217,15 +209,12 @@ impl<S: Scheme, E: EventSink> System<S, E> {
             let arrival = self.overflow[i].arrival;
             let task = self.make_task(line, core, arrival);
             let old = std::mem::replace(&mut self.overflow[i], task);
-            if E::ENABLED {
-                let ev = LifecycleEvent::WriteCoalesced {
-                    old_id: old.id.get(),
-                    new_id: self.overflow[i].id.get(),
-                    line: line.get(),
-                    at: self.now.get(),
-                };
-                self.emit(ev);
-            }
+            self.emit(LifecycleEvent::WriteCoalesced {
+                old_id: old.id.get(),
+                new_id: self.overflow[i].id.get(),
+                line: line.get(),
+                at: self.now.get(),
+            });
             if !self.reference_alloc {
                 self.pool.recycle_rounds(old.rounds);
             }
@@ -343,20 +332,16 @@ impl<S: Scheme, E: EventSink> System<S, E> {
             for w in rounds.iter_mut() {
                 w.degrade_to_slc();
             }
-            self.metrics.faults.degraded_writes += 1;
         }
         self.next_write_id += 1;
-        if E::ENABLED {
-            let ev = LifecycleEvent::WriteCreated {
-                id: self.next_write_id,
-                line: line.get(),
-                bank: line.bank_of(self.cfg.pcm.banks).get(),
-                at: self.now.get(),
-                rounds: rounds.len() as u64,
-                degraded: self.degraded,
-            };
-            self.emit(ev);
-        }
+        self.emit(LifecycleEvent::WriteCreated {
+            id: self.next_write_id,
+            line: line.get(),
+            bank: line.bank_of(self.cfg.pcm.banks).get(),
+            at: self.now.get(),
+            rounds: rounds.len() as u64,
+            degraded: self.degraded,
+        });
         WriteTask {
             id: WriteId::new(self.next_write_id),
             line,
@@ -383,37 +368,31 @@ impl<S: Scheme, E: EventSink> System<S, E> {
     /// cancelled at the next iteration boundary (§6.4.5 write
     /// cancellation).
     pub(super) fn note_read_arrival(&mut self, bank: fpb_types::BankId) {
-        let mut decided: Option<(u64, ReadArrivalAction)> = None;
-        if let BankState::Writing {
+        let BankState::Writing {
             task,
             cancel_pending,
             in_pre_read,
             ..
         } = &mut self.banks[bank.index()].state
-        {
-            let progress = if *in_pre_read {
-                0.0
-            } else {
-                task.round().progress()
-            };
-            let action = self.setup.on_read_arrival(ReadArrivalCtx { progress });
-            if E::ENABLED {
-                decided = Some((task.id.get(), action));
-            }
-            if action == ReadArrivalAction::CancelAtBoundary {
-                *cancel_pending = true;
-            }
-        }
-        if let Some((id, action)) = decided {
-            let ev = LifecycleEvent::SchemeDecision {
-                hook: SchemeHook::ReadArrival,
-                action: (action == ReadArrivalAction::CancelAtBoundary) as u8,
-                id,
-                bank: bank.get(),
-                at: self.now.get(),
-            };
-            self.emit(ev);
-        }
+        else {
+            return;
+        };
+        let progress = if *in_pre_read {
+            0.0
+        } else {
+            task.round().progress()
+        };
+        let action = self.setup.on_read_arrival(ReadArrivalCtx { progress });
+        let cancel = action == ReadArrivalAction::CancelAtBoundary;
+        *cancel_pending |= cancel;
+        let id = task.id.get();
+        self.emit(LifecycleEvent::SchemeDecision {
+            hook: SchemeHook::ReadArrival,
+            action: cancel as u8,
+            id,
+            bank: bank.get(),
+            at: self.now.get(),
+        });
     }
 
     pub(super) fn bank_has_waiting_read(&self, bank: usize) -> bool {

@@ -14,16 +14,16 @@ use super::{BankState, System};
 
 impl<S: Scheme, E: EventSink> System<S, E> {
     // ---- lifecycle-event emission ----
-    //
-    // Every helper below is guarded by `E::ENABLED`, so with the default
-    // `NullSink` the emission sites (including the event construction and
-    // any allocation it implies) const-fold to nothing.
 
-    /// Emits one lifecycle event. Callers construct the event inside
-    /// their own `E::ENABLED` guard.
+    /// Emits one lifecycle event: folds it into the run's metrics (the
+    /// only place they are computed), then forwards it to the sink. With
+    /// the default `NullSink` the forwarding const-folds away.
     #[inline]
     pub(super) fn emit(&mut self, ev: LifecycleEvent) {
-        self.sink.emit(ev);
+        self.metrics.apply(&ev);
+        if E::ENABLED {
+            self.sink.emit(ev);
+        }
     }
 
     /// Checks a write-lifecycle transition (debug builds) and records it
@@ -39,16 +39,13 @@ impl<S: Scheme, E: EventSink> System<S, E> {
         to: WriteStage,
     ) {
         WriteLifecycle::debug_check(from, to);
-        if E::ENABLED {
-            let ev = LifecycleEvent::Stage {
-                id: id.get(),
-                bank: bank as u8,
-                at: self.now.get(),
-                from,
-                to,
-            };
-            self.sink.emit(ev);
-        }
+        self.emit(LifecycleEvent::Stage {
+            id: id.get(),
+            bank: bank as u8,
+            at: self.now.get(),
+            from,
+            to,
+        });
     }
 
     /// Records a power-accounting snapshot taken right after a
@@ -57,24 +54,22 @@ impl<S: Scheme, E: EventSink> System<S, E> {
     /// additive). `id` is 0 for brownout edges.
     #[inline]
     pub(super) fn emit_power(&mut self, id: u64, op: PowerOp, ok: bool) {
-        if E::ENABLED {
-            let ev = LifecycleEvent::Power {
-                id,
-                op,
-                ok,
-                at: self.now.get(),
-                stats: self.power.stats().to_raw(),
-                audit: self.power.audit_violations(),
-            };
-            self.sink.emit(ev);
-        }
+        self.emit(LifecycleEvent::Power {
+            id,
+            op,
+            ok,
+            at: self.now.get(),
+            stats: self.power.stats().to_raw(),
+            audit: self.power.audit_violations(),
+        });
     }
 
-    /// Bitmask form of [`System::banks_with_writes`] over the first 64
-    /// banks (the standard DIMM has 8) — what a step snapshot records.
+    /// Which banks hold a write in any form, as a bitmask (config
+    /// validation caps the bank count at 64) — what a step snapshot
+    /// records.
     pub(super) fn bank_write_mask(&self) -> u64 {
         let mut mask = 0u64;
-        for (i, b) in self.banks.iter().take(64).enumerate() {
+        for (i, b) in self.banks.iter().enumerate() {
             if b.state.has_write() || b.parked.is_some() {
                 mask |= 1 << i;
             }

@@ -17,7 +17,14 @@
 //! - [`power`]: round-cap derivation, brownout windows, time accounting.
 //! - [`completion`]: round convergence, worst-case draining, verify
 //!   failure recovery, cancellation, bank reclaim.
-//! - [`events`]: the event-heap stepper and its reference scan twin.
+//! - [`events`]: the event-heap stepper and its reference scan twin,
+//!   plus lifecycle-event emission.
+//!
+//! The stages never write [`Metrics`] directly. Each stage boundary
+//! emits a [`LifecycleEvent`], and emission folds it into the run's
+//! metrics through [`Metrics::apply`] before forwarding it to the
+//! caller's [`EventSink`] — so a recorded stream, folded again,
+//! reproduces the run's metrics by construction.
 //!
 //! Scheme behavior enters only at stage boundaries, through the
 //! [`Scheme`] lifecycle hooks; the stages themselves are scheme-agnostic
@@ -37,10 +44,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use fpb_core::PowerManager;
-use fpb_pcm::{
-    DimmGeometry, EnduranceTracker, FaultInjector, IntraLineWearLeveler, IterationSampler,
-    WriteBufferPool,
-};
+use fpb_pcm::{DimmGeometry, FaultInjector, IntraLineWearLeveler, IterationSampler, WriteBufferPool};
 use fpb_trace::Workload;
 use fpb_types::{Cycles, CoreId, LineAddr, SimError, SimRng, SystemConfig};
 
@@ -143,10 +147,11 @@ struct Bank {
 /// step-level control.
 ///
 /// Also generic over the [`EventSink`] receiving lifecycle events;
-/// defaults to [`NullSink`], whose disabled `ENABLED` constant folds
-/// every emission site out of the hot path. Pass a live sink through
-/// [`System::with_cores_and_sink`] (or [`run_workload_recorded`]) to
-/// capture the run's full event stream for `fpb inspect`.
+/// defaults to [`NullSink`], whose disabled `ENABLED` constant turns
+/// forwarding off (the engine still folds every event into its metrics).
+/// Pass a live sink through [`System::with_cores_and_sink`] (or
+/// [`run_workload_recorded`]) to capture the run's full event stream for
+/// `fpb inspect`.
 #[derive(Debug)]
 pub struct System<S: Scheme = SchemeSetup, E: EventSink = NullSink> {
     cfg: SystemConfig,
@@ -170,7 +175,6 @@ pub struct System<S: Scheme = SchemeSetup, E: EventSink = NullSink> {
     target_instr: u64,
     cap_total: Option<u64>,
     cap_chip: Option<u64>,
-    endurance: EnduranceTracker,
     /// Ring of recently written lines, the scrub candidates (drifting
     /// intermediate levels live where writes happened).
     recent_writes: VecDeque<LineAddr>,
@@ -206,8 +210,10 @@ pub struct System<S: Scheme = SchemeSetup, E: EventSink = NullSink> {
     /// Degraded mode: brownout persisted past the configured threshold, so
     /// new writes are issued in SLC fallback until the window ends.
     degraded: bool,
+    /// The fold of every event emitted so far ([`Metrics::apply`]); the
+    /// engine writes its results nowhere else.
     metrics: Metrics,
-    /// Lifecycle-event receiver (the zero-cost [`NullSink`] by default).
+    /// Receives each event after the fold (the [`NullSink`] by default).
     sink: E,
 }
 
@@ -448,9 +454,10 @@ impl<S: Scheme + Clone, E: EventSink> System<S, E> {
     }
 
     /// Builds the system around pre-warmed cores and a lifecycle-event
-    /// sink. The sink cannot change simulated results — emission sites
-    /// only observe engine state, never mutate it (enforced by the
-    /// derive-vs-inline equivalence gate).
+    /// sink. The sink cannot change simulated results: the engine folds
+    /// each event into its metrics before the sink sees it, and every
+    /// event is built whatever the sink, except the per-step bank
+    /// snapshot, which the fold ignores.
     ///
     /// # Panics
     ///
@@ -490,14 +497,6 @@ impl<S: Scheme + Clone, E: EventSink> System<S, E> {
                 parked: None,
             })
             .collect();
-        // Coarse wear tracking: 64 regions, PCM-typical 10^7 endurance.
-        let endurance = EnduranceTracker::new(
-            cfg.pcm.total_lines(),
-            64,
-            cfg.pcm.chips,
-            10_000_000,
-        )
-        .with_cells_per_chip(cfg.pcm.cells_per_chip_per_line() as u64);
         let mut sys = System {
             cores,
             banks,
@@ -520,7 +519,6 @@ impl<S: Scheme + Clone, E: EventSink> System<S, E> {
             target_instr: opts.instructions_per_core,
             cap_total,
             cap_chip,
-            endurance,
             recent_writes: VecDeque::new(),
             scrub_period: opts.scrub_period_cycles,
             next_scrub_at: Cycles::new(opts.scrub_period_cycles.unwrap_or(u64::MAX)),
@@ -535,11 +533,7 @@ impl<S: Scheme + Clone, E: EventSink> System<S, E> {
             reference_sampler: opts.reference_sampler,
             brownout_since: None,
             degraded: false,
-            metrics: Metrics {
-                instructions_per_core: opts.instructions_per_core,
-                cores: cfg.cores,
-                ..Metrics::default()
-            },
+            metrics: Metrics::default(),
             cfg: cfg.clone(),
             setup: setup.clone(),
             sink,
@@ -547,18 +541,15 @@ impl<S: Scheme + Clone, E: EventSink> System<S, E> {
         for ci in 0..sys.cores.len() {
             sys.push_core_event(ci);
         }
-        if E::ENABLED {
-            let ev = LifecycleEvent::RunStart {
-                cores: sys.cfg.cores,
-                instructions_per_core: opts.instructions_per_core,
-                chips: sys.cfg.pcm.chips,
-                banks: sys.cfg.pcm.banks,
-                total_lines: sys.cfg.pcm.total_lines(),
-                cells_per_chip_per_line: sys.cfg.pcm.cells_per_chip_per_line() as u64,
-                seed: sys.cfg.seed,
-            };
-            sys.sink.emit(ev);
-        }
+        sys.emit(LifecycleEvent::RunStart {
+            cores: cfg.cores,
+            instructions_per_core: opts.instructions_per_core,
+            chips: cfg.pcm.chips,
+            banks: cfg.pcm.banks,
+            total_lines: cfg.pcm.total_lines(),
+            cells_per_chip_per_line: cfg.pcm.cells_per_chip_per_line() as u64,
+            seed: cfg.seed,
+        });
         sys
     }
 }
@@ -614,17 +605,16 @@ impl<S: Scheme, E: EventSink> System<S, E> {
     /// [`SimError::Deadlock`] instead of panicking.
     pub fn try_step(&mut self) -> Result<bool, SimError> {
         if E::ENABLED {
-            // One snapshot per step, before any processing — 1:1 with
-            // the samples `Timeline::record` takes, so replay rebuilds
-            // the timeline exactly.
-            let ev = LifecycleEvent::StepSnapshot {
+            // One snapshot per step, before any processing: the samples
+            // of `Timeline::from_events`. The metrics fold ignores it, so
+            // the bank scan runs only for a live sink.
+            self.emit(LifecycleEvent::StepSnapshot {
                 at: self.now.get(),
                 bank_mask: self.bank_write_mask(),
                 burst: self.burst,
                 wrq: self.wrq.len() as u64,
                 rdq: self.rdq.len() as u64,
-            };
-            self.sink.emit(ev);
+            });
         }
         self.update_brownout();
         if self.reference_stepper {
@@ -662,65 +652,18 @@ impl<S: Scheme, E: EventSink> System<S, E> {
     /// Like [`System::finish`], also yielding the sink back so a
     /// recording caller can retrieve the captured event stream.
     pub fn finish_with_sink(mut self) -> (Metrics, E) {
-        if E::ENABLED {
-            for ci in 0..self.cores.len() {
-                let ev = LifecycleEvent::CoreDone {
-                    core: ci as u64,
-                    at: self.cores[ci].done_at.get(),
-                };
-                self.sink.emit(ev);
-            }
+        for ci in 0..self.cores.len() {
+            let at = self.cores[ci].done_at.get();
+            self.emit(LifecycleEvent::CoreDone { core: ci as u64, at });
         }
-        self.metrics.cycles = self
-            .cores
-            .iter()
-            .map(|c| c.done_at)
-            .max()
-            .unwrap_or(self.now)
-            .get();
-        self.metrics.power = self.power.stats().clone();
-        if let Some(inj) = self.faults.as_ref() {
-            self.metrics.faults.verify_failures = inj.verify_failures();
-            self.metrics.faults.stuck_lines_marked = inj.stuck_marked();
-        }
-        self.metrics.faults.audit_violations = self.power.audit_violations();
-        self.metrics.endurance = Some(self.endurance);
-        if E::ENABLED {
-            let ev = LifecycleEvent::RunEnd {
-                at: self.metrics.cycles,
-            };
-            self.sink.emit(ev);
-        }
+        let at = self.cores.iter().map(|c| c.done_at).max().unwrap_or(self.now).get();
+        self.emit(LifecycleEvent::RunEnd { at });
         (self.metrics, self.sink)
     }
 
     /// Current simulation time.
     pub fn now(&self) -> Cycles {
         self.now
-    }
-
-    /// Entries currently queued in the write queue (excluding overflow).
-    pub fn write_queue_len(&self) -> usize {
-        self.wrq.len()
-    }
-
-    /// Entries currently queued in the read queue (excluding blocked
-    /// arrivals).
-    pub fn read_queue_len(&self) -> usize {
-        self.rdq.len()
-    }
-
-    /// True while the controller is in write-burst mode.
-    pub fn in_burst(&self) -> bool {
-        self.burst
-    }
-
-    /// Snapshot of which banks currently hold a write in any form.
-    pub fn banks_with_writes(&self) -> Vec<bool> {
-        self.banks
-            .iter()
-            .map(|b| b.state.has_write() || b.parked.is_some())
-            .collect()
     }
 
     /// Pool telemetry: `(reuses, fresh_allocations)` of the write-buffer

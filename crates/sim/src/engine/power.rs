@@ -44,12 +44,8 @@ impl<S: Scheme, E: EventSink> System<S, E> {
         let active = inj.brownout_active(self.now);
         if active && !self.power.in_brownout() {
             self.power.begin_brownout(self.cfg.faults.brownout_budget_scale);
-            self.metrics.faults.brownout_windows += 1;
             self.brownout_since = Some(self.now);
-            if E::ENABLED {
-                let at = self.now.get();
-                self.emit(LifecycleEvent::BrownoutStart { at });
-            }
+            self.emit(LifecycleEvent::BrownoutStart { at: self.now.get() });
             // begin_brownout audits the ledger, so the stats snapshot
             // must be re-recorded (id 0 = no associated write).
             self.emit_power(0, PowerOp::BrownoutBegin, true);
@@ -57,10 +53,7 @@ impl<S: Scheme, E: EventSink> System<S, E> {
             self.power.end_brownout();
             self.brownout_since = None;
             self.degraded = false;
-            if E::ENABLED {
-                let at = self.now.get();
-                self.emit(LifecycleEvent::BrownoutEnd { at });
-            }
+            self.emit(LifecycleEvent::BrownoutEnd { at: self.now.get() });
             self.emit_power(0, PowerOp::BrownoutEnd, true);
         }
         if let Some(since) = self.brownout_since {
@@ -73,33 +66,19 @@ impl<S: Scheme, E: EventSink> System<S, E> {
 
     /// Charges the interval `[now, until)` to the activity counters.
     pub(super) fn account(&mut self, until: Cycles) {
-        let delta = until.saturating_sub(self.now).get();
-        if self.burst {
-            self.metrics.burst_cycles += delta;
-        }
-        let writing = self
-            .banks
-            .iter()
-            .any(|b| matches!(b.state, BankState::Writing { .. }));
-        if writing {
-            self.metrics.write_active_cycles += delta;
-        }
-        if self.power.in_brownout() {
-            self.metrics.faults.brownout_cycles += delta;
-        }
-        if self.degraded {
-            self.metrics.faults.degraded_cycles += delta;
-        }
-        if E::ENABLED && delta > 0 {
-            let ev = LifecycleEvent::TimeAdvance {
+        if until > self.now {
+            let writing = self
+                .banks
+                .iter()
+                .any(|b| matches!(b.state, BankState::Writing { .. }));
+            self.emit(LifecycleEvent::TimeAdvance {
                 from: self.now.get(),
                 to: until.get(),
                 burst: self.burst,
                 writing,
                 brownout: self.power.in_brownout(),
                 degraded: self.degraded,
-            };
-            self.emit(ev);
+            });
         }
     }
 }

@@ -336,8 +336,8 @@ fn stepping_matches_run() {
     let mut steps = 0u64;
     while sys.step() {
         steps += 1;
-        assert!(sys.read_queue_len() <= cfg.queues.read_entries);
-        assert!(sys.banks_with_writes().len() == 8);
+        assert!(sys.rdq.len() <= cfg.queues.read_entries);
+        assert_eq!(sys.banks.len(), 8);
     }
     assert!(steps > 100, "a real run takes many event rounds");
     let stepped = sys.finish();

@@ -1,9 +1,8 @@
 //! The typed lifecycle event vocabulary and its wire codec.
 //!
 //! Every engine stage boundary emits exactly one [`LifecycleEvent`]; the
-//! stream is a complete record of a run — [`crate::inspect::MetricsDeriver`]
-//! folds it back into the same [`crate::Metrics`] the engine tallies
-//! inline, byte for byte (the derive-vs-inline CI gate).
+//! stream is a complete record of a run — the engine's [`crate::Metrics`]
+//! are nothing but [`crate::Metrics::apply`] folded over it.
 //!
 //! The wire form is one ASCII line per event: a two-letter kind tag
 //! followed by space-separated decimal fields (booleans as `0`/`1`,
@@ -123,14 +122,14 @@ pub fn stage_from_code(s: &str) -> Option<WriteStage> {
 /// One typed, serializable engine stage transition (or run-level marker).
 ///
 /// Times are absolute simulation cycles; ids are the engine's per-run
-/// [`fpb_core::WriteId`] values. Together the variants cover every site
-/// where the engine mutates [`crate::Metrics`], so the stream *derives*
-/// the metrics rather than merely annotating them.
+/// [`fpb_core::WriteId`] values. The run's [`crate::Metrics`] are the
+/// fold of the stream ([`crate::Metrics::apply`]), so the stream
+/// *derives* the metrics rather than merely annotating them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LifecycleEvent {
     /// Run configuration, emitted once at construction. Carries exactly
-    /// what replay needs to rebuild the run-shaped state (the endurance
-    /// replica, the bank-mask width).
+    /// what the fold needs to build the run-shaped state (the wear
+    /// tracker, the bank-mask width).
     RunStart {
         /// Core count.
         cores: u8,
@@ -147,9 +146,9 @@ pub enum LifecycleEvent {
         /// The run's root RNG seed (provenance only; replay never re-rolls).
         seed: u64,
     },
-    /// Pre-step snapshot, emitted at the top of every engine step — 1:1
-    /// with [`crate::timeline::Timeline`] samples, so replay reconstructs
-    /// the timeline exactly.
+    /// Pre-step snapshot, emitted to a live sink at the top of every
+    /// engine step — one [`crate::timeline::Timeline`] sample each. The
+    /// metrics fold ignores it.
     StepSnapshot {
         /// Simulation time of the snapshot.
         at: u64,

@@ -2,21 +2,20 @@
 //! replay it, and interrogate it (`fpb inspect`).
 //!
 //! The engine's stage modules emit one [`LifecycleEvent`] per stage
-//! transition through an [`EventSink`] threaded into
+//! transition. Every event is folded into the run's [`crate::Metrics`]
+//! by [`crate::Metrics::apply`] — the engine's only producer of metrics
+//! — and then forwarded to the caller's [`EventSink`], threaded into
 //! [`crate::System`] as a type parameter. The default sink is
-//! [`NullSink`], whose `ENABLED = false` constant folds every emission
-//! site to nothing — the hot path pays zero cost unless a caller opts
-//! in. With a live sink, the stream is a *complete* record: the
-//! [`MetricsDeriver`] folds it back into [`crate::Metrics`] byte-identical
-//! to the engine's inline tallies (the derive-vs-inline CI gate), and the
-//! [`Cursor`] replays it step by step with breakpoints, stall attribution
-//! and per-write lineage.
+//! [`NullSink`], whose `ENABLED = false` constant turns the forwarding
+//! off. With a live sink, the stream is a *complete* record: folding it
+//! again reproduces the run's metrics and [`crate::Timeline`] by
+//! construction, and the [`Cursor`] replays it step by step with
+//! breakpoints, stall attribution and per-write lineage.
 //!
 //! * [`event`] — the event vocabulary and its exact ASCII wire codec.
 //! * [`recorder`] — the durable `fpbi1` event log (CRC-framed, fsync'd,
 //!   torn-tail tolerant — the [`crate::journal`] discipline).
-//! * [`cursor`] — ReplayEngine-style step/seek/reset over a stream, plus
-//!   the metrics deriver and timeline reconstruction.
+//! * [`cursor`] — ReplayEngine-style step/seek/reset over a stream.
 //! * [`breakpoint`] — halt predicates ("first degraded write",
 //!   "token-stalled>N") for `fpb inspect break`.
 //! * [`stall`] — where writes waited: token stalls, pauses, backoffs.
@@ -31,7 +30,7 @@ pub mod recorder;
 pub mod stall;
 
 pub use breakpoint::{BreakHit, Breakpoint};
-pub use cursor::{Cursor, MetricsDeriver, ReplayedRun};
+pub use cursor::Cursor;
 pub use event::{stage_code, stage_from_code, LifecycleEvent, PowerOp, SchemeHook};
 pub use lineage::{lineage_lines, Lineage};
 pub use recorder::{
@@ -41,16 +40,18 @@ pub use stall::{StallKind, StallReport};
 
 /// Receives the engine's lifecycle events.
 ///
-/// The engine guards every emission site with `E::ENABLED`, so a sink
-/// whose `ENABLED` is `false` (the default [`NullSink`]) compiles to a
-/// no-op: event construction, including any allocation the event would
-/// need, is never reached. Implementations must be infallible from the
-/// engine's point of view — a sink that can fail (like
-/// [`FileSink`]) records its first error internally and reports it when
-/// the caller finishes the sink.
+/// The engine builds every event and folds it into its own metrics
+/// whatever the sink; `ENABLED` only decides whether the event is then
+/// forwarded to the sink. A sink whose `ENABLED` is `false` (the default
+/// [`NullSink`]) is never called, and the one event the metrics fold
+/// ignores and that costs work to build — the per-step bank snapshot —
+/// is skipped entirely. Implementations must be infallible from the
+/// engine's point of view — a sink that can fail (like [`FileSink`])
+/// records its first error internally and reports it when the caller
+/// finishes the sink.
 pub trait EventSink {
-    /// Whether the engine should construct and emit events at all.
-    /// `false` const-folds every emission site away.
+    /// Whether the engine should forward events to [`EventSink::emit`].
+    /// `false` const-folds the forwarding away.
     const ENABLED: bool = true;
 
     /// Accepts one event. Called only when [`EventSink::ENABLED`] is
@@ -58,9 +59,9 @@ pub trait EventSink {
     fn emit(&mut self, event: LifecycleEvent);
 }
 
-/// The default sink: no recording, zero cost. `System<S>` means
-/// `System<S, NullSink>`, so every existing caller keeps the exact hot
-/// path it had before event sourcing existed.
+/// The default sink: no recording. `System<S>` means
+/// `System<S, NullSink>`; the engine still folds every event into its
+/// metrics, but forwards none and skips the per-step bank snapshot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullSink;
 
@@ -107,7 +108,7 @@ mod tests {
 
     #[test]
     fn null_sink_is_disabled() {
-        assert!(!NullSink::ENABLED);
+        const { assert!(!NullSink::ENABLED) };
         let mut s = NullSink;
         s.emit(LifecycleEvent::RunEnd { at: 1 }); // must be a no-op
     }
@@ -115,7 +116,7 @@ mod tests {
     #[test]
     fn memory_sink_buffers_in_order() {
         let mut s = MemorySink::new();
-        assert!(MemorySink::ENABLED);
+        const { assert!(MemorySink::ENABLED) };
         s.emit(LifecycleEvent::BrownoutStart { at: 5 });
         s.emit(LifecycleEvent::BrownoutEnd { at: 9 });
         assert_eq!(s.events().len(), 2);

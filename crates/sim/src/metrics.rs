@@ -1,6 +1,12 @@
-//! Simulation results.
+//! Simulation results, and the fold that computes them from a run's
+//! lifecycle events.
 
 use fpb_core::PowerStats;
+use fpb_pcm::EnduranceTracker;
+use fpb_types::LineAddr;
+
+use crate::inspect::LifecycleEvent;
+use crate::scheme::WriteStage;
 
 /// Everything one simulation run reports.
 ///
@@ -59,7 +65,7 @@ pub struct Metrics {
     /// Power-manager statistics (GCP usage, stalls, Multi-RESET splits).
     pub power: PowerStats,
     /// Wear accounting and lifetime projection for the run's writes.
-    pub endurance: Option<fpb_pcm::EnduranceTracker>,
+    pub endurance: Option<EnduranceTracker>,
     /// Fault-injection and recovery counters (all zero when injection is
     /// disabled).
     pub faults: FaultMetrics,
@@ -175,6 +181,122 @@ impl Metrics {
             0.0
         } else {
             max / mean
+        }
+    }
+
+    /// Folds one lifecycle event in. This is the only place a run's
+    /// metrics are computed: the engine applies every event it emits, and
+    /// replay applies a recorded stream in order, so a live run and its
+    /// replay agree by construction.
+    ///
+    /// Deltas accumulate (`TimeAdvance` → activity cycles, `RoundClosed`
+    /// → cells); `Power` snapshots overwrite, because outstanding and
+    /// peak tokens are not additive. `RunStart` builds the run's one wear
+    /// tracker, which every `RoundClosed` feeds.
+    ///
+    /// `#[inline]` so the engine's emission sites, monomorphized in the
+    /// caller's crate, fold each event they build down to its counter
+    /// updates.
+    #[inline]
+    pub fn apply(&mut self, ev: &LifecycleEvent) {
+        match ev {
+            LifecycleEvent::RunStart {
+                cores,
+                instructions_per_core,
+                chips,
+                total_lines,
+                cells_per_chip_per_line,
+                ..
+            } => {
+                self.cores = *cores;
+                self.instructions_per_core = *instructions_per_core;
+                // Coarse wear tracking: 64 regions, PCM-typical 10^7
+                // endurance.
+                self.endurance = Some(
+                    EnduranceTracker::new(*total_lines, 64, *chips, 10_000_000)
+                        .with_cells_per_chip(*cells_per_chip_per_line),
+                );
+            }
+            LifecycleEvent::TimeAdvance { from, to, burst, writing, brownout, degraded } => {
+                let delta = to.saturating_sub(*from);
+                if *burst {
+                    self.burst_cycles += delta;
+                }
+                if *writing {
+                    self.write_active_cycles += delta;
+                }
+                if *brownout {
+                    self.faults.brownout_cycles += delta;
+                }
+                if *degraded {
+                    self.faults.degraded_cycles += delta;
+                }
+            }
+            LifecycleEvent::WriteCreated { degraded, .. } => {
+                self.faults.degraded_writes += u64::from(*degraded);
+            }
+            LifecycleEvent::WriteAdmitted { queue_delay, .. } => {
+                self.write_queue_delay += queue_delay;
+            }
+            LifecycleEvent::Stage { to, .. } => match to {
+                WriteStage::Paused => self.pauses += 1,
+                // The only transition *back* to Queued is cancellation.
+                WriteStage::Queued => self.cancellations += 1,
+                _ => {}
+            },
+            LifecycleEvent::Power { stats, audit, .. } => {
+                self.power = PowerStats::from_raw(*stats);
+                self.faults.audit_violations = *audit;
+            }
+            LifecycleEvent::ReadIssued { latency, scrub, .. } => {
+                if !scrub {
+                    self.read_latency_sum += latency;
+                }
+            }
+            LifecycleEvent::ReadDone { scrub, .. } => {
+                if *scrub {
+                    self.scrub_reads += 1;
+                } else {
+                    self.pcm_reads += 1;
+                }
+            }
+            LifecycleEvent::RoundClosed { line, cells, truncated, final_round, per_chip, .. } => {
+                self.write_rounds += 1;
+                // Sized on the first closed round, so a run that closes
+                // none reports an empty array.
+                if self.per_chip_cells.is_empty() {
+                    self.per_chip_cells = vec![0; per_chip.len()];
+                }
+                for (acc, c) in self.per_chip_cells.iter_mut().zip(per_chip) {
+                    *acc += u64::from(*c);
+                }
+                if let Some(e) = self.endurance.as_mut() {
+                    e.record_write(LineAddr::new(*line), per_chip);
+                }
+                self.cells_written += cells;
+                self.truncations += u64::from(*truncated);
+                self.pcm_writes += u64::from(*final_round);
+            }
+            LifecycleEvent::StuckMarked { lines, .. } => {
+                self.faults.stuck_lines_marked += lines;
+            }
+            LifecycleEvent::VerifyFailed { remapped, .. } => {
+                self.faults.verify_failures += 1;
+                if *remapped {
+                    self.faults.remaps += 1;
+                    self.faults.slc_fallbacks += 1;
+                } else {
+                    self.faults.retries += 1;
+                }
+            }
+            LifecycleEvent::WatchdogTripped { .. } => self.faults.watchdog_trips += 1,
+            LifecycleEvent::BrownoutStart { .. } => self.faults.brownout_windows += 1,
+            LifecycleEvent::RunEnd { at } => self.cycles = *at,
+            LifecycleEvent::StepSnapshot { .. }
+            | LifecycleEvent::WriteCoalesced { .. }
+            | LifecycleEvent::SchemeDecision { .. }
+            | LifecycleEvent::BrownoutEnd { .. }
+            | LifecycleEvent::CoreDone { .. } => {}
         }
     }
 
@@ -392,7 +514,7 @@ impl Metrics {
                 let per_chip = (0..chips).map(|_| next()).collect::<Option<Vec<u64>>>()?;
                 let cells = next()?;
                 let endurance = next()?;
-                Some(fpb_pcm::EnduranceTracker::from_parts(
+                Some(EnduranceTracker::from_parts(
                     lines_per_region,
                     per_region,
                     per_chip,
@@ -549,6 +671,45 @@ mod tests {
         assert_eq!(m.chip_imbalance(), 2.0);
         assert_eq!(Metrics::default().avg_read_latency(), 0.0);
         assert_eq!(Metrics::default().chip_imbalance(), 0.0);
+    }
+
+    #[test]
+    fn apply_accumulates_deltas_and_overwrites_absolutes() {
+        let mut m = Metrics::default();
+        m.apply(&LifecycleEvent::TimeAdvance {
+            from: 0,
+            to: 10,
+            burst: true,
+            writing: true,
+            brownout: false,
+            degraded: false,
+        });
+        m.apply(&LifecycleEvent::TimeAdvance {
+            from: 10,
+            to: 15,
+            burst: false,
+            writing: true,
+            brownout: true,
+            degraded: true,
+        });
+        for (stats, audit) in [([1; 9], 0), ([2; 9], 3)] {
+            m.apply(&LifecycleEvent::Power {
+                id: 1,
+                op: crate::inspect::PowerOp::Admit,
+                ok: true,
+                at: 5,
+                stats,
+                audit,
+            });
+        }
+        m.apply(&LifecycleEvent::RunEnd { at: 15 });
+        assert_eq!(m.burst_cycles, 10);
+        assert_eq!(m.write_active_cycles, 15);
+        assert_eq!(m.faults.brownout_cycles, 5);
+        assert_eq!(m.faults.degraded_cycles, 5);
+        assert_eq!(m.power, PowerStats::from_raw([2; 9]), "latest snapshot wins");
+        assert_eq!(m.faults.audit_violations, 3);
+        assert_eq!(m.cycles, 15);
     }
 
     #[test]

@@ -1,20 +1,19 @@
-//! Bank-activity timelines: sample a stepped simulation and render an
-//! ASCII Gantt view of what the DIMM was doing.
+//! Bank-activity timelines: a view over a run's lifecycle events, and an
+//! ASCII Gantt rendering of what the DIMM was doing.
 //!
-//! Built on [`crate::System::step`]: the recorder drives the simulation
-//! itself and snapshots queue depths, burst mode and per-bank write
-//! occupancy at every event, then renders a fixed-width strip per bank —
-//! the fastest way to *see* write bursts serializing reads, or FPB
-//! overlapping writes that the baseline runs back to back.
+//! The engine records queue depths, burst mode and per-bank write
+//! occupancy in a `StepSnapshot` event at the top of every step;
+//! [`Timeline::from_events`] turns those into samples and renders a
+//! fixed-width strip per bank — the fastest way to *see* write bursts
+//! serializing reads, or FPB overlapping writes that the baseline runs
+//! back to back.
 
 use std::fmt;
 
 use fpb_types::Cycles;
 
-use crate::engine::System;
-use crate::inspect::EventSink;
+use crate::inspect::LifecycleEvent;
 use crate::metrics::Metrics;
-use crate::scheme::Scheme;
 
 /// Why [`Timeline::render`] could not produce a chart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,48 +58,50 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// Runs `system` to completion, sampling at every event round.
+    /// Folds a recorded event stream: one [`Sample`] per `StepSnapshot`,
+    /// and the run's [`Metrics`] from every event.
     ///
     /// # Examples
     ///
     /// ```
+    /// use fpb_sim::inspect::MemorySink;
     /// use fpb_sim::timeline::Timeline;
-    /// use fpb_sim::{SchemeSetup, SimOptions, System};
+    /// use fpb_sim::{run_workload_recorded, SchemeSetup, SimOptions};
     /// use fpb_trace::catalog;
     /// use fpb_types::SystemConfig;
     ///
     /// let cfg = SystemConfig::default();
     /// let wl = catalog::workload("cop_m").unwrap();
-    /// let sys = System::new(&wl, &cfg, &SchemeSetup::fpb(&cfg),
-    ///                       &SimOptions::with_instructions(20_000));
-    /// let tl = Timeline::record(sys);
+    /// let opts = SimOptions::with_instructions(20_000);
+    /// let (m, sink) =
+    ///     run_workload_recorded(&wl, &cfg, &SchemeSetup::fpb(&cfg), &opts, MemorySink::new())
+    ///         .unwrap();
+    /// let tl = Timeline::from_events(sink.events());
     /// assert!(!tl.samples().is_empty());
-    /// assert!(tl.metrics().cycles > 0);
+    /// assert_eq!(tl.metrics(), &m);
     /// ```
-    pub fn record<S: Scheme, E: EventSink>(mut system: System<S, E>) -> Timeline {
+    pub fn from_events(events: &[LifecycleEvent]) -> Timeline {
+        let mut metrics = Metrics::default();
+        let mut banks = 0;
         let mut samples = Vec::new();
-        loop {
-            samples.push(Sample {
-                at: system.now(),
-                bank_writes: system.banks_with_writes(),
-                burst: system.in_burst(),
-                wrq: system.write_queue_len(),
-                rdq: system.read_queue_len(),
-            });
-            if !system.step() {
-                break;
+        for ev in events {
+            metrics.apply(ev);
+            match ev {
+                LifecycleEvent::RunStart { banks: b, .. } => banks = *b,
+                LifecycleEvent::StepSnapshot { at, bank_mask, burst, wrq, rdq } => {
+                    samples.push(Sample {
+                        at: Cycles::new(*at),
+                        bank_writes: (0..u32::from(banks))
+                            .map(|b| bank_mask.checked_shr(b).is_some_and(|m| m & 1 != 0))
+                            .collect(),
+                        burst: *burst,
+                        wrq: *wrq as usize,
+                        rdq: *rdq as usize,
+                    });
+                }
+                _ => {}
             }
         }
-        Timeline {
-            samples,
-            metrics: system.finish(),
-        }
-    }
-
-    /// Reassembles a timeline from parts — the replay path
-    /// ([`crate::inspect::Cursor`]) reconstructs the samples from
-    /// recorded step snapshots rather than stepping a live system.
-    pub fn from_parts(samples: Vec<Sample>, metrics: Metrics) -> Timeline {
         Timeline { samples, metrics }
     }
 
@@ -197,6 +198,7 @@ impl Timeline {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::inspect::MemorySink;
     use crate::scheme::SchemeSetup;
     use crate::SimOptions;
     use fpb_trace::catalog;
@@ -205,13 +207,13 @@ mod tests {
     fn recorded(scheme: fn(&SystemConfig) -> SchemeSetup) -> Timeline {
         let cfg = SystemConfig::default();
         let wl = catalog::workload("lbm_m").expect("workload");
-        let sys = System::new(
-            &wl,
-            &cfg,
-            &scheme(&cfg),
-            &SimOptions::with_instructions(40_000),
-        );
-        Timeline::record(sys)
+        let opts = SimOptions::with_instructions(40_000);
+        let (m, sink) =
+            crate::run_workload_recorded(&wl, &cfg, &scheme(&cfg), &opts, MemorySink::new())
+                .unwrap();
+        let tl = Timeline::from_events(sink.events());
+        assert_eq!(tl.metrics(), &m, "the fold must reproduce the run's metrics");
+        tl
     }
 
     #[test]
@@ -221,8 +223,35 @@ mod tests {
         let opts = SimOptions::with_instructions(40_000);
         let plain = crate::run_workload(&wl, &cfg, &SchemeSetup::fpb(&cfg), &opts);
         let tl = recorded(SchemeSetup::fpb);
-        assert_eq!(tl.metrics().cycles, plain.cycles, "stepping must not change results");
-        assert_eq!(tl.metrics().pcm_writes, plain.pcm_writes);
+        assert_eq!(tl.metrics(), &plain, "recording must not change results");
+    }
+
+    #[test]
+    fn snapshots_become_samples() {
+        let evs = vec![
+            LifecycleEvent::RunStart {
+                cores: 2,
+                instructions_per_core: 100,
+                chips: 4,
+                banks: 8,
+                total_lines: 1024,
+                cells_per_chip_per_line: 64,
+                seed: 7,
+            },
+            LifecycleEvent::StepSnapshot { at: 0, bank_mask: 0b101, burst: false, wrq: 1, rdq: 2 },
+            LifecycleEvent::StepSnapshot { at: 9, bank_mask: 0, burst: true, wrq: 0, rdq: 0 },
+            LifecycleEvent::RunEnd { at: 9 },
+        ];
+        let tl = Timeline::from_events(&evs);
+        assert_eq!(tl.samples().len(), 2);
+        let s0 = &tl.samples()[0];
+        assert_eq!(s0.at, Cycles::new(0));
+        assert_eq!(s0.bank_writes.len(), 8);
+        assert!(s0.bank_writes[0] && s0.bank_writes[2] && !s0.bank_writes[1]);
+        assert_eq!((s0.wrq, s0.rdq), (1, 2));
+        assert_eq!(tl.metrics().cycles, 9);
+        assert_eq!(tl.metrics().cores, 2);
+        assert!(tl.metrics().endurance.is_some());
     }
 
     #[test]

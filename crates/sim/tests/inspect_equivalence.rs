@@ -1,23 +1,21 @@
-//! Derive-vs-inline equivalence: the recorded lifecycle event stream is
-//! a *complete* record of a run.
+//! Record/replay equivalence: the recorded lifecycle event stream is a
+//! *complete* record of a run.
 //!
-//! Three guarantees, each load-bearing for `fpb inspect`:
+//! The engine's metrics are the fold of its own event stream
+//! ([`Metrics::apply`]), so a replayed stream reproduces them by
+//! construction; what remains to check is the recording path itself:
 //!
 //! 1. **Observation is free** — recording through a sink must not
-//!    perturb the simulation: recorded-run metrics are bit-identical to
-//!    a plain run's.
-//! 2. **Derivation is exact** — folding the event stream back through
-//!    [`MetricsDeriver`] reproduces the engine's inline [`Metrics`]
-//!    byte-for-byte (`to_json` compared verbatim) for every registered
-//!    paper-figure spec and under full fault injection.
-//! 3. **Replay is lossless** — the timeline reconstructed from
-//!    `StepSnapshot` events equals what [`Timeline::record`] samples on
-//!    a live system.
+//!    perturb the simulation.
+//! 2. **The log is lossless** — a stream written to an on-disk `fpbi1`
+//!    log and read back replays to the live run's metrics and timeline.
+//! 3. **The codec is exact** — every event a run emits survives the wire
+//!    form the log stores.
 
-use fpb_sim::inspect::{MemorySink, ReplayedRun};
+use fpb_sim::inspect::{read_event_log, FileSink, LifecycleEvent, MemorySink};
 use fpb_sim::scheme::SchemeRegistry;
 use fpb_sim::timeline::Timeline;
-use fpb_sim::{run_workload, run_workload_recorded, SimOptions, System};
+use fpb_sim::{run_workload, run_workload_recorded, Metrics, SimOptions};
 use fpb_trace::catalog;
 use fpb_types::{FaultConfig, SystemConfig};
 
@@ -45,68 +43,59 @@ fn faulty_cfg() -> SystemConfig {
     })
 }
 
-#[test]
-fn all_paper_figure_specs_derive_byte_identical_metrics() {
-    let cfg = SystemConfig::default();
+/// `spec` on `mcf_m` under `cfg`, plain and recorded into memory.
+fn plain_and_recorded(spec: &str, cfg: &SystemConfig) -> (Metrics, Metrics, Vec<LifecycleEvent>) {
     let wl = catalog::workload("mcf_m").expect("workload");
-    let registry = SchemeRegistry::standard();
-    let specs = registry.paper_figure_specs();
-    assert!(specs.len() >= 21, "paper figure registry shrank: {}", specs.len());
-    for spec in specs {
-        let setup = registry.build(spec, &cfg).unwrap_or_else(|e| panic!("{spec}: {e}"));
-        let inline = run_workload(&wl, &cfg, &setup, &opts());
-        let (recorded, sink) =
-            run_workload_recorded(&wl, &cfg, &setup, &opts(), MemorySink::new())
-                .unwrap_or_else(|e| panic!("{spec}: {e}"));
-        assert_eq!(recorded, inline, "{spec}: recording perturbed the run");
-        let derived = ReplayedRun::from_events(sink.events()).metrics;
-        assert_eq!(
-            derived.to_json(),
-            inline.to_json(),
-            "{spec}: derived metrics drifted from inline tallies"
-        );
-        assert_eq!(derived, inline, "{spec}: structural mismatch");
-    }
+    let setup = SchemeRegistry::standard()
+        .build(spec, cfg)
+        .unwrap_or_else(|e| panic!("{spec}: {e}"));
+    let plain = run_workload(&wl, cfg, &setup, &opts());
+    let (recorded, sink) = run_workload_recorded(&wl, cfg, &setup, &opts(), MemorySink::new())
+        .unwrap_or_else(|e| panic!("{spec}: {e}"));
+    (plain, recorded, sink.into_events())
 }
 
 #[test]
-fn fault_injected_run_derives_byte_identical_metrics() {
+fn recording_leaves_metrics_unchanged() {
+    let cfg = SystemConfig::default();
+    let registry = SchemeRegistry::standard();
+    for spec in registry.paper_figure_specs() {
+        let (plain, recorded, _) = plain_and_recorded(spec, &cfg);
+        assert_eq!(recorded, plain, "{spec}: recording perturbed the run");
+    }
+    let (plain, recorded, _) = plain_and_recorded("fpb", &faulty_cfg());
+    assert!(plain.faults.verify_failures > 0, "{:?}", plain.faults);
+    assert_eq!(recorded, plain, "recording perturbed the faulty run");
+}
+
+#[test]
+fn on_disk_log_replays_to_the_live_run() {
     let cfg = faulty_cfg();
     let wl = catalog::workload("mcf_m").expect("workload");
-    let registry = SchemeRegistry::standard();
-    let setup = registry.build("fpb", &cfg).expect("fpb spec");
-    let inline = run_workload(&wl, &cfg, &setup, &opts());
-    // The fault mix must actually fire, or this test proves nothing.
-    assert!(inline.faults.verify_failures > 0, "{:?}", inline.faults);
-    assert!(inline.faults.brownout_windows > 0, "{:?}", inline.faults);
-    let (recorded, sink) =
-        run_workload_recorded(&wl, &cfg, &setup, &opts(), MemorySink::new()).expect("recorded");
-    assert_eq!(recorded, inline, "recording perturbed the faulty run");
-    let derived = ReplayedRun::from_events(sink.events()).metrics;
-    assert_eq!(derived.to_json(), inline.to_json());
-    assert_eq!(derived.faults, inline.faults, "fault counters must derive exactly");
-}
+    let setup = SchemeRegistry::standard().build("fpb", &cfg).expect("fpb spec");
+    let dir = std::env::temp_dir().join("fpb-inspect-equivalence");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join(format!("run-{}.fpbi", std::process::id()));
+    std::fs::remove_file(&path).ok();
 
-#[test]
-fn replayed_timeline_matches_live_recording() {
-    let cfg = SystemConfig::default();
-    let wl = catalog::workload("lbm_m").expect("workload");
-    let registry = SchemeRegistry::standard();
-    let setup = registry.build("fpb", &cfg).expect("fpb spec");
-    let live = Timeline::record(System::new(&wl, &cfg, &setup, &opts()));
-    let (_, sink) =
-        run_workload_recorded(&wl, &cfg, &setup, &opts(), MemorySink::new()).expect("recorded");
-    let replayed = ReplayedRun::from_events(sink.events());
+    let sink = FileSink::create(&path, "mcf_m fpb faulty").expect("create log");
+    let (live, sink) = run_workload_recorded(&wl, &cfg, &setup, &opts(), sink).expect("recorded");
+    sink.finish().expect("close log");
+    let (_, memory) = run_workload_recorded(&wl, &cfg, &setup, &opts(), MemorySink::new())
+        .expect("recorded");
+    let log = read_event_log(&path).expect("read back");
+    std::fs::remove_file(&path).ok();
+    assert!(log.complete);
+    assert_eq!(log.events, memory.events(), "the log must hold the whole stream");
+
+    let replayed = Timeline::from_events(&log.events);
+    assert_eq!(replayed.metrics().to_json(), live.to_json());
+    assert_eq!(replayed.metrics(), &live);
+    let in_memory = Timeline::from_events(memory.events());
+    assert_eq!(replayed.samples(), in_memory.samples());
     assert_eq!(
-        replayed.timeline.samples(),
-        live.samples(),
-        "replay must reconstruct the sampled timeline exactly"
-    );
-    assert_eq!(replayed.timeline.metrics(), live.metrics());
-    // The rendered chart — the user-facing artifact — is identical too.
-    assert_eq!(
-        replayed.timeline.render(60).expect("render"),
-        live.render(60).expect("render")
+        replayed.render(60).expect("render"),
+        in_memory.render(60).expect("render")
     );
 }
 
@@ -114,15 +103,9 @@ fn replayed_timeline_matches_live_recording() {
 fn event_stream_round_trips_through_the_wire_codec() {
     // Every event an actual run emits must survive encode/decode — the
     // on-disk log stores exactly these lines.
-    use fpb_sim::inspect::LifecycleEvent;
-    let cfg = faulty_cfg();
-    let wl = catalog::workload("mcf_m").expect("workload");
-    let registry = SchemeRegistry::standard();
-    let setup = registry.build("fpb+wc+wp+wt8", &cfg).expect("spec");
-    let (_, sink) =
-        run_workload_recorded(&wl, &cfg, &setup, &opts(), MemorySink::new()).expect("recorded");
-    assert!(!sink.events().is_empty());
-    for ev in sink.events() {
+    let (_, _, events) = plain_and_recorded("fpb+wc+wp+wt8", &faulty_cfg());
+    assert!(!events.is_empty());
+    for ev in &events {
         let line = ev.encode();
         assert_eq!(
             LifecycleEvent::decode(&line).as_ref(),

@@ -1,8 +1,8 @@
 //! Property tests for record → replay: across arbitrary seeds, schemes,
 //! and fault mixes, a run recorded to an on-disk event log and read back
-//! reconstructs `Timeline::record`'s output and the final `Metrics`
-//! byte-identically — including when the recorded runs execute on
-//! parallel sweep workers (`--jobs 2`).
+//! replays (`Timeline::from_events`) to the live run's timeline and final
+//! `Metrics` byte-identically — including when the recorded runs execute
+//! on parallel sweep workers (`--jobs 2`).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -11,10 +11,10 @@ use proptest::prelude::*;
 
 use fpb_sim::engine::run_workload_recorded;
 use fpb_sim::exec::parallel_map_indexed;
-use fpb_sim::inspect::{read_event_log, EventLogWriter, MemorySink, ReplayedRun};
+use fpb_sim::inspect::{read_event_log, EventLogWriter, MemorySink};
 use fpb_sim::scheme::SchemeRegistry;
 use fpb_sim::timeline::Timeline;
-use fpb_sim::{Metrics, SimOptions, System};
+use fpb_sim::{Metrics, SimOptions};
 use fpb_trace::catalog;
 use fpb_types::{FaultConfig, SystemConfig};
 
@@ -33,38 +33,41 @@ const SPECS: [&str; 4] = ["dimm-chip", "fpb", "gcp:ne:0.5", "fpb+wc+wp+wt8"];
 const INSTRUCTIONS: u64 = 8_000;
 
 fn cfg_for(seed: u64, faulty: bool) -> SystemConfig {
-    let mut cfg = SystemConfig::default();
-    cfg.seed = seed;
-    if faulty {
-        cfg = cfg.with_faults(FaultConfig {
-            verify_fail_prob: 0.25,
-            stuck_cell_prob: 0.1,
-            stuck_wear_threshold: 1,
-            brownout_period: 60_000,
-            brownout_duration: 20_000,
-            max_retries: 2,
-            retry_backoff_cycles: 64,
-            watchdog_iterations: 250,
-            degraded_after_cycles: 15_000,
-            ..FaultConfig::default()
-        });
+    let cfg = SystemConfig {
+        seed,
+        ..SystemConfig::default()
+    };
+    if !faulty {
+        return cfg;
     }
-    cfg
+    cfg.with_faults(FaultConfig {
+        verify_fail_prob: 0.25,
+        stuck_cell_prob: 0.1,
+        stuck_wear_threshold: 1,
+        brownout_period: 60_000,
+        brownout_duration: 20_000,
+        max_retries: 2,
+        retry_backoff_cycles: 64,
+        watchdog_iterations: 250,
+        degraded_after_cycles: 15_000,
+        ..FaultConfig::default()
+    })
 }
 
-/// Records one run and checks the full pipeline: in-memory events ==
-/// file round-trip events, derived metrics byte-identical to inline,
-/// replayed timeline identical to a live `Timeline::record`.
+/// Records one run and checks the full pipeline: recording leaves the
+/// metrics unchanged, in-memory events == file round-trip events, and the
+/// file replays to the live run's metrics and timeline.
 fn check_one(seed: u64, spec: &str, faulty: bool) -> Result<(), TestCaseError> {
     let cfg = cfg_for(seed, faulty);
     let wl = catalog::workload("mcf_m").expect("workload");
     let setup = SchemeRegistry::standard().build(spec, &cfg).expect("spec");
     let opts = SimOptions::with_instructions(INSTRUCTIONS);
 
-    let live = Timeline::record(System::new(&wl, &cfg, &setup, &opts));
+    let plain = fpb_sim::run_workload(&wl, &cfg, &setup, &opts);
     let (inline, sink) =
         run_workload_recorded(&wl, &cfg, &setup, &opts, MemorySink::new()).expect("recorded");
-    prop_assert_eq!(&inline, live.metrics(), "sink perturbed the run");
+    prop_assert_eq!(&inline, &plain, "sink perturbed the run");
+    let live = Timeline::from_events(sink.events());
 
     // Through the on-disk log and back.
     let path = tmp();
@@ -81,17 +84,17 @@ fn check_one(seed: u64, spec: &str, faulty: bool) -> Result<(), TestCaseError> {
     prop_assert_eq!(&log.events, sink.events(), "file round-trip changed the stream");
     std::fs::remove_file(&path).ok();
 
-    let replayed = ReplayedRun::from_events(&log.events);
+    let replayed = Timeline::from_events(&log.events);
     prop_assert_eq!(
-        replayed.metrics.to_json(),
+        replayed.metrics().to_json(),
         inline.to_json(),
         "derived metrics drifted (seed={}, spec={}, faulty={})",
         seed,
         spec,
         faulty
     );
-    prop_assert_eq!(replayed.timeline.samples(), live.samples());
-    prop_assert_eq!(replayed.timeline.metrics(), live.metrics());
+    prop_assert_eq!(replayed.samples(), live.samples());
+    prop_assert_eq!(replayed.metrics(), &inline);
     Ok(())
 }
 
@@ -141,8 +144,8 @@ proptest! {
             let (inline, sink) =
                 run_workload_recorded(&wl, &cfg, &setup, &opts, MemorySink::new())
                     .expect("recorded");
-            let derived = ReplayedRun::from_events(sink.events()).metrics;
-            (inline, derived.to_json())
+            let derived = Timeline::from_events(sink.events()).metrics().to_json();
+            (inline, derived)
         });
 
         for ((inline, derived_json), want) in replayed.iter().zip(&serial) {

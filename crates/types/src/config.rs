@@ -266,7 +266,7 @@ impl QueueConfig {
 pub struct PcmConfig {
     /// Total capacity in GiB.
     pub capacity_gib: u32,
-    /// Logical banks per DIMM.
+    /// Logical banks per DIMM (1–64).
     pub banks: u8,
     /// PCM chips per DIMM (a bank stripes across all of them).
     pub chips: u8,
@@ -330,6 +330,10 @@ impl PcmConfig {
     fn validate(&self) -> Result<(), ConfigError> {
         if self.banks == 0 {
             return Err(ConfigError::new("pcm.banks", "must be nonzero"));
+        }
+        if self.banks > 64 {
+            // A step snapshot records bank occupancy as a 64-bit mask.
+            return Err(ConfigError::new("pcm.banks", "must be at most 64"));
         }
         if self.chips == 0 {
             return Err(ConfigError::new("pcm.chips", "must be nonzero"));
@@ -770,6 +774,12 @@ mod tests {
         let mut c = SystemConfig::default();
         c.pcm.banks = 0;
         assert_eq!(c.validate().unwrap_err().field(), "pcm.banks");
+
+        let mut c = SystemConfig::default();
+        c.pcm.banks = 65;
+        assert_eq!(c.validate().unwrap_err().field(), "pcm.banks");
+        c.pcm.banks = 64;
+        assert!(c.validate().is_ok(), "64 banks fit the snapshot mask");
 
         let mut c = SystemConfig::default();
         c.pcm.line_bytes = 100;

@@ -5,8 +5,9 @@
 //! cargo run --release --example bank_timeline
 //! ```
 
+use fpb::sim::inspect::MemorySink;
 use fpb::sim::timeline::Timeline;
-use fpb::sim::{SchemeSetup, SimOptions, System};
+use fpb::sim::{run_workload_recorded, SchemeSetup, SimOptions};
 use fpb::trace::catalog;
 use fpb::types::SystemConfig;
 
@@ -16,8 +17,9 @@ fn main() {
     let opts = SimOptions::with_instructions(60_000);
 
     for setup in [SchemeSetup::dimm_chip(&cfg), SchemeSetup::fpb(&cfg)] {
-        let sys = System::new(&wl, &cfg, &setup, &opts);
-        let tl = Timeline::record(sys);
+        let (_, sink) = run_workload_recorded(&wl, &cfg, &setup, &opts, MemorySink::new())
+            .expect("recorded run");
+        let tl = Timeline::from_events(sink.events());
         println!("=== {} on {} ===", setup.label, wl.name);
         println!("('#' = bank holds a write, 'B' = write burst blocking reads)\n");
         print!("{}", tl.render(100).expect("recorded timeline renders"));

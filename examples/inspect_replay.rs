@@ -1,8 +1,8 @@
 //! Time-travel debugging end to end: record a fault-injected run as a
 //! lifecycle event stream, break on the first write that degrades to
 //! SLC mode under brownout pressure, walk its lineage, attribute the
-//! stall time, and prove the replay is lossless — the metrics derived
-//! from events alone are byte-identical to the engine's own tallies.
+//! stall time, and replay the stream into the run's metrics and
+//! timeline — the same fold the engine computes its metrics with.
 //!
 //! ```sh
 //! cargo run --release --example inspect_replay
@@ -16,8 +16,8 @@
 //!     --fault-degraded-after 5000 --instructions 40000
 //! ```
 
-use fpb::sim::inspect::{Breakpoint, Cursor, Lineage, MemorySink, ReplayedRun, StallReport};
-use fpb::sim::{run_workload_recorded, SchemeSetup, SimOptions};
+use fpb::sim::inspect::{Breakpoint, Cursor, Lineage, MemorySink, StallReport};
+use fpb::sim::{run_workload_recorded, SchemeSetup, SimOptions, Timeline};
 use fpb::trace::catalog;
 use fpb::types::{FaultConfig, SystemConfig};
 
@@ -66,15 +66,11 @@ fn main() {
     println!("\n{}", StallReport::analyze(cursor.events()).render(3));
 
     // Replay: the stream alone reconstructs the run, byte for byte.
-    let replayed = ReplayedRun::from_events(cursor.events());
-    assert_eq!(
-        replayed.metrics.to_json(),
-        metrics.to_json(),
-        "replay must derive the inline metrics exactly"
-    );
+    let replayed = Timeline::from_events(cursor.events());
+    assert_eq!(replayed.metrics(), &metrics, "replay must fold to the run's metrics");
     println!(
-        "replay check: {} events -> metrics byte-identical to the live run ({} samples)",
-        replayed.events,
-        replayed.timeline.samples().len()
+        "replay check: {} events -> the run's metrics and {} timeline samples",
+        cursor.len(),
+        replayed.samples().len()
     );
 }

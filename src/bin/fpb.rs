@@ -249,8 +249,9 @@ fn run_inspect(ia: &cli::InspectArgs) -> Result<ExitCode, String> {
     use cli::InspectVerb;
     use fpb::sim::inspect::{
         lineage_lines, read_event_log, Breakpoint, Cursor, FileSink, LifecycleEvent, MemorySink,
-        ReplayedRun, StallReport,
+        StallReport,
     };
+    use fpb::sim::Timeline;
     use fpb::sim::run_workload_recorded;
 
     // Verbs that read a log share one loader; the corrupt-tail policy
@@ -311,21 +312,22 @@ fn run_inspect(ia: &cli::InspectArgs) -> Result<ExitCode, String> {
         InspectVerb::Replay => {
             let log = ia.log.as_deref().ok_or("inspect replay requires --log")?;
             let events = load(log)?;
-            let replayed = ReplayedRun::from_events(&events);
+            let timeline = Timeline::from_events(&events);
+            let m = timeline.metrics();
             println!(
                 "replayed {} event(s) -> {} timeline sample(s); derived metrics:",
-                replayed.events,
-                replayed.timeline.samples().len()
+                events.len(),
+                timeline.samples().len()
             );
             print_header();
-            print_metrics("replayed", &replayed.metrics, None);
-            print_wear(&replayed.metrics);
-            print_faults(&replayed.metrics);
+            print_metrics("replayed", m, None);
+            print_wear(m);
+            print_faults(m);
             if ia.json {
-                println!("{}", replayed.metrics.to_json());
+                println!("{}", m.to_json());
             }
             if let Some(path) = &ia.metrics_out {
-                std::fs::write(path, replayed.metrics.to_json())
+                std::fs::write(path, m.to_json())
                     .map_err(|e| format!("write {path}: {e}"))?;
                 println!("wrote {path}");
             }
