@@ -36,7 +36,7 @@ pub struct Symbol {
 }
 
 impl Symbol {
-    /// Qualified display name (`System::run` or `claim_chunk`).
+    /// Qualified display name (`System::run` or `schedule_by_cost`).
     pub fn qual(&self) -> String {
         match &self.self_ty {
             Some(ty) => format!("{ty}::{}", self.name),

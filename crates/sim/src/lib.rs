@@ -20,9 +20,10 @@
 //!   the durable recorder, and the record/replay time-travel debugger
 //!   behind `fpb inspect`.
 //! * [`metrics`] — CPI, write throughput, burst residency, power stats.
-//! * [`exec`] — the worker pool fanning independent runs across threads.
-//! * [`supervise`] — the fault-tolerant layer over [`exec`]: panic
-//!   isolation, bounded retry, deadlines, quarantine, cancellation.
+//! * [`exec`] — the worker pool fanning short independent maps across
+//!   threads.
+//! * [`supervise`] — the pool every sweep runs on: panic isolation,
+//!   deadlines, quarantine, cancellation.
 //! * [`journal`] — the durable fsync'd checkpoint log behind
 //!   `fpb sweep --journal/--resume`.
 //! * [`resultcache`] — the persistent point-result cache
@@ -70,10 +71,7 @@ pub use bench::{
 };
 pub use engine::{run_workload, run_workload_recorded, try_run_workload, SimArena, SimOptions, System};
 pub use inspect::{EventSink, LifecycleEvent, MemorySink, NullSink};
-pub use exec::{
-    default_jobs, effective_workers, parallel_map_arena, parallel_map_indexed, schedule_by_cost,
-    try_parallel_map_arena, try_parallel_map_indexed, WorkerPanic,
-};
+pub use exec::{default_jobs, effective_workers, parallel_map_indexed, schedule_by_cost};
 pub use journal::{JournalError, JournalHeader, JournalWriter};
 pub use metrics::{FaultMetrics, Metrics};
 pub use request::{ReadTask, WriteTask};

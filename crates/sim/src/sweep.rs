@@ -8,14 +8,13 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 
 use fpb_core::effective_config_desc;
 use fpb_types::SystemConfig;
 
 use crate::engine::{run_workload_warmed_arena, warm_cores, SimArena, SimOptions};
-use crate::exec::{parallel_map_arena, parallel_map_indexed};
+use crate::exec::parallel_map_indexed;
 use crate::frontend::CoreState;
 use crate::journal::{fingerprint64, JournalError, JournalHeader, JournalMode, JournalWriter};
 use crate::metrics::{json_string, Metrics};
@@ -349,30 +348,31 @@ pub fn run_sweep(
 /// Every grid point is an independent, deterministic simulation (each run
 /// seeds its own RNGs from the configuration), so the parallel sweep
 /// returns results **bit-for-bit identical** to the serial one, in the
-/// same odometer order — `jobs` only changes wall-clock time. With
-/// `jobs <= 1` the grid runs inline on the caller's thread.
+/// same odometer order — `jobs` only changes wall-clock time.
 ///
-/// Four work-avoidance optimizations apply at any worker count, none of
-/// which can change results (all are sharing/ordering-only; the
-/// jobs-invariance and reuse-equivalence tests enforce this):
+/// This is [`run_sweep_supervised`] with no journal, no cancellation and
+/// no deadline, so it shares that pipeline's work avoidance, none of
+/// which can change results (the jobs-invariance and reuse-equivalence
+/// tests enforce this):
 ///
 /// - Engine runs are semantically deduplicated: runs whose unit
 ///   descriptions collide (see [`ReuseOptions`]) simulate once per
 ///   equivalence class and share the metrics.
 /// - Warmed cores are deduplicated: points whose configs produce the
 ///   same warm state (see [`warm_key`]'s inputs) share one warm set.
-/// - Each worker carries a [`SimArena`], so the write path's pools are
-///   primed once per worker instead of once per point.
-/// - Units execute in descending estimated-cost order
-///   ([`point_cost`] of the class representative), longest first, so a
-///   slow unit claimed late cannot strand the pool past the end of the
-///   grid.
+/// - Each run borrows a [`SimArena`] from a shared stack and returns it
+///   afterwards, so the write path's pools are primed once per worker
+///   instead of once per point.
+/// - Workers claim one unit at a time in descending estimated-cost
+///   order ([`point_cost`] of the class representative), longest first,
+///   so a slow unit claimed late cannot strand the pool past the end of
+///   the grid.
 ///
 /// # Panics
 ///
 /// Panics if `axes` is empty, either scheme spec does not resolve, or any
 /// produced configuration is invalid (the validation happens up front,
-/// before any worker starts).
+/// before any worker starts), and if a point's simulation panics.
 pub fn run_sweep_jobs(
     workload: &Workload,
     base_cfg: SystemConfig,
@@ -414,110 +414,37 @@ pub fn run_sweep_jobs_reuse(
     jobs: usize,
     reuse: &ReuseOptions,
 ) -> (Vec<SweepPoint>, ReuseStats) {
-    assert!(!axes.is_empty(), "sweep needs at least one axis");
-    // Resolve both specs once, up front: a typo fails before any
-    // simulation work starts, and workers then rebuild per config from
-    // the parsed form.
-    let registry = SchemeRegistry::standard();
-    let scheme_spec = parse_spec(scheme);
-    let baseline_spec = parse_spec(baseline);
-    // Semantic errors (e.g. `+reg` on a GCP-less base) are config-
-    // independent, so one build against the base config proves every
-    // per-point build below will succeed.
-    build_spec(registry, &scheme_spec, &base_cfg);
-    build_spec(registry, &baseline_spec, &base_cfg);
-    // Enumerate the grid up front in odometer order; workers then claim
-    // units off this list, and results keep the enumeration order.
-    let grid = match enumerate_grid(&base_cfg, axes) {
-        Ok(grid) => grid,
+    let run = run_sweep_supervised(SupervisedSweepRequest {
+        workload,
+        base_cfg,
+        axes,
+        scheme,
+        baseline,
+        opts: *opts,
+        policy: SupervisePolicy { jobs, ..SupervisePolicy::default() },
+        journal: None,
+        cancel: CancelToken::new(),
+        cancel_after: None,
+        inject_panic: None,
+        reuse: reuse.clone(),
+    });
+    let run = match run {
+        Ok(run) => run,
         // fpb-lint: allow(panic_freedom) — documented `# Panics` contract.
         Err(e) => panic!("{e}"),
     };
-    let pending: Vec<usize> = (0..grid.len()).collect();
-    let plan = plan_units(
-        workload,
-        opts,
-        &grid,
-        &pending,
-        registry,
-        &scheme_spec,
-        &baseline_spec,
-        reuse.dedup,
-        None,
-    );
-    // Level 2: prefill units from the persistent cache (dedup-on only —
-    // cache keys *are* unit keys, so without dedup there is nothing
-    // sound to look up).
-    let mut cache = match (&reuse.cache, reuse.dedup) {
-        (Some(path), true) => Some(ResultCache::load(path)),
-        _ => None,
-    };
-    let mut ready: Vec<Option<Metrics>> = plan
-        .units
-        .iter()
-        .map(|u| cache.as_mut().and_then(|c| c.lookup(&u.desc)))
-        .collect();
-    let sim_units: Vec<usize> = (0..plan.units.len()).filter(|&u| ready[u].is_none()).collect();
-    // Warm sets and costs over the units that actually simulate: the
-    // scheduler sees class-collapsed work, and fully-cached warm keys
-    // never pay a warm-up.
-    let mut needed = vec![false; grid.len()];
-    for &u in &sim_units {
-        needed[plan.units[u].rep] = true;
-    }
-    let warm = warm_shared(workload, &grid, opts, jobs, &needed);
-    let costs: Vec<u64> =
-        sim_units.iter().map(|&u| point_cost(&grid[plan.units[u].rep].1, opts)).collect();
-    let results = parallel_map_arena(
-        &sim_units,
-        jobs,
-        Some(&costs),
-        |_slot| SimArena::default(),
-        |arena, _k, &u| {
-            let unit = &plan.units[u];
-            let (_, cfg) = &grid[unit.rep];
-            let cores = &warm.sets[warm.of_point[unit.rep]];
-            run_workload_warmed_arena(workload, cfg, &unit.setup, opts, cores, arena)
-        },
-    );
-    let cache_hits = plan.units.len() - sim_units.len();
-    for (k, &u) in sim_units.iter().enumerate() {
-        if let Some(c) = cache.as_mut() {
-            c.insert(plan.units[u].desc.clone(), results[k].clone());
-        }
-        ready[u] = Some(results[k].clone());
-    }
-    if let Some(c) = &cache {
-        if let Err(e) = c.save() {
-            // A failed save costs future warm starts, never correctness.
-            eprintln!("fpb sweep: result cache save failed: {e} (continuing)");
-        }
-    }
-    let points = pending
-        .iter()
-        .enumerate()
-        .map(|(pi, &gi)| {
-            let (su, bu) = plan.point_units[pi];
-            match (&ready[su], &ready[bu]) {
-                (Some(m), Some(b)) => SweepPoint {
-                    label: format!("{} [{}]", grid[gi].0, plan.units[su].setup.label),
-                    metrics: m.clone(),
-                    baseline: b.clone(),
-                },
-                // Every unit is either cache-filled or simulated above;
-                // an unresolved hole can only be a planner bug.
-                // fpb-lint: allow(panic_freedom)
-                _ => panic!("sweep unit unresolved for point {gi}"),
-            }
+    let points = run
+        .points
+        .into_iter()
+        .map(|rec| match rec.state {
+            PointState::Done(point) => *point,
+            // Nothing restores, cancels or times out here, so any other
+            // state is a point whose simulation panicked.
+            // fpb-lint: allow(panic_freedom) — documented `# Panics` contract.
+            _ => panic!("sweep point {} ({}) {}", rec.index, rec.label, rec.outcome),
         })
         .collect();
-    let stats = ReuseStats {
-        runs_total: 2 * grid.len(),
-        runs_unique: plan.units.len(),
-        cache_hits,
-        simulated: sim_units.len(),
-    };
-    (points, stats)
+    (points, run.reuse)
 }
 
 /// Static cost estimate for one grid point: instruction budget scaled by
@@ -587,19 +514,10 @@ fn warm_shared(
     WarmSets { sets, of_point }
 }
 
-/// Parses a sweep scheme spec, upholding the sweep API's documented
-/// `# Panics` contract: a malformed spec is a call-site bug and must
-/// fail loudly before any simulation work starts.
-fn parse_spec(s: &str) -> SchemeSpec {
-    match s.parse() {
-        Ok(spec) => spec,
-        // fpb-lint: allow(panic_freedom) — documented `# Panics` contract.
-        Err(e) => panic!("sweep scheme spec `{s}`: {e}"),
-    }
-}
-
-/// Builds a parsed spec against one config, with the same documented
-/// panic contract as [`parse_spec`].
+/// Builds a parsed spec against one config. [`run_sweep_supervised`]
+/// builds both specs against the base config before planning, and
+/// semantic spec errors are config-independent, so a failure here is a
+/// call-site bug and fails loudly.
 fn build_spec(registry: &SchemeRegistry, spec: &SchemeSpec, cfg: &SystemConfig) -> SchemeSetup {
     match registry.build_spec(spec, cfg) {
         Ok(setup) => setup,
@@ -629,6 +547,14 @@ pub enum SweepError {
     /// durability failure aborts the sweep rather than silently running
     /// unjournaled.
     Journal(String),
+    /// The crash-injection index names no grid point — a drill aimed at
+    /// the wrong index would otherwise pass as a healthy run.
+    InjectOutOfRange {
+        /// The requested grid index.
+        index: usize,
+        /// The grid size.
+        points: usize,
+    },
 }
 
 impl fmt::Display for SweepError {
@@ -640,6 +566,10 @@ impl fmt::Display for SweepError {
                 write!(f, "swept config invalid at `{label}`: {detail}")
             }
             SweepError::Journal(detail) => write!(f, "sweep journal: {detail}"),
+            SweepError::InjectOutOfRange { index, points } => write!(
+                f,
+                "inject-panic point {index} is outside the {points}-point grid"
+            ),
         }
     }
 }
@@ -696,19 +626,6 @@ pub fn enumerate_grid(
     Ok(grid)
 }
 
-/// Test hook: make one grid point panic on its first `attempts`
-/// executions (pass `u32::MAX` for "always"). Exposed through
-/// `fpb sweep --inject-panic` so crash-recovery behavior — quarantine,
-/// journaling, resume — can be exercised end to end without patching the
-/// simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PanicInjection {
-    /// Grid index of the point to poison.
-    pub point: usize,
-    /// How many executions of that point panic before it succeeds.
-    pub attempts: u32,
-}
-
 /// Everything a supervised sweep needs (the plain positional-argument
 /// form of [`run_sweep_jobs`] plus the supervision/journal knobs).
 pub struct SupervisedSweepRequest<'a> {
@@ -724,7 +641,7 @@ pub struct SupervisedSweepRequest<'a> {
     pub baseline: &'a str,
     /// Simulation options, shared by every point.
     pub opts: SimOptions,
-    /// Worker count, retry budget, backoff, and deadline.
+    /// Worker count and deadline.
     pub policy: SupervisePolicy,
     /// Optional durable journal (fresh or resumed).
     pub journal: Option<JournalMode>,
@@ -734,8 +651,11 @@ pub struct SupervisedSweepRequest<'a> {
     /// run* (restored and cache-completed points don't count) — the
     /// deterministic stand-in for pressing Ctrl-C mid-sweep.
     pub cancel_after: Option<usize>,
-    /// Crash-injection test hook.
-    pub inject_panic: Option<PanicInjection>,
+    /// Crash-injection test hook: the grid index whose every run panics.
+    /// Exposed through `fpb sweep --inject-panic` so quarantine,
+    /// journaling and resume can be exercised end to end without
+    /// patching the simulator.
+    pub inject_panic: Option<usize>,
     /// Result-reuse ladder (semantic dedup + persistent cache). The
     /// journal always outranks both levels: restored points splice
     /// their journaled fragments and never consult the cache.
@@ -754,7 +674,7 @@ pub enum PointState {
         /// The journaled result fragment, spliced into reports as-is.
         fragment: String,
     },
-    /// Quarantined (panicked every attempt, or timed out).
+    /// Quarantined (panicked or timed out).
     Failed,
     /// Never ran: the sweep was cancelled first.
     Skipped,
@@ -929,6 +849,7 @@ impl SweepRun {
         s.push_str(&format!("  \"points\": {},\n", self.points.len()));
         s.push_str(&format!("  \"cancelled\": {},\n", self.cancelled));
         s.push_str("  \"job_outcomes\": {\n");
+        // "retried" is always 0; the key stays because dropping it would change fpb-sweep/v1.
         for class in ["ok", "retried", "panicked", "timed_out", "skipped"] {
             s.push_str(&format!("    \"{class}\": {},\n", self.count(class)));
         }
@@ -995,19 +916,18 @@ fn sweep_fingerprint(
     fingerprint64(&desc)
 }
 
-/// [`run_sweep_jobs`] under full supervision: panic isolation with
-/// bounded retry and quarantine, optional per-point deadlines, optional
-/// durable journaling with resume, and cooperative cancellation.
-///
-/// With a default policy, no journal, and no cancellation this computes
-/// exactly what [`run_sweep_jobs`] computes (bit-for-bit, any worker
-/// count) — it just survives what the plain sweep dies from.
+/// Runs a sweep under supervision: panic isolation and quarantine,
+/// optional per-point deadlines, optional durable journaling with
+/// resume, and cooperative cancellation. This is the only sweep
+/// pipeline; [`run_sweep_jobs`] is this function with a default policy,
+/// no journal and no cancellation.
 ///
 /// # Errors
 ///
 /// Errors cover the sweep *setup* (bad axes, bad specs, invalid configs,
-/// journal I/O); individual point failures quarantine inside an `Ok`
-/// run — check [`SweepRun::quarantined`].
+/// an out-of-range inject-panic index, journal I/O); individual point
+/// failures quarantine inside an `Ok` run — check
+/// [`SweepRun::quarantined`].
 pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun, SweepError> {
     let registry = SchemeRegistry::standard();
     let scheme_spec: SchemeSpec = req
@@ -1028,6 +948,9 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
         .map_err(|e| SweepError::Spec(format!("`{}`: {e}", req.baseline)))?;
     let grid = enumerate_grid(&req.base_cfg, req.axes)?;
     let n = grid.len();
+    if let Some(index) = req.inject_panic.filter(|&i| i >= n) {
+        return Err(SweepError::InjectOutOfRange { index, points: n });
+    }
     let scheme_render = scheme_spec.render();
     let baseline_render = baseline_spec.render();
 
@@ -1090,7 +1013,7 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
         &scheme_spec,
         &baseline_spec,
         req.reuse.dedup,
-        req.inject_panic.map(|inj| inj.point),
+        req.inject_panic,
     );
 
     // Level 2: prefill units from the persistent cache (dedup-on only —
@@ -1211,7 +1134,6 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
     let workload = req.workload.clone();
     let opts = req.opts;
     let inject = req.inject_panic;
-    let inject_runs = Arc::new(AtomicU32::new(0));
     let cancel_limit = req.cancel_after;
     let job_cancel = req.cancel.clone();
     // Worker-side completion tracker behind --cancel-after: cancellation
@@ -1222,21 +1144,19 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
     let track_members: Arc<Vec<Vec<usize>>> = Arc::new(members);
     // Per-worker arenas, checkout-stack style: the supervisor shares one
     // `Fn` across workers, so arenas are popped for a run and pushed
-    // back after. A panicked attempt simply drops its arena (the next
-    // checkout starts fresh) — retry-safety is untouched, and arena
-    // reuse is results-neutral by construction (see `SimArena`).
+    // back after. A panicked run simply drops its arena (the next
+    // checkout starts fresh), and arena reuse is results-neutral by
+    // construction (see `SimArena`).
     let arenas: Arc<Mutex<Vec<SimArena>>> = Arc::new(Mutex::new(Vec::new()));
     let job_warm = Arc::clone(&warm);
     let job_members = Arc::clone(&track_members);
     let job = move |_slot: usize, j: &SimJob| -> (usize, Metrics) {
-        if let Some(inj) = inject {
-            if j.rep == inj.point && inject_runs.fetch_add(1, Ordering::SeqCst) < inj.attempts {
-                // The documented `--inject-panic` crash-recovery hook.
-                // Only the poisoned point's own (salted, private) units
-                // can reach here — no shared unit has it as rep.
-                // fpb-lint: allow(panic_freedom)
-                panic!("injected panic at point {} ({})", j.rep, j.label);
-            }
+        if inject == Some(j.rep) {
+            // The documented `--inject-panic` crash-recovery hook. Only
+            // the poisoned point's own (salted, private) units can reach
+            // here — no shared unit has it as rep.
+            // fpb-lint: allow(panic_freedom)
+            panic!("injected panic at point {} ({})", j.rep, j.label);
         }
         let cores = &job_warm.sets[job_warm.of_point[j.rep]];
         let mut arena = match arenas.lock() {
@@ -1321,7 +1241,7 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
     // real run.
     if let Some(c) = cache.as_mut() {
         for (u, unit) in plan.units.iter().enumerate() {
-            if from_cache[u] || req.inject_panic.is_some_and(|inj| unit.rep == inj.point) {
+            if from_cache[u] || req.inject_panic == Some(unit.rep) {
                 continue;
             }
             if let Some(m) = &unit_results[u] {
@@ -1411,24 +1331,20 @@ struct SimJob {
 }
 
 /// Terminal outcome of a point from the outcomes of the units it
-/// waited on: the worse one wins (quarantine > skip > retry > ok), and
-/// two retried units report the larger attempt count.
+/// waited on: the worse one wins (quarantine > skip > ok).
 fn merge_outcomes(a: JobOutcome, b: JobOutcome) -> JobOutcome {
     fn rank(o: &JobOutcome) -> u32 {
         match o {
-            JobOutcome::Panicked { .. } => 4,
-            JobOutcome::TimedOut { .. } => 3,
-            JobOutcome::Skipped => 2,
-            JobOutcome::Retried { .. } => 1,
+            JobOutcome::Panicked { .. } => 3,
+            JobOutcome::TimedOut { .. } => 2,
+            JobOutcome::Skipped => 1,
             JobOutcome::Ok => 0,
         }
     }
-    match (&a, &b) {
-        (JobOutcome::Retried { attempts: x }, JobOutcome::Retried { attempts: y }) => {
-            JobOutcome::Retried { attempts: (*x).max(*y) }
-        }
-        _ if rank(&b) > rank(&a) => b,
-        _ => a,
+    if rank(&b) > rank(&a) {
+        b
+    } else {
+        a
     }
 }
 
@@ -1700,15 +1616,10 @@ mod tests {
     fn merge_outcomes_ranks_worst_first() {
         use JobOutcome::*;
         assert_eq!(merge_outcomes(Ok, Ok), Ok);
-        assert_eq!(merge_outcomes(Ok, Retried { attempts: 2 }), Retried { attempts: 2 });
+        assert_eq!(merge_outcomes(Ok, Skipped), Skipped);
         assert_eq!(
-            merge_outcomes(Retried { attempts: 2 }, Retried { attempts: 3 }),
-            Retried { attempts: 3 }
-        );
-        assert_eq!(merge_outcomes(Retried { attempts: 2 }, Skipped), Skipped);
-        assert_eq!(
-            merge_outcomes(Skipped, Panicked { attempts: 1, message: "boom".into() }),
-            Panicked { attempts: 1, message: "boom".into() }
+            merge_outcomes(Skipped, Panicked { message: "boom".into() }),
+            Panicked { message: "boom".into() }
         );
         assert_eq!(
             merge_outcomes(TimedOut { deadline_ms: 5 }, Ok),
@@ -1736,7 +1647,7 @@ mod tests {
                     index: 1,
                     label: "pt=560t [FPB]".to_string(),
                     state: PointState::Failed,
-                    outcome: JobOutcome::Panicked { attempts: 2, message: "boom".to_string() },
+                    outcome: JobOutcome::Panicked { message: "boom".to_string() },
                 },
                 SweepPointRecord {
                     index: 2,
@@ -1753,6 +1664,7 @@ mod tests {
         let json = run.to_json();
         assert!(json.contains("\"schema\": \"fpb-sweep/v1\""));
         assert!(json.contains("\"ok\": 1,"));
+        assert!(json.contains("\"retried\": 0,"), "the fpb-sweep/v1 key stays");
         assert!(json.contains("\"panicked\": 1,"));
         assert!(json.contains("\"skipped\": 1,"));
         assert!(json.contains("\"cancelled\": true"));

@@ -1,15 +1,15 @@
-//! End-to-end guarantees of the supervised sweep: equivalence with the
-//! plain sweep, quarantine behavior, retries, and byte-identical
+//! End-to-end guarantees of the supervised sweep: equivalence with
+//! standalone engine runs, quarantine behavior, and byte-identical
 //! journal resume.
 
 use std::path::PathBuf;
 
 use fpb_sim::journal::JournalMode;
 use fpb_sim::sweep::{
-    run_sweep_jobs, run_sweep_supervised, Axis, PanicInjection, PointState, ReuseOptions,
-    SupervisedSweepRequest, SweepError, SweepRun,
+    enumerate_grid, run_sweep_supervised, Axis, PointState, ReuseOptions, SupervisedSweepRequest,
+    SweepError, SweepRun,
 };
-use fpb_sim::{CancelToken, JobOutcome, SimOptions, SupervisePolicy};
+use fpb_sim::{run_workload, CancelToken, JobOutcome, SchemeRegistry, SimOptions, SupervisePolicy};
 use fpb_trace::catalog;
 use fpb_trace::Workload;
 use fpb_types::SystemConfig;
@@ -32,7 +32,7 @@ fn request<'a>(wl: &'a Workload, axes: &'a [Axis]) -> SupervisedSweepRequest<'a>
         scheme: "fpb",
         baseline: "dimm-chip",
         opts: SimOptions::with_instructions(INSTRUCTIONS),
-        policy: SupervisePolicy { backoff_base_ms: 1, backoff_cap_ms: 2, ..SupervisePolicy::default() },
+        policy: SupervisePolicy::default(),
         journal: None,
         cancel: CancelToken::new(),
         cancel_after: None,
@@ -50,32 +50,38 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 #[test]
-fn supervised_matches_plain_sweep_bit_for_bit() {
+fn supervised_points_match_standalone_runs() {
+    // Oracle: each point's scheme and baseline, built for that point's
+    // config and run on their own, outside any sweep machinery.
     let wl = workload();
     let axes = axes();
-    let plain = run_sweep_jobs(
-        &wl,
-        SystemConfig::default(),
-        &axes,
-        "fpb",
-        "dimm-chip",
-        &SimOptions::with_instructions(INSTRUCTIONS),
-        1,
-    );
+    let opts = SimOptions::with_instructions(INSTRUCTIONS);
+    let registry = SchemeRegistry::standard();
+    let grid = enumerate_grid(&SystemConfig::default(), &axes).expect("valid grid");
+    let standalone: Vec<_> = grid
+        .iter()
+        .map(|(_, cfg)| {
+            let scheme = registry.build("fpb", cfg).expect("fpb spec");
+            let baseline = registry.build("dimm-chip", cfg).expect("dimm-chip spec");
+            (run_workload(&wl, cfg, &scheme, &opts), run_workload(&wl, cfg, &baseline, &opts))
+        })
+        .collect();
     for jobs in [1, 3] {
         let mut req = request(&wl, &axes);
         req.policy.jobs = jobs;
         let run = run_sweep_supervised(req).expect("healthy sweep");
         assert!(run.complete() && !run.cancelled);
-        assert_eq!(run.points.len(), plain.len());
-        for (rec, expect) in run.points.iter().zip(&plain) {
+        assert_eq!(run.points.len(), grid.len());
+        for (rec, ((label, _), (metrics, baseline))) in
+            run.points.iter().zip(grid.iter().zip(&standalone))
+        {
             assert_eq!(rec.outcome, JobOutcome::Ok);
             let PointState::Done(point) = &rec.state else {
                 panic!("expected Done, got {:?}", rec.state)
             };
-            assert_eq!(point.label, expect.label, "jobs={jobs}");
-            assert_eq!(point.metrics, expect.metrics, "jobs={jobs} {}", expect.label);
-            assert_eq!(point.baseline, expect.baseline, "jobs={jobs} {}", expect.label);
+            assert_eq!(point.label, format!("{label} [FPB]"), "jobs={jobs}");
+            assert_eq!(&point.metrics, metrics, "jobs={jobs} {label}");
+            assert_eq!(&point.baseline, baseline, "jobs={jobs} {label}");
         }
     }
 }
@@ -86,7 +92,7 @@ fn deterministic_panic_quarantines_one_point_and_finishes_the_grid() {
     let axes = axes();
     let mut req = request(&wl, &axes);
     req.policy.jobs = 2;
-    req.inject_panic = Some(PanicInjection { point: 2, attempts: u32::MAX });
+    req.inject_panic = Some(2);
     let run = run_sweep_supervised(req).expect("sweep itself succeeds");
     assert_eq!(run.count("ok"), 3);
     assert_eq!(run.count("panicked"), 1);
@@ -94,36 +100,13 @@ fn deterministic_panic_quarantines_one_point_and_finishes_the_grid() {
     let q = run.quarantined();
     assert_eq!(q.len(), 1);
     assert_eq!(q[0].index, 2);
-    let JobOutcome::Panicked { attempts, message } = &q[0].outcome else {
+    let JobOutcome::Panicked { message } = &q[0].outcome else {
         panic!("expected Panicked, got {:?}", q[0].outcome)
     };
-    assert_eq!(*attempts, 1, "no retries configured");
     assert!(message.contains("injected panic at point 2"), "{message}");
     let json = run.to_json();
     assert!(json.contains("\"panicked\": 1,"), "{json}");
     assert!(json.contains("\"class\": \"panicked\""), "{json}");
-}
-
-#[test]
-fn transient_panic_is_retried_and_metrics_match_clean_run() {
-    let wl = workload();
-    let axes = axes();
-    let clean = {
-        let req = request(&wl, &axes);
-        run_sweep_supervised(req).expect("clean run")
-    };
-    let mut req = request(&wl, &axes);
-    req.policy.max_retries = 2;
-    req.inject_panic = Some(PanicInjection { point: 1, attempts: 1 });
-    let run = run_sweep_supervised(req).expect("retried run");
-    assert_eq!(run.points[1].outcome, JobOutcome::Retried { attempts: 2 });
-    assert!(run.complete());
-    let (PointState::Done(a), PointState::Done(b)) =
-        (&run.points[1].state, &clean.points[1].state)
-    else {
-        panic!("both runs must complete point 1")
-    };
-    assert_eq!(a.metrics, b.metrics, "retried result must equal a clean run's");
 }
 
 fn journaled_run(
@@ -188,7 +171,7 @@ fn crash_at_point_k_then_resume_is_byte_identical() {
     let path = tmp("crash_resume.fpbj");
     let mut req = request(&wl, &axes);
     req.journal = Some(JournalMode::Fresh(path.clone()));
-    req.inject_panic = Some(PanicInjection { point: 1, attempts: u32::MAX });
+    req.inject_panic = Some(1);
     let crashed = run_sweep_supervised(req).expect("crashed run still reports");
     assert_eq!(crashed.count("panicked"), 1);
     assert_eq!(crashed.count("ok"), 3);
@@ -260,7 +243,7 @@ fn injected_panic_fires_even_with_a_warm_cache() {
     // the panic still fires; the other points splice from the cache.
     let mut req = request(&wl, &axes);
     req.reuse.cache = Some(cache.clone());
-    req.inject_panic = Some(PanicInjection { point: 2, attempts: u32::MAX });
+    req.inject_panic = Some(2);
     let run = run_sweep_supervised(req).expect("sweep itself succeeds");
     assert_eq!(run.count("panicked"), 1, "warm cache must not disarm --inject-panic");
     assert_eq!(run.count("ok"), 3);
@@ -309,4 +292,18 @@ fn bad_specs_and_axes_error_instead_of_panicking() {
     let req = request(&wl, &[]);
     let err = run_sweep_supervised(req).expect_err("empty axes must be rejected");
     assert!(matches!(err, SweepError::Axes(_)));
+}
+
+#[test]
+fn out_of_range_inject_panic_is_rejected_before_the_journal_opens() {
+    let wl = workload();
+    let axes = axes();
+    let path = tmp("inject_out_of_range.fpbj");
+    let mut req = request(&wl, &axes);
+    req.journal = Some(JournalMode::Fresh(path.clone()));
+    req.inject_panic = Some(4);
+    let err = run_sweep_supervised(req).expect_err("index 4 of a 4-point grid must be rejected");
+    assert_eq!(err, SweepError::InjectOutOfRange { index: 4, points: 4 });
+    assert!(err.to_string().contains("point 4 is outside the 4-point grid"), "{err}");
+    assert!(!path.exists(), "the sweep must fail before creating its journal");
 }

@@ -135,7 +135,7 @@ impl Default for InspectArgs {
 }
 
 /// Supervision, journaling, and resume controls for `fpb sweep`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SweepControl {
     /// Start a fresh durable journal at this path (`--journal`).
     pub journal: Option<String>,
@@ -147,14 +147,10 @@ pub struct SweepControl {
     /// Per-point deadline in wall milliseconds (`--deadline-ms`;
     /// `None` = no watchdog).
     pub deadline_ms: Option<u64>,
-    /// Retries per panicking point before quarantine (`--retries`).
-    pub retries: u32,
-    /// Base retry backoff in milliseconds (`--backoff-ms`).
-    pub backoff_ms: u64,
-    /// Deterministic fault-injection hook: panic at grid point `.0` for
-    /// the first `.1` attempts (`--inject-panic I[:N]`; `u32::MAX` =
-    /// every attempt). A test/CI hook, not a production flag.
-    pub inject_panic: Option<(usize, u32)>,
+    /// Deterministic fault-injection hook: every run of this grid point
+    /// panics (`--inject-panic I`). A test/CI hook, not a production
+    /// flag.
+    pub inject_panic: Option<usize>,
     /// Graceful-cancellation hook: stop admitting new points after this
     /// many completions (`--cancel-after`).
     pub cancel_after: Option<usize>,
@@ -166,23 +162,6 @@ pub struct SweepControl {
     /// Persistent point-result cache file override (`--result-cache`);
     /// `None` = `target/fpb-sweep-cache.v1`.
     pub result_cache: Option<String>,
-}
-
-impl Default for SweepControl {
-    fn default() -> Self {
-        SweepControl {
-            journal: None,
-            resume: None,
-            json_out: None,
-            deadline_ms: None,
-            retries: 0,
-            backoff_ms: 50,
-            inject_panic: None,
-            cancel_after: None,
-            no_result_cache: false,
-            result_cache: None,
-        }
-    }
 }
 
 /// Report format for `fpb lint` (`--format`).
@@ -506,17 +485,9 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                         let ms = parse_num(&value("--deadline-ms")?, "--deadline-ms")?;
                         control.deadline_ms = (ms > 0).then_some(ms);
                     }
-                    "--retries" if sub == "sweep" => {
-                        let n = parse_num(&value("--retries")?, "--retries")?;
-                        control.retries = u32::try_from(n).map_err(|_| {
-                            CliError(format!("--retries must fit in u32, got `{n}`"))
-                        })?;
-                    }
-                    "--backoff-ms" if sub == "sweep" => {
-                        control.backoff_ms = parse_num(&value("--backoff-ms")?, "--backoff-ms")?
-                    }
                     "--inject-panic" if sub == "sweep" => {
-                        control.inject_panic = Some(parse_inject_panic(&value("--inject-panic")?)?)
+                        control.inject_panic =
+                            Some(parse_num(&value("--inject-panic")?, "--inject-panic")? as usize)
                     }
                     "--cancel-after" if sub == "sweep" => {
                         control.cancel_after =
@@ -761,25 +732,6 @@ fn parse_float(s: &str, flag: &str) -> Result<f64, CliError> {
         .map_err(|_| CliError(format!("{flag} must be a number, got `{s}`")))
 }
 
-/// Parses `--inject-panic I[:N]`: grid point `I`, panicking for the
-/// first `N` attempts (`u32::MAX`, i.e. every attempt, when omitted).
-fn parse_inject_panic(s: &str) -> Result<(usize, u32), CliError> {
-    let (point, attempts) = match s.split_once(':') {
-        None => (s, None),
-        Some((p, n)) => (p, Some(n)),
-    };
-    let point = point
-        .parse::<usize>()
-        .map_err(|_| CliError(format!("--inject-panic point must be an integer, got `{s}`")))?;
-    let attempts = match attempts {
-        None => u32::MAX,
-        Some(n) => n.parse::<u32>().map_err(|_| {
-            CliError(format!("--inject-panic attempts must fit in u32, got `{s}`"))
-        })?,
-    };
-    Ok((point, attempts))
-}
-
 fn parse_jobs(s: &str) -> Result<usize, CliError> {
     let n = parse_num(s, "--jobs")? as usize;
     if n == 0 {
@@ -832,8 +784,7 @@ USAGE:
   fpb compare --workload <name> [options]
   fpb sweep   --workload <name> --axis <name=v1,v2,..> [--axis ..] [--csv out.csv]
               [--journal <file> | --resume <file>] [--json-out <file>]
-              [--retries <n>] [--backoff-ms <n>] [--deadline-ms <n>]
-              [--cancel-after <n>] [options]
+              [--deadline-ms <n>] [--cancel-after <n>] [options]
   fpb bench   [--jobs <n>] [--instructions <n>] [--repeats <n>]
               [--out BENCH_sweep.json] [--hotpath-out BENCH_hotpath.json]
   fpb list
@@ -880,10 +831,8 @@ INSPECT (time-travel debugging): `record` runs a workload with the
 SWEEP SUPERVISION: every sweep point runs supervised — a panicking point
   is quarantined (reported with its panic message) without aborting the
   rest of the grid, and the run exits with code 3 when any point was
-  quarantined or the sweep was cancelled.
-  --retries <n>        re-run a panicking point up to n times before
-                       quarantining it [0]
-  --backoff-ms <n>     base retry backoff (doubles per retry, capped) [50]
+  quarantined or the sweep was cancelled. A panicking point is not
+  retried: the simulator is deterministic, so it would panic again.
   --deadline-ms <n>    per-point wall-clock deadline; an overdue point is
                        marked timed-out and the grid continues [0 = off]
   --journal <file>     append each finished point to a durable, fsync'd,
@@ -894,8 +843,8 @@ SWEEP SUPERVISION: every sweep point runs supervised — a panicking point
   --json-out <file>    write the full fpb-sweep/v1 JSON document
   --cancel-after <n>   stop admitting new points after n completions (the
                        deterministic stand-in for Ctrl-C in tests/CI)
-  --inject-panic I[:N] test hook: panic at grid point I for its first N
-                       attempts (every attempt when :N is omitted)
+  --inject-panic <i>   test hook: every run of grid point i panics; an
+                       index outside the grid is an error
 
 SWEEP RESULT REUSE: grid points whose differing knobs cannot reach the
   simulation (the scheme declares which config inputs it reads) share one
@@ -1214,16 +1163,12 @@ mod tests {
             "/tmp/run.fpbj",
             "--json-out",
             "/tmp/run.json",
-            "--retries",
-            "2",
-            "--backoff-ms",
-            "10",
             "--deadline-ms",
             "30000",
             "--cancel-after",
             "3",
             "--inject-panic",
-            "1:2",
+            "1",
         ]))
         .unwrap();
         let Command::Sweep { control, .. } = cmd else {
@@ -1232,11 +1177,9 @@ mod tests {
         assert_eq!(control.journal.as_deref(), Some("/tmp/run.fpbj"));
         assert_eq!(control.resume, None);
         assert_eq!(control.json_out.as_deref(), Some("/tmp/run.json"));
-        assert_eq!(control.retries, 2);
-        assert_eq!(control.backoff_ms, 10);
         assert_eq!(control.deadline_ms, Some(30_000));
         assert_eq!(control.cancel_after, Some(3));
-        assert_eq!(control.inject_panic, Some((1, 2)));
+        assert_eq!(control.inject_panic, Some(1));
     }
 
     #[test]
@@ -1255,7 +1198,7 @@ mod tests {
             panic!("expected Sweep")
         };
         assert_eq!(control.deadline_ms, None);
-        assert_eq!(control.inject_panic, Some((2, u32::MAX)));
+        assert_eq!(control.inject_panic, Some(2));
     }
 
     #[test]
@@ -1315,10 +1258,18 @@ mod tests {
         assert!(e.0.contains("--json-out"), "{e}");
         // The supervision flags belong to sweep only.
         assert!(parse(&v(&["run", "--resume", "a.fpbj"])).is_err());
-        assert!(parse(&v(&["run", "--retries", "1"])).is_err());
-        // Bad inject-panic specs name the flag.
-        assert!(parse(&v(&["sweep", "--axis", "pt-dimm=466", "--inject-panic", "x"])).is_err());
-        assert!(parse(&v(&["sweep", "--axis", "pt-dimm=466", "--inject-panic", "1:y"])).is_err());
+        assert!(parse(&v(&["run", "--inject-panic", "1"])).is_err());
+        // Sweeps do not retry a panicking point, so there are no retry
+        // flags.
+        assert!(parse(&v(&["sweep", "--axis", "pt-dimm=466", "--retries", "1"])).is_err());
+        assert!(parse(&v(&["sweep", "--axis", "pt-dimm=466", "--backoff-ms", "10"])).is_err());
+        // Bad inject-panic specs name the flag; the old `:N` suffix is
+        // no longer accepted.
+        for bad in ["x", "1:2"] {
+            let e = parse(&v(&["sweep", "--axis", "pt-dimm=466", "--inject-panic", bad]))
+                .unwrap_err();
+            assert!(e.0.contains("--inject-panic"), "{e}");
+        }
     }
 
     #[test]

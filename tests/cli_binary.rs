@@ -149,6 +149,18 @@ fn injected_panic_quarantines_then_resume_restores_byte_identity() {
 }
 
 #[test]
+fn out_of_range_inject_panic_is_an_error() {
+    // A crash drill aimed at a missing point must fail, not pass as a
+    // healthy run.
+    let out = sweep_cmd("1", &["--no-result-cache", "--inject-panic", "7"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1), "stdout: {}", String::from_utf8_lossy(&out.stdout));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("inject-panic point 7 is outside the 2-point grid"), "stderr: {err}");
+}
+
+#[test]
 fn killed_mid_sweep_then_resume_matches_a_clean_run() {
     use std::io::Read as _;
     use std::time::{Duration, Instant};
