@@ -121,8 +121,7 @@ fn bench_trace(c: &mut Criterion) {
     });
 }
 
-/// Word-level change sampling vs the retained per-bit reference — the
-/// tentpole speedup `fpb bench` tracks in `BENCH_hotpath.json`.
+/// Word-level change sampling vs the retained per-bit reference.
 fn bench_change_sampling(c: &mut Criterion) {
     let data = catalog::program("C.mcf").expect("profile").data;
 

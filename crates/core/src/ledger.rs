@@ -116,16 +116,9 @@ pub struct Ledger {
 }
 
 /// Reusable buffers for grant planning (see [`Ledger::try_grant_chips`]).
-///
-/// Opaque outside this module: the fields are planning scratch whose
-/// every use clears or overwrites them first, which is what makes a
-/// scratch donated from an earlier run ([`Ledger::donate_scratch`])
-/// behaviourally identical to a fresh one. Callers that sweep many
-/// configurations hold one per worker and move it between ledgers so
-/// the grant planner's vectors are allocated once per worker, not once
-/// per simulated point.
+/// Every use clears or overwrites the fields first.
 #[derive(Debug, Clone, Default)]
-pub struct GrantScratch {
+struct GrantScratch {
     lcp: Vec<Tokens>,
     gcp: Vec<Tokens>,
     borrowed: Vec<Tokens>,
@@ -393,22 +386,6 @@ impl Ledger {
     /// Optional: an unrecycled grant is simply dropped.
     pub fn recycle_grant(&mut self, grant: Grant) {
         self.scratch.free.push(grant);
-    }
-
-    /// Moves the grant-planning scratch out of this ledger, leaving an
-    /// empty one behind. Pairs with [`Ledger::donate_scratch`] so a
-    /// worker that retires one simulated configuration can carry the
-    /// planner's warmed-up buffers into the next one.
-    pub fn take_scratch(&mut self) -> GrantScratch {
-        std::mem::take(&mut self.scratch)
-    }
-
-    /// Installs a previously taken scratch. Safe with scratch of any
-    /// provenance (including a different chip count): every planning
-    /// phase clears and resizes the buffers before reading them, so
-    /// this only changes allocation behaviour, never grant decisions.
-    pub fn donate_scratch(&mut self, scratch: GrantScratch) {
-        self.scratch = scratch;
     }
 
     /// Returns a grant's tokens to the ledger.

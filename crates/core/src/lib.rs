@@ -54,7 +54,7 @@ pub mod projection;
 pub mod stats;
 
 pub use config::{GcpParams, PowerPolicyConfig, SchemeKind};
-pub use ledger::{BrownoutHold, Grant, GrantScratch, Ledger};
+pub use ledger::{BrownoutHold, Grant, Ledger};
 pub use manager::{PowerManager, WriteId};
 pub use projection::{effective_config_desc, ConfigSensitivity};
 pub use stats::PowerStats;

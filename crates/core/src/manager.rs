@@ -177,20 +177,6 @@ impl PowerManager {
         &self.ledger
     }
 
-    /// Moves the ledger's grant-planning scratch out (see
-    /// [`Ledger::take_scratch`]). Used by sweep workers to recycle the
-    /// planner's buffers across simulated configurations.
-    pub fn take_grant_scratch(&mut self) -> crate::ledger::GrantScratch {
-        self.ledger.take_scratch()
-    }
-
-    /// Installs a donated grant-planning scratch (see
-    /// [`Ledger::donate_scratch`]). Allocation-only: grant decisions are
-    /// unaffected by scratch provenance.
-    pub fn donate_grant_scratch(&mut self, scratch: crate::ledger::GrantScratch) {
-        self.ledger.donate_scratch(scratch);
-    }
-
     /// Statistics collected so far.
     pub fn stats(&self) -> &PowerStats {
         &self.stats

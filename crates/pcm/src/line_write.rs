@@ -570,7 +570,8 @@ const MAX_POOLED: usize = 4096;
 /// writes, making the per-write pipeline allocation-free. Recycled buffers
 /// are always cleared before reuse, and pooling never touches an RNG, so a
 /// pooled run is bit-for-bit identical to a fresh-allocation run (the
-/// `pooled_vs_fresh` proptests hold this invariant down).
+/// `pooled_build_matches_fresh_build` proptest holds this invariant
+/// down).
 ///
 /// # Examples
 ///
@@ -703,6 +704,7 @@ impl WriteBufferPool {
 mod tests {
     use super::*;
     use fpb_types::MlcWriteModel;
+    use proptest::prelude::*;
 
     fn fixture() -> (DimmGeometry, IterationSampler) {
         (
@@ -927,25 +929,66 @@ mod tests {
         assert_eq!(w.iterations_done(), 1);
     }
 
-    #[test]
-    fn pooled_build_matches_fresh_build() {
-        let (geom, s) = fixture();
-        let cs: ChangeSet = (0..200u32).map(|i| (i * 5 % 1024, MlcLevel::L01)).collect();
-        let mut pool = WriteBufferPool::new();
-        // Seed the pool with retired storage from a first write.
-        let mut warm_rng = SimRng::seed_from(40);
-        let warm = pool.build(cs.cells(), &geom, CellMapping::Bim, &s, &mut warm_rng, 2);
-        pool.recycle(warm);
-        assert_eq!(pool.pooled(), 1);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
-        let mut rng_a = SimRng::seed_from(41);
-        let mut rng_b = SimRng::seed_from(41);
-        let pooled = pool.build(cs.cells(), &geom, CellMapping::Bim, &s, &mut rng_a, 2);
-        let fresh = LineWrite::new(&cs, &geom, CellMapping::Bim, &s, &mut rng_b, 2);
-        assert_eq!(pooled, fresh, "recycled buffers must not leak state");
-        assert_eq!(rng_a, rng_b, "pooling must not change RNG consumption");
-        assert_eq!(pool.reuses(), 1);
-        assert_eq!(pool.fresh_allocations(), 1);
+        /// Over an arbitrary history of builds, mutations and recycles,
+        /// every pooled build equals a fresh build from the same RNG state
+        /// and leaves the RNG where the fresh build leaves it: recycled
+        /// storage never leaks state into the next write.
+        #[test]
+        fn pooled_build_matches_fresh_build(
+            seed in any::<u64>(),
+            tasks in prop::collection::vec(
+                (
+                    prop::collection::vec(
+                        (
+                            prop::collection::vec((0u32..1024, 0usize..4), 0..300),
+                            0usize..3,
+                            1u8..4,
+                            0u8..4,
+                        ),
+                        1..4,
+                    ),
+                    any::<bool>(),
+                ),
+                1..8,
+            ),
+        ) {
+            let (geom, s) = fixture();
+            let mut pool = WriteBufferPool::new();
+            let mut rng = SimRng::seed_from(seed);
+            for (rounds, via_rounds) in tasks {
+                let mut built = pool.take_rounds();
+                for (cells, mapping, groups, mutation) in rounds {
+                    let cells: Vec<(u32, MlcLevel)> =
+                        cells.into_iter().map(|(c, l)| (c, MlcLevel::ALL[l])).collect();
+                    let mapping = CellMapping::ALL[mapping];
+                    let mut fresh_rng = rng.clone();
+                    let mut w = pool.build(&cells, &geom, mapping, &s, &mut rng, groups);
+                    let fresh =
+                        LineWrite::from_cells(&cells, &geom, mapping, &s, &mut fresh_rng, groups);
+                    prop_assert_eq!(&w, &fresh, "recycled buffers must not leak state");
+                    prop_assert_eq!(&rng, &fresh_rng, "pooling must not change RNG consumption");
+                    // Leave the buffers in the shapes the engine recycles.
+                    match mutation {
+                        0 => {}
+                        1 => {
+                            w.advance();
+                            w.advance();
+                        }
+                        2 => w.degrade_to_slc(),
+                        _ => w.resplit_reset(&geom, 4),
+                    }
+                    if via_rounds {
+                        built.push(w);
+                    } else {
+                        pool.recycle(w);
+                    }
+                }
+                pool.recycle_rounds(built);
+            }
+        }
     }
 
     #[test]

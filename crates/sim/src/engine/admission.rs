@@ -5,9 +5,7 @@
 //! notification that drives the scheme's cancellation hook.
 
 use fpb_core::WriteId;
-use fpb_pcm::{
-    CellMapping, ChangeSet, DimmGeometry, IterationSampler, LineWrite, WriteBufferPool,
-};
+use fpb_pcm::{CellMapping, DimmGeometry, IterationSampler, LineWrite, WriteBufferPool};
 use fpb_types::{Cycles, LineAddr, SimRng};
 
 use crate::bank::BankState;
@@ -200,9 +198,7 @@ impl<S: Scheme, E: EventSink> System<S, E> {
                 line: line.get(),
                 at: self.now.get(),
             });
-            if !self.reference_alloc {
-                self.pool.recycle_rounds(old.rounds);
-            }
+            self.pool.recycle_rounds(old.rounds);
             return;
         }
         if let Some(i) = in_ovf {
@@ -215,9 +211,7 @@ impl<S: Scheme, E: EventSink> System<S, E> {
                 line: line.get(),
                 at: self.now.get(),
             });
-            if !self.reference_alloc {
-                self.pool.recycle_rounds(old.rounds);
-            }
+            self.pool.recycle_rounds(old.rounds);
             return;
         }
         let task = self.make_task(line, core, self.now);
@@ -232,10 +226,9 @@ impl<S: Scheme, E: EventSink> System<S, E> {
         }
     }
 
-    /// Builds one round's [`LineWrite`], pooled or fresh. A free-standing
+    /// Builds one round's [`LineWrite`] from the pool. A free-standing
     /// helper (not `&mut self`) so it can borrow the splitter's round
     /// slices and the pool at the same time.
-    #[allow(clippy::too_many_arguments)]
     fn build_round(
         pool: &mut WriteBufferPool,
         cells: &[(u32, fpb_pcm::MlcLevel)],
@@ -244,13 +237,8 @@ impl<S: Scheme, E: EventSink> System<S, E> {
         truncation_ecc: Option<u32>,
         sampler: &IterationSampler,
         rng: &mut SimRng,
-        reference_alloc: bool,
     ) -> LineWrite {
-        let w = if reference_alloc {
-            LineWrite::from_cells(cells, geom, mapping, sampler, rng, 1)
-        } else {
-            pool.build(cells, geom, mapping, sampler, rng, 1)
-        };
+        let w = pool.build(cells, geom, mapping, sampler, rng, 1);
         match truncation_ecc {
             Some(ecc) => w.with_truncation(ecc),
             None => w,
@@ -269,27 +257,14 @@ impl<S: Scheme, E: EventSink> System<S, E> {
         let mapping = self.setup.map_line();
         let truncation_ecc = self.setup.truncation_ecc();
         let profile = self.cores[core].data_profile();
-        let mut changes = if self.reference_sampler {
-            profile.sample_change_set_reference(self.cfg.pcm.line_bytes, &mut self.data_rng)
-        } else {
-            let mut cs = if self.reference_alloc {
-                ChangeSet::empty()
-            } else {
-                self.pool.take_change_set()
-            };
-            profile.sample_change_set_into(self.cfg.pcm.line_bytes, &mut self.data_rng, &mut cs);
-            cs
-        };
+        let mut changes = self.pool.take_change_set();
+        profile.sample_change_set_into(self.cfg.pcm.line_bytes, &mut self.data_rng, &mut changes);
         if let Some(wear) = self.wear.as_mut() {
             let offset = wear.offset_for_write(line, &mut self.data_rng);
             changes.rotate_in_place(offset, self.cfg.pcm.cells_per_line());
         }
         let chips = self.cfg.pcm.chips;
-        let mut rounds = if self.reference_alloc {
-            Vec::new()
-        } else {
-            self.pool.take_rounds()
-        };
+        let mut rounds = self.pool.take_rounds();
         match self.splitter.split_in(
             &changes,
             self.cap_total,
@@ -305,7 +280,6 @@ impl<S: Scheme, E: EventSink> System<S, E> {
                 truncation_ecc,
                 &self.sampler,
                 &mut self.write_rng,
-                self.reference_alloc,
             )),
             Some(k) => {
                 for i in 0..k {
@@ -317,14 +291,11 @@ impl<S: Scheme, E: EventSink> System<S, E> {
                         truncation_ecc,
                         &self.sampler,
                         &mut self.write_rng,
-                        self.reference_alloc,
                     ));
                 }
             }
         }
-        if !self.reference_alloc {
-            self.pool.recycle_change_set(changes);
-        }
+        self.pool.recycle_change_set(changes);
         if self.degraded {
             // Degraded mode: a persistent brownout leaves too little power
             // for full MLC program-and-verify, so new writes fall back to

@@ -106,9 +106,7 @@ impl<S: Scheme, E: EventSink> System<S, E> {
                 self.recent_writes.push_back(task.line);
             }
             self.banks[bank].state = BankState::Idle;
-            if !self.reference_alloc {
-                self.pool.recycle_rounds(task.rounds);
-            }
+            self.pool.recycle_rounds(task.rounds);
         }
     }
 

@@ -82,10 +82,8 @@ impl<S: Scheme, E: EventSink> System<S, E> {
     /// go through this; plain assignment is reserved for restoring a
     /// state unchanged (its event is already registered).
     pub(super) fn set_bank_state(&mut self, bank: usize, state: BankState) {
-        if !self.reference_stepper {
-            if let Some(t) = state.next_event() {
-                self.events.push(Reverse((t, bank as u32)));
-            }
+        if let Some(t) = state.next_event() {
+            self.events.push(Reverse((t, bank as u32)));
         }
         self.banks[bank].state = state;
     }
@@ -93,9 +91,6 @@ impl<S: Scheme, E: EventSink> System<S, E> {
     /// Registers core `ci`'s next arrival in the event heap (a no-op if
     /// the core has nothing pending).
     pub(super) fn push_core_event(&mut self, ci: usize) {
-        if self.reference_stepper {
-            return;
-        }
         let c = &self.cores[ci];
         if !c.done && !c.blocked && c.next_op.is_some() {
             let src = (self.banks.len() + ci) as u32;
@@ -164,7 +159,8 @@ impl<S: Scheme, E: EventSink> System<S, E> {
         self.deferred_scratch = deferred;
     }
 
-    /// Reference stepper: visit every bank and process the due ones.
+    /// Reference stepper ([`System::try_step_reference`]): visit every
+    /// bank and process the due ones.
     pub(super) fn process_bank_events(&mut self) {
         for b in 0..self.banks.len() {
             let due = matches!(self.banks[b].state.next_event(), Some(t) if t <= self.now);

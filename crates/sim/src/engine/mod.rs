@@ -80,22 +80,6 @@ pub struct SimOptions {
     /// [`Metrics::faults`]`.audit_violations`. Off by default (the audit
     /// re-sums every outstanding grant, which costs time).
     pub audit_ledger: bool,
-    /// Use the original O(banks + cores) scan stepper instead of the
-    /// event heap. The two are bit-for-bit identical; the scan survives
-    /// as the differential-testing reference and the `fpb bench`
-    /// pre-optimization baseline.
-    pub reference_stepper: bool,
-    /// Allocate fresh write buffers per line write instead of recycling
-    /// through the [`WriteBufferPool`]. Bit-for-bit identical to the
-    /// pooled path; kept as the differential-testing reference.
-    pub reference_alloc: bool,
-    /// Sample changed bits with the original per-bit Bernoulli loop
-    /// instead of the word-level mask sampler. The two samplers are
-    /// distributionally equivalent but consume the RNG differently, so
-    /// this flag (unlike the other two) changes simulated results; it
-    /// exists for calibration comparisons and the pre-optimization
-    /// benchmark baseline.
-    pub reference_sampler: bool,
 }
 
 impl SimOptions {
@@ -108,20 +92,7 @@ impl SimOptions {
             full_hierarchy: false,
             scrub_period_cycles: None,
             audit_ledger: false,
-            reference_stepper: false,
-            reference_alloc: false,
-            reference_sampler: false,
         }
-    }
-
-    /// All three reference knobs at once: the pre-optimization write
-    /// path (per-bit sampling, fresh allocation, scan stepper), used by
-    /// `fpb bench` as the speedup baseline.
-    pub fn reference_path(mut self) -> Self {
-        self.reference_stepper = true;
-        self.reference_alloc = true;
-        self.reference_sampler = true;
-        self
     }
 }
 
@@ -202,9 +173,6 @@ pub struct System<S: Scheme = SchemeSetup, E: EventSink = NullSink> {
     /// is already processing (deferred to the next step, as the scan
     /// defers them).
     deferred_scratch: Vec<(Cycles, u32)>,
-    reference_stepper: bool,
-    reference_alloc: bool,
-    reference_sampler: bool,
     /// When the current brownout window began (drives degraded mode).
     brownout_since: Option<Cycles>,
     /// Degraded mode: brownout persisted past the configured threshold, so
@@ -330,54 +298,6 @@ pub fn run_workload_warmed<S: Scheme + Clone>(
     cores: &[CoreState],
 ) -> Metrics {
     System::with_cores(workload, cfg, setup, opts, cores.to_vec()).run()
-}
-
-/// A worker-owned bundle of the write path's recycled storage: the
-/// [`WriteBufferPool`] (which owns the pooled `ChangeSet`s and round
-/// vectors), the [`RoundSplitter`] grouping scratch, and the power
-/// ledger's [`fpb_core::GrantScratch`] planning buffers.
-///
-/// A fresh `System` cold-starts all three — fine for one run, wasteful
-/// for a sweep, where every grid point re-pays the pool's priming
-/// allocations. A sweep worker instead holds one `SimArena` per worker
-/// slot and threads it through [`run_workload_warmed_arena`], so the
-/// buffers are allocated once per worker and recycled across points.
-///
-/// Reuse is results-neutral by construction: every buffer in the bundle
-/// is cleared or fully overwritten before use and none of them touches
-/// an RNG, so a run fed a used arena is bit-for-bit identical to a run
-/// with a fresh one (enforced by the pooled-vs-fresh equivalence tests
-/// and the sweep's jobs-invariance gate).
-#[derive(Debug, Default)]
-pub struct SimArena {
-    pool: WriteBufferPool,
-    splitter: RoundSplitter,
-    grants: fpb_core::GrantScratch,
-}
-
-/// Like [`run_workload_warmed`] but recycling `arena`'s buffers through
-/// the run: the arena is moved into the system, the simulation runs to
-/// completion, and the (now warmed) arena is moved back out before the
-/// metrics are finalized. See [`SimArena`] for why this cannot change
-/// results.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid or on an internal scheduling
-/// deadlock, exactly as [`run_workload_warmed`] does.
-pub fn run_workload_warmed_arena<S: Scheme + Clone>(
-    workload: &Workload,
-    cfg: &SystemConfig,
-    setup: &S,
-    opts: &SimOptions,
-    cores: &[CoreState],
-    arena: &mut SimArena,
-) -> Metrics {
-    let mut sys = System::with_cores(workload, cfg, setup, opts, cores.to_vec());
-    sys.adopt_arena(std::mem::take(arena));
-    while sys.step() {}
-    *arena = sys.reclaim_arena();
-    sys.finish()
 }
 
 /// Like [`try_run_workload`] but recording the run's lifecycle event
@@ -528,9 +448,6 @@ impl<S: Scheme + Clone, E: EventSink> System<S, E> {
             events: BinaryHeap::new(),
             due_scratch: Vec::new(),
             deferred_scratch: Vec::new(),
-            reference_stepper: opts.reference_stepper,
-            reference_alloc: opts.reference_alloc,
-            reference_sampler: opts.reference_sampler,
             brownout_since: None,
             degraded: false,
             metrics: Metrics::default(),
@@ -604,6 +521,40 @@ impl<S: Scheme, E: EventSink> System<S, E> {
     /// Like [`System::step`], returning a scheduling deadlock as
     /// [`SimError::Deadlock`] instead of panicking.
     pub fn try_step(&mut self) -> Result<bool, SimError> {
+        self.begin_step();
+        self.process_due_events();
+        self.schedule();
+        if self.cores.iter().all(|c| c.done) {
+            return Ok(false);
+        }
+        let next = self.next_event_time_heap();
+        self.advance_to(next)
+    }
+
+    /// [`System::try_step`] driven by the original O(banks + cores) scan
+    /// stepper instead of the event heap: every bank and core is visited
+    /// for due work, and the next event time is a scan minimum. The two
+    /// steppers are bit-for-bit identical; this one exists only as the
+    /// oracle the differential tests compare [`System::try_step`]
+    /// against. Drive a system with one stepper or the other, not both.
+    pub fn try_step_reference(&mut self) -> Result<bool, SimError> {
+        // The scan never reads the event heap; dropping what the previous
+        // step registered keeps it from growing without bound.
+        self.events.clear();
+        self.begin_step();
+        self.process_bank_events();
+        self.process_core_arrivals();
+        self.schedule();
+        if self.cores.iter().all(|c| c.done) {
+            return Ok(false);
+        }
+        let next = self.next_event_time();
+        self.advance_to(next)
+    }
+
+    /// The stepper-independent head of a step: the per-step snapshot
+    /// (live sinks only) and the brownout window update.
+    fn begin_step(&mut self) {
         if E::ENABLED {
             // One snapshot per step, before any processing: the samples
             // of `Timeline::from_events`. The metrics fold ignores it, so
@@ -617,21 +568,11 @@ impl<S: Scheme, E: EventSink> System<S, E> {
             });
         }
         self.update_brownout();
-        if self.reference_stepper {
-            self.process_bank_events();
-            self.process_core_arrivals();
-        } else {
-            self.process_due_events();
-        }
-        self.schedule();
-        if self.cores.iter().all(|c| c.done) {
-            return Ok(false);
-        }
-        let next = if self.reference_stepper {
-            self.next_event_time()
-        } else {
-            self.next_event_time_heap()
-        };
+    }
+
+    /// Jumps time to the next event, or reports a deadlock when nothing
+    /// is pending while some core still has work.
+    fn advance_to(&mut self, next: Option<Cycles>) -> Result<bool, SimError> {
         let next = next.ok_or(SimError::Deadlock {
             cycle: self.now.get(),
             pending_writes: self.wrq.len() + self.overflow.len(),
@@ -667,31 +608,9 @@ impl<S: Scheme, E: EventSink> System<S, E> {
     }
 
     /// Pool telemetry: `(reuses, fresh_allocations)` of the write-buffer
-    /// pool, for benches and tests asserting the steady-state write path
-    /// stops allocating.
+    /// pool, for tests asserting the steady-state write path stops
+    /// allocating.
     pub fn pool_stats(&self) -> (u64, u64) {
         (self.pool.reuses(), self.pool.fresh_allocations())
-    }
-
-    /// Installs a donated [`SimArena`], replacing this system's fresh
-    /// write-buffer pool, round splitter, and grant scratch with the
-    /// arena's recycled ones. Call before stepping; reuse never changes
-    /// simulated results (see [`SimArena`]).
-    pub fn adopt_arena(&mut self, arena: SimArena) {
-        self.pool = arena.pool;
-        self.splitter = arena.splitter;
-        self.power.donate_grant_scratch(arena.grants);
-    }
-
-    /// Moves the recycled storage back out of a finished system so the
-    /// next run on this worker can adopt it. The system keeps empty
-    /// replacements; call once stepping is done, before
-    /// [`System::finish`].
-    pub fn reclaim_arena(&mut self) -> SimArena {
-        SimArena {
-            pool: std::mem::take(&mut self.pool),
-            splitter: std::mem::take(&mut self.splitter),
-            grants: self.power.take_grant_scratch(),
-        }
     }
 }

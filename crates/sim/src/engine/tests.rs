@@ -346,6 +346,20 @@ fn stepping_matches_run() {
 }
 
 #[test]
+fn write_buffers_are_recycled() {
+    let cfg = cfg();
+    let wl = catalog::workload("mcf_m").unwrap();
+    let mut sys = System::new(&wl, &cfg, &SchemeSetup::fpb(&cfg), &small_opts());
+    while sys.step() {}
+    let (reuses, fresh) = sys.pool_stats();
+    assert!(reuses > 0, "the pool never recycled a write buffer");
+    assert!(
+        fresh < reuses,
+        "{fresh} fresh builds against {reuses} reuses"
+    );
+}
+
+#[test]
 fn low_traffic_workload_runs_fast() {
     let cfg = cfg();
     let wl = catalog::workload("xal_m").unwrap();

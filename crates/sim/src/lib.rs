@@ -28,7 +28,6 @@
 //!   `fpb sweep --journal/--resume`.
 //! * [`resultcache`] — the persistent point-result cache
 //!   (`target/fpb-sweep-cache.v1`) that warm-starts repeated sweeps.
-//! * [`bench`] — the fixed self-measuring benchmark behind `fpb bench`.
 //!
 //! # Examples
 //!
@@ -50,7 +49,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod bank;
-pub mod bench;
 pub mod engine;
 pub mod exec;
 pub mod frontend;
@@ -65,11 +63,7 @@ pub mod supervise;
 pub mod sweep;
 pub mod timeline;
 
-pub use bench::{
-    required_speedup, run_fixed_bench, run_fixed_bench_repeats, run_hotpath_bench, BenchReport,
-    CacheRace, EfficiencyGate, HotpathReport, SkippedRung, LINE_WRITE_FLOOR,
-};
-pub use engine::{run_workload, run_workload_recorded, try_run_workload, SimArena, SimOptions, System};
+pub use engine::{run_workload, run_workload_recorded, try_run_workload, SimOptions, System};
 pub use inspect::{EventSink, LifecycleEvent, MemorySink, NullSink};
 pub use exec::{default_jobs, effective_workers, parallel_map_indexed, schedule_by_cost};
 pub use journal::{JournalError, JournalHeader, JournalWriter};

@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex};
 use fpb_core::effective_config_desc;
 use fpb_types::SystemConfig;
 
-use crate::engine::{run_workload_warmed_arena, warm_cores, SimArena, SimOptions};
+use crate::engine::{run_workload_warmed, warm_cores, SimOptions};
 use crate::exec::parallel_map_indexed;
 use crate::frontend::CoreState;
 use crate::journal::{fingerprint64, JournalError, JournalHeader, JournalMode, JournalWriter};
@@ -113,7 +113,7 @@ impl Axis {
 }
 
 /// One sweep result point.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// `axis=variant` labels joined with `,`, plus the scheme label.
     pub label: String,
@@ -360,9 +360,6 @@ pub fn run_sweep(
 ///   equivalence class and share the metrics.
 /// - Warmed cores are deduplicated: points whose configs produce the
 ///   same warm state (see [`warm_key`]'s inputs) share one warm set.
-/// - Each run borrows a [`SimArena`] from a shared stack and returns it
-///   afterwards, so the write path's pools are primed once per worker
-///   instead of once per point.
 /// - Workers claim one unit at a time in descending estimated-cost
 ///   order ([`point_cost`] of the class representative), longest first,
 ///   so a slow unit claimed late cannot strand the pool past the end of
@@ -1142,12 +1139,6 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
     // cache-completed points never count.
     let tracker = Arc::new(Mutex::new((remaining.clone(), 0usize)));
     let track_members: Arc<Vec<Vec<usize>>> = Arc::new(members);
-    // Per-worker arenas, checkout-stack style: the supervisor shares one
-    // `Fn` across workers, so arenas are popped for a run and pushed
-    // back after. A panicked run simply drops its arena (the next
-    // checkout starts fresh), and arena reuse is results-neutral by
-    // construction (see `SimArena`).
-    let arenas: Arc<Mutex<Vec<SimArena>>> = Arc::new(Mutex::new(Vec::new()));
     let job_warm = Arc::clone(&warm);
     let job_members = Arc::clone(&track_members);
     let job = move |_slot: usize, j: &SimJob| -> (usize, Metrics) {
@@ -1159,14 +1150,7 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
             panic!("injected panic at point {} ({})", j.rep, j.label);
         }
         let cores = &job_warm.sets[job_warm.of_point[j.rep]];
-        let mut arena = match arenas.lock() {
-            Ok(mut stack) => stack.pop().unwrap_or_default(),
-            Err(_) => SimArena::default(),
-        };
-        let m = run_workload_warmed_arena(&workload, &j.cfg, &j.setup, &opts, cores, &mut arena);
-        if let Ok(mut stack) = arenas.lock() {
-            stack.push(arena);
-        }
+        let m = run_workload_warmed(&workload, &j.cfg, &j.setup, &opts, cores);
         if cancel_limit.is_some() {
             if let Ok(mut t) = tracker.lock() {
                 let (left, completed) = &mut *t;

@@ -13,7 +13,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 
-use fpb_sim::bench::points_identical;
 use fpb_sim::sweep::{run_sweep_jobs_reuse, Axis, ReuseOptions};
 use fpb_sim::SimOptions;
 use fpb_trace::catalog;
@@ -70,7 +69,7 @@ proptest! {
         prop_assert!(on_stats.runs_unique <= on_stats.runs_total);
         prop_assert_eq!(on_stats.simulated, on_stats.runs_unique);
         prop_assert!(
-            points_identical(&off, &on),
+            off == on,
             "dedup changed sweep output (scheme {}, {} points)", scheme, off.len()
         );
 
@@ -79,11 +78,11 @@ proptest! {
         let with_cache = ReuseOptions { dedup: true, cache: Some(cache.clone()) };
         let (cold, cold_stats) = run(&with_cache);
         prop_assert_eq!(cold_stats.cache_hits, 0);
-        prop_assert!(points_identical(&off, &cold), "cold cache changed sweep output");
+        prop_assert!(off == cold, "cold cache changed sweep output");
         let (warm, warm_stats) = run(&with_cache);
         prop_assert_eq!(warm_stats.simulated, 0, "warm cache re-simulated");
         prop_assert_eq!(warm_stats.cache_hits, warm_stats.runs_unique);
-        prop_assert!(points_identical(&off, &warm), "warm cache changed sweep output");
+        prop_assert!(off == warm, "warm cache changed sweep output");
         std::fs::remove_file(&cache).ok();
     }
 }

@@ -1,14 +1,15 @@
-//! Differential proof for the zero-allocation write path: the event-heap
-//! stepper and the pooled write buffers must be *bit-for-bit* identical
-//! to the reference scan stepper and fresh-allocation path — same final
-//! metrics in every field, across seeds, schemes, and fault injection.
+//! Differential proof for the event-heap stepper: it must be
+//! *bit-for-bit* identical to the reference scan stepper
+//! ([`System::try_step_reference`]) — same final metrics in every
+//! field, across seeds, schemes, and fault injection.
 //!
 //! (The word-level change sampler is deliberately NOT covered here: it
 //! consumes the RNG differently by design, so its equivalence to the
 //! per-bit reference is distributional and proven in
-//! `fpb_trace::data_model` tests.)
+//! `fpb_trace::data_model` tests. Pooled write buffers are checked
+//! against fresh allocation in `fpb_pcm::line_write`.)
 
-use fpb_sim::{run_workload, SchemeSetup, SimOptions};
+use fpb_sim::{run_workload, Metrics, SchemeSetup, SimOptions, System};
 use fpb_trace::catalog;
 use fpb_types::SystemConfig;
 
@@ -31,22 +32,23 @@ fn fault_cfg(seed: u64) -> SystemConfig {
     cfg
 }
 
-/// Runs `setups` on `cfg` with and without the given reference knob and
-/// asserts full-metrics equality.
-fn assert_identical(
-    cfg: &SystemConfig,
-    setup: &SchemeSetup,
-    tag: &str,
-    tweak: impl Fn(&mut SimOptions),
-) {
+/// Runs mcf_m to completion on the reference scan stepper.
+fn run_reference(cfg: &SystemConfig, setup: &SchemeSetup, opts: &SimOptions) -> Metrics {
     let wl = catalog::workload("mcf_m").expect("catalog workload");
-    let optimized = run_workload(&wl, cfg, setup, &opts());
-    let mut ref_opts = opts();
-    tweak(&mut ref_opts);
-    let reference = run_workload(&wl, cfg, setup, &ref_opts);
+    let mut sys = System::new(&wl, cfg, setup, opts);
+    while sys.try_step_reference().expect("scan stepper deadlocked") {}
+    sys.finish()
+}
+
+/// Runs `setup` on `cfg` with both steppers and asserts full-metrics
+/// equality.
+fn assert_identical(cfg: &SystemConfig, setup: &SchemeSetup, opts: &SimOptions, tag: &str) {
+    let wl = catalog::workload("mcf_m").expect("catalog workload");
+    let optimized = run_workload(&wl, cfg, setup, opts);
+    let reference = run_reference(cfg, setup, opts);
     assert_eq!(
         optimized, reference,
-        "{tag}: optimized and reference paths diverged (seed {})",
+        "{tag}: heap and scan steppers diverged (seed {})",
         cfg.seed
     );
 }
@@ -63,37 +65,16 @@ fn heap_stepper_matches_scan_stepper() {
             SchemeSetup::dimm_chip(&cfg),
             SchemeSetup::fpb(&cfg),
         ] {
-            assert_identical(&cfg, &setup, "stepper", |o| o.reference_stepper = true);
+            assert_identical(&cfg, &setup, &opts(), "stepper");
         }
     }
 }
 
 #[test]
-fn pooled_buffers_match_fresh_allocation() {
-    for seed in SEEDS {
-        let cfg = SystemConfig {
-            seed,
-            ..SystemConfig::default()
-        };
-        for setup in [SchemeSetup::dimm_chip(&cfg), SchemeSetup::fpb(&cfg)] {
-            assert_identical(&cfg, &setup, "alloc", |o| o.reference_alloc = true);
-        }
-    }
-}
-
-#[test]
-fn heap_and_pool_match_reference_under_fault_injection() {
+fn heap_stepper_matches_scan_under_fault_injection() {
     for seed in SEEDS {
         let cfg = fault_cfg(seed);
-        let setup = SchemeSetup::fpb(&cfg);
-        assert_identical(&cfg, &setup, "faults/stepper", |o| {
-            o.reference_stepper = true;
-        });
-        assert_identical(&cfg, &setup, "faults/alloc", |o| o.reference_alloc = true);
-        assert_identical(&cfg, &setup, "faults/both", |o| {
-            o.reference_stepper = true;
-            o.reference_alloc = true;
-        });
+        assert_identical(&cfg, &SchemeSetup::fpb(&cfg), &opts(), "faults");
     }
 }
 
@@ -107,13 +88,7 @@ fn heap_stepper_matches_scan_with_wt_wc_wp_and_scrub() {
         ..SystemConfig::default()
     };
     let setup = SchemeSetup::fpb(&cfg).with_wt(8).with_wc().with_wp();
-    let wl = catalog::workload("mcf_m").expect("catalog workload");
     let mut o = opts();
     o.scrub_period_cycles = Some(20_000);
-    let optimized = run_workload(&wl, &cfg, &setup, &o);
-    let mut r = o;
-    r.reference_stepper = true;
-    r.reference_alloc = true;
-    let reference = run_workload(&wl, &cfg, &setup, &r);
-    assert_eq!(optimized, reference, "wt/wc/wp/scrub divergence");
+    assert_identical(&cfg, &setup, &o, "wt/wc/wp/scrub");
 }

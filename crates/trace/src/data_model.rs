@@ -440,7 +440,8 @@ impl DataProfile {
     ///
     /// One Bernoulli draw per word plus one per bit of each changed word —
     /// the pre-optimization behaviour, kept compiled-in so equivalence
-    /// tests and `fpb bench` can compare the word-level path against it.
+    /// tests and the change-sampling micro-benchmark can compare the
+    /// word-level path against it.
     pub fn sample_changed_bits_reference(&self, line_bytes: u32, rng: &mut SimRng) -> Vec<u32> {
         let words = line_bytes / 4;
         let mut bits = Vec::new();
@@ -793,7 +794,7 @@ mod tests {
     }
 
     #[test]
-    fn reference_path_deterministic_given_seed() {
+    fn per_bit_reference_deterministic_given_seed() {
         let p = DataProfile::new(DataClass::Integer, 0.4);
         let mut a = SimRng::seed_from(34);
         let mut b = SimRng::seed_from(34);

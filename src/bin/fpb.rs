@@ -121,122 +121,6 @@ fn dispatch(cmd: Command) -> Result<ExitCode, String> {
             }
             Ok(ExitCode::SUCCESS)
         }
-        Command::Bench {
-            jobs,
-            instructions,
-            repeats,
-            out,
-            hotpath_out,
-        } => {
-            let jobs = cli::effective_jobs(jobs);
-            let report = fpb::sim::run_fixed_bench_repeats(jobs, instructions, repeats)
-                .ok_or("bench workload missing from the catalog")?;
-            std::fs::write(&out, report.to_json()).map_err(|e| format!("write {out}: {e}"))?;
-            println!(
-                "bench: {} points on {} ({} instructions/core, min of {} passes, {} cores detected)",
-                report.points,
-                report.workload,
-                report.instructions_per_core,
-                report.repeats,
-                report.detected_cores
-            );
-            println!(
-                "  serial   {:>9.1} ms   ({:.0} sim cycles/sec)",
-                report.serial_ms, report.sim_cycles_per_sec
-            );
-            println!(
-                "  parallel {:>9.1} ms   ({} jobs, {:.2}x speedup, {:.2} points/sec)",
-                report.parallel_ms, report.jobs, report.speedup, report.points_per_sec
-            );
-            for r in &report.scaling {
-                println!(
-                    "  scaling  {:>2} jobs {:>9.1} ms  ({:.2}x, {:.2} points/sec)",
-                    r.jobs, r.ms, r.speedup, r.points_per_sec
-                );
-            }
-            for sk in &report.skipped_rungs {
-                println!("  skipped  {:>2} jobs: {}", sk.jobs, sk.reason);
-            }
-            println!(
-                "  reuse    {} runs -> {} unique ({:.2}x dedup; reuse-off serial {:.1} ms)",
-                report.reuse.runs_total,
-                report.reuse.runs_unique,
-                report.reuse.dedup_ratio(),
-                report.no_reuse_serial_ms
-            );
-            println!(
-                "  cache    cold {:>9.1} ms -> warm {:>9.1} ms ({:.2}x)",
-                report.result_cache.cold_ms,
-                report.result_cache.warm_ms,
-                report.result_cache.speedup()
-            );
-            let eff = &report.efficiency;
-            println!(
-                "  efficiency gate: {:.2}x at {} jobs ({} effective workers, floor {:.2}x) -> {}",
-                eff.actual_speedup,
-                eff.jobs,
-                eff.effective_workers,
-                eff.required_speedup,
-                if eff.passed() { "ok" } else { "FAIL" }
-            );
-            println!("  wrote {out}");
-            if !report.identical {
-                return Err("parallel sweep metrics diverged from the serial sweep".into());
-            }
-            println!("  parallel metrics identical to serial: ok");
-            if !report.efficiency.passed() {
-                return Err(format!(
-                    "parallel efficiency below the floor: {:.2}x at {} effective workers (need {:.2}x)",
-                    eff.actual_speedup, eff.effective_workers, eff.required_speedup
-                ));
-            }
-
-            let hot = fpb::sim::run_hotpath_bench(instructions)
-                .ok_or("bench workload missing from the catalog")?;
-            std::fs::write(&hotpath_out, hot.to_json())
-                .map_err(|e| format!("write {hotpath_out}: {e}"))?;
-            println!(
-                "hotpath: optimized write path vs reference on {} ({} instructions/core)",
-                hot.workload, hot.instructions_per_core
-            );
-            println!(
-                "  engine     {:>8.1} ms vs {:>8.1} ms reference  ({:.2}x)",
-                hot.engine_optimized_ms, hot.engine_reference_ms, hot.engine_speedup
-            );
-            println!(
-                "  sampler    {:>8.2} ms vs {:>8.2} ms per-bit    ({:.2}x)",
-                hot.sampler_words_ms, hot.sampler_perbit_ms, hot.sampler_speedup
-            );
-            println!(
-                "  line-write {:>8.2} ms vs {:>8.2} ms fresh      ({:.2}x, {} reuses / {} allocs)",
-                hot.line_write_pooled_ms,
-                hot.line_write_fresh_ms,
-                hot.line_write_speedup,
-                hot.pool_reuses,
-                hot.pool_fresh_allocations
-            );
-            println!("  wrote {hotpath_out}");
-            if !hot.stepper_identical {
-                return Err("event-heap stepper diverged from the scan stepper".into());
-            }
-            if !hot.pooling_identical {
-                return Err("pooled write buffers diverged from fresh allocation".into());
-            }
-            if !hot.sampler_equivalent {
-                return Err(
-                    "word-level sampler drifted from the per-bit reference distribution".into(),
-                );
-            }
-            if hot.line_write_speedup < fpb::sim::LINE_WRITE_FLOOR {
-                return Err(format!(
-                    "pooled line-write build below the floor: {:.3}x (need {:.2}x)",
-                    hot.line_write_speedup,
-                    fpb::sim::LINE_WRITE_FLOOR
-                ));
-            }
-            println!("  write-path equivalence gates: ok");
-            Ok(ExitCode::SUCCESS)
-        }
         Command::Lint(la) => run_lint(&la).map(|()| ExitCode::SUCCESS),
         Command::Inspect(ia) => run_inspect(&ia),
     }

@@ -5,8 +5,6 @@
 //!
 //! * `run` — simulate a workload under a scheme and print metrics.
 //! * `compare` — run every major scheme on one workload.
-//! * `bench` — run the fixed self-measuring sweep and emit
-//!   `BENCH_sweep.json`.
 //! * `list` — list catalog workloads, programs, and scheme names.
 //! * `record` — record a program's synthetic trace to an FPBT file.
 //! * `lint` — run the project's static-analysis rules (`fpb-analyze`)
@@ -41,21 +39,6 @@ pub enum Command {
         csv: Option<String>,
         /// Supervision / journal / resume controls.
         control: SweepControl,
-    },
-    /// `fpb bench [--jobs N] [--instructions N] [--repeats N]
-    /// [--out FILE] [--hotpath-out FILE]`
-    Bench {
-        /// Worker threads for the parallel pass (`None` = machine
-        /// parallelism).
-        jobs: Option<usize>,
-        /// Per-core instruction budget of each grid run.
-        instructions: u64,
-        /// Timed passes per scaling-ladder rung (minimum kept).
-        repeats: u32,
-        /// Output path for the sweep JSON report.
-        out: String,
-        /// Output path for the write-path (hot-path) JSON report.
-        hotpath_out: String,
     },
     /// `fpb list`
     List,
@@ -384,43 +367,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 out: out.ok_or(CliError("record requires --out".into()))?,
             })
         }
-        "bench" => {
-            let mut jobs = None;
-            let mut instructions = fpb_sim::bench::BENCH_INSTRUCTIONS;
-            let mut repeats = fpb_sim::bench::BENCH_REPEATS;
-            let mut out = "BENCH_sweep.json".to_string();
-            let mut hotpath_out = "BENCH_hotpath.json".to_string();
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<String, CliError> {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| CliError(format!("{name} needs a value")))
-                };
-                match flag.as_str() {
-                    "--jobs" => jobs = Some(parse_jobs(&value("--jobs")?)?),
-                    "--instructions" => {
-                        instructions = parse_num(&value("--instructions")?, "--instructions")?
-                    }
-                    "--repeats" => {
-                        let n: u64 = parse_num(&value("--repeats")?, "--repeats")?;
-                        if n == 0 || n > u64::from(u32::MAX) {
-                            return Err(CliError("--repeats must be between 1 and 2^32-1".into()));
-                        }
-                        repeats = n as u32;
-                    }
-                    "--out" => out = value("--out")?,
-                    "--hotpath-out" => hotpath_out = value("--hotpath-out")?,
-                    other => return Err(CliError(format!("unknown flag `{other}`"))),
-                }
-            }
-            Ok(Command::Bench {
-                jobs,
-                instructions,
-                repeats,
-                out,
-                hotpath_out,
-            })
-        }
         "lint" => {
             let mut la = LintArgs::default();
             while let Some(flag) = it.next() {
@@ -632,14 +578,17 @@ where
         "--workload" => ra.workload = value("--workload")?,
         "--scheme" => ra.scheme = value("--scheme")?,
         "--instructions" => {
-            ra.instructions = parse_num(&value("--instructions")?, "--instructions")?
+            ra.instructions = parse_num(&value("--instructions")?, "--instructions")?;
+            if ra.instructions == 0 {
+                return Err(CliError("--instructions must be at least 1".into()));
+            }
         }
         "--line-bytes" => {
-            let b = parse_num(&value("--line-bytes")?, "--line-bytes")? as u32;
+            let b = parse_u32(&value("--line-bytes")?, "--line-bytes")?;
             ra.cfg = ra.cfg.clone().with_line_bytes(b);
         }
         "--llc-mib" => {
-            let m = parse_num(&value("--llc-mib")?, "--llc-mib")? as u32;
+            let m = parse_u32(&value("--llc-mib")?, "--llc-mib")?;
             ra.cfg = ra.cfg.clone().with_llc_mib(m);
         }
         "--wrq" => {
@@ -666,7 +615,7 @@ where
         }
         "--wc" => ra.wc = true,
         "--wp" => ra.wp = true,
-        "--wt" => ra.wt = Some(parse_num(&value("--wt")?, "--wt")? as u32),
+        "--wt" => ra.wt = Some(parse_u32(&value("--wt")?, "--wt")?),
         "--fault-verify-rate" => {
             ra.cfg.faults.verify_fail_prob =
                 parse_float(&value("--fault-verify-rate")?, "--fault-verify-rate")?
@@ -704,10 +653,8 @@ where
                 parse_num(&value("--fault-backoff")?, "--fault-backoff")?
         }
         "--fault-watchdog" => {
-            let n = parse_num(&value("--fault-watchdog")?, "--fault-watchdog")?;
-            ra.cfg.faults.watchdog_iterations = u32::try_from(n).map_err(|_| {
-                CliError(format!("--fault-watchdog must fit in u32, got `{n}`"))
-            })?;
+            ra.cfg.faults.watchdog_iterations =
+                parse_u32(&value("--fault-watchdog")?, "--fault-watchdog")?
         }
         "--fault-degraded-after" => {
             ra.cfg.faults.degraded_after_cycles =
@@ -725,6 +672,11 @@ fn parse_num(s: &str, flag: &str) -> Result<u64, CliError> {
     s.replace('_', "")
         .parse()
         .map_err(|_| CliError(format!("{flag} must be an integer, got `{s}`")))
+}
+
+fn parse_u32(s: &str, flag: &str) -> Result<u32, CliError> {
+    let n = parse_num(s, flag)?;
+    u32::try_from(n).map_err(|_| CliError(format!("{flag} must fit in u32, got `{s}`")))
 }
 
 fn parse_float(s: &str, flag: &str) -> Result<f64, CliError> {
@@ -785,8 +737,6 @@ USAGE:
   fpb sweep   --workload <name> --axis <name=v1,v2,..> [--axis ..] [--csv out.csv]
               [--journal <file> | --resume <file>] [--json-out <file>]
               [--deadline-ms <n>] [--cancel-after <n>] [options]
-  fpb bench   [--jobs <n>] [--instructions <n>] [--repeats <n>]
-              [--out BENCH_sweep.json] [--hotpath-out BENCH_hotpath.json]
   fpb list
   fpb record  --program <C.mcf|...> --ops <n> --out <file.fpbt>
   fpb lint    [--format text|json|sarif] [--out <file>] [--sarif-out <file>]
@@ -856,26 +806,6 @@ SWEEP RESULT REUSE: grid points whose differing knobs cannot reach the
                        [target/fpb-sweep-cache.v1]
   --no-result-cache    disable result reuse (semantic dedup and the
                        persistent cache); every point simulates fresh
-
-BENCH: runs a pinned 36-point sweep grid (line-bytes x pt-dimm x e-gcp
-  on mcf_m) up a 1/2/4-job scaling ladder (--repeats timed passes per
-  rung, minimum kept, after an untimed warmup pass), checks every rung
-  matches serial bit-for-bit, and writes wall time, points/sec, the
-  detected core count, the scaling curve, and the parallel-efficiency
-  gate to BENCH_sweep.json. Rungs that cannot exercise real parallelism
-  (one effective worker) are skipped and recorded as skipped_rungs
-  instead of re-measuring the serial pass. The grid also runs with
-  result reuse off and twice against a private cold/warm result cache —
-  every pass feeds the same identical gate — and the report carries
-  points_unique, dedup_ratio, and the cold-vs-warm cache walls. Then
-  races the optimized write path (word-level change sampling, pooled
-  buffers, event-heap stepper) against the pre-optimization reference
-  path and writes BENCH_hotpath.json. Exits nonzero if parallel and
-  serial metrics diverge, if the 4-job rung misses the efficiency floor
-  for the machine's core count, if the heap stepper or buffer pool
-  fails bit-for-bit equivalence, if the word-level sampler drifts from
-  the per-bit reference, or if the pooled line-write build falls below
-  its floor.
 
 OPTIONS (run/compare):
   --instructions <n>   instructions per core        [200000]
@@ -964,6 +894,15 @@ mod tests {
         assert!(parse(&v(&["frobnicate"])).is_err());
         assert!(parse(&v(&["run", "--bogus"])).is_err());
         assert!(parse(&v(&["run", "--instructions", "many"])).is_err());
+        for (flag, value) in [
+            ("--instructions", "0"),
+            ("--line-bytes", "4294967552"),
+            ("--llc-mib", "4294967328"),
+            ("--wt", "4294967304"),
+        ] {
+            let err = parse(&v(&["run", flag, value])).unwrap_err();
+            assert!(err.0.contains(flag), "{flag} {value}: {}", err.0);
+        }
         assert!(parse(&v(&["run", "--instructions"])).is_err());
         assert!(parse(&v(&["run", "--line-bytes", "100"])).is_err(), "invalid config");
         assert!(parse(&v(&["record", "--ops", "10"])).is_err(), "missing required");
@@ -1095,56 +1034,6 @@ mod tests {
             panic!("expected Compare")
         };
         assert_eq!(ra.jobs, Some(2));
-    }
-
-    #[test]
-    fn bench_parses_with_defaults_and_overrides() {
-        let Command::Bench {
-            jobs,
-            instructions,
-            repeats,
-            out,
-            hotpath_out,
-        } = parse(&v(&["bench"])).unwrap()
-        else {
-            panic!("expected Bench")
-        };
-        assert_eq!(jobs, None);
-        assert_eq!(instructions, fpb_sim::bench::BENCH_INSTRUCTIONS);
-        assert_eq!(repeats, fpb_sim::bench::BENCH_REPEATS);
-        assert_eq!(out, "BENCH_sweep.json");
-        assert_eq!(hotpath_out, "BENCH_hotpath.json");
-        let Command::Bench {
-            jobs,
-            instructions,
-            repeats,
-            out,
-            hotpath_out,
-        } = parse(&v(&[
-            "bench",
-            "--jobs",
-            "8",
-            "--instructions",
-            "10_000",
-            "--repeats",
-            "3",
-            "--out",
-            "/tmp/b.json",
-            "--hotpath-out",
-            "/tmp/h.json",
-        ]))
-        .unwrap()
-        else {
-            panic!("expected Bench")
-        };
-        assert_eq!(jobs, Some(8));
-        assert_eq!(instructions, 10_000);
-        assert_eq!(repeats, 3);
-        assert_eq!(out, "/tmp/b.json");
-        assert_eq!(hotpath_out, "/tmp/h.json");
-        assert!(parse(&v(&["bench", "--bogus"])).is_err());
-        assert!(parse(&v(&["bench", "--jobs", "0"])).is_err());
-        assert!(parse(&v(&["bench", "--repeats", "0"])).is_err());
     }
 
     #[test]

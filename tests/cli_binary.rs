@@ -61,6 +61,15 @@ fn bad_arguments_fail_with_diagnostics() {
     let out = fpb().arg("frobnicate").output().expect("spawn");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown subcommand"));
+
+    // An empty run has no CPI: rejected at parse time (exit 1), not a
+    // panic in the metrics (exit 101).
+    let out = fpb()
+        .args(["run", "--instructions", "0"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--instructions"));
 }
 
 const SWEEP_ARGS: [&str; 8] = [

@@ -2,15 +2,16 @@
 //! **byte-for-byte** invisible in the results.
 //!
 //! For two pinned workloads and two registry schemes (the full FPB
-//! extension stack and the paper's baseline), a run on the optimized
-//! path (event heap, pooled buffers, sampled words) and a twin run on
-//! the reference path (linear scan, fresh allocation per write) must
-//! serialize to identical [`Metrics::to_json`] strings. CI's
-//! `scheme-matrix` job fails on any byte difference.
+//! extension stack and the paper's baseline), a run on the event-heap
+//! stepper and a twin run on the reference scan stepper
+//! ([`System::try_step_reference`]) must serialize to identical
+//! [`Metrics::to_json`] strings. CI's `scheme-matrix` job fails on any
+//! byte difference.
 //!
+//! [`System::try_step_reference`]: fpb::sim::System::try_step_reference
 //! [`Metrics::to_json`]: fpb::sim::Metrics::to_json
 
-use fpb::sim::{run_workload, SchemeRegistry, SimOptions};
+use fpb::sim::{run_workload, SchemeRegistry, SimOptions, System};
 use fpb::trace::catalog;
 use fpb::types::SystemConfig;
 
@@ -30,13 +31,9 @@ fn optimized_and_reference_paths_serialize_identically() {
                 .unwrap_or_else(|e| panic!("scheme spec `{spec}`: {e}"));
             let opts = SimOptions::with_instructions(INSTRUCTIONS);
             let optimized = run_workload(&wl, &cfg, &setup, &opts).to_json();
-            // Only the stepper and allocator references are bit-identical
-            // twins; the reference sampler is distributional, so it stays
-            // off on both sides.
-            let mut ref_opts = opts;
-            ref_opts.reference_stepper = true;
-            ref_opts.reference_alloc = true;
-            let reference = run_workload(&wl, &cfg, &setup, &ref_opts).to_json();
+            let mut sys = System::new(&wl, &cfg, &setup, &opts);
+            while sys.try_step_reference().expect("scan stepper deadlocked") {}
+            let reference = sys.finish().to_json();
             assert_eq!(
                 optimized, reference,
                 "metrics JSON diverged for workload `{wl_name}`, scheme `{spec}`"
