@@ -211,10 +211,10 @@ mod tests {
 
     #[test]
     fn parse_roundtrip() {
-        let text = "# comment\n\n[rules]\npanic_freedom = 12 # inline\nhash_order = 3\n";
+        let text = "# comment\n\n[rules]\npanic_freedom = 12 # inline\ntoken_leak = 3\n";
         let b = Baseline::parse(text).unwrap();
         assert_eq!(b.allowed(Rule::PanicFreedom), 12);
-        assert_eq!(b.allowed(Rule::HashOrder), 3);
+        assert_eq!(b.allowed(Rule::TokenLeak), 3);
         assert_eq!(b.allowed(Rule::FloatEq), 0, "unlisted rules default to 0");
         let b2 = Baseline::parse(&b.to_toml()).unwrap();
         assert_eq!(b, b2);
@@ -266,11 +266,11 @@ mod tests {
 
     #[test]
     fn tightened_baseline_matches_current_counts() {
-        let vs = vec![violation(Rule::PanicFreedom, 1), violation(Rule::HashOrder, 2)];
+        let vs = vec![violation(Rule::PanicFreedom, 1), violation(Rule::TokenLeak, 2)];
         let r = check_ratchet(&vs, &Baseline::empty());
         let tight = r.tightened_baseline();
         assert_eq!(tight.allowed(Rule::PanicFreedom), 1);
-        assert_eq!(tight.allowed(Rule::HashOrder), 1);
+        assert_eq!(tight.allowed(Rule::TokenLeak), 1);
         assert_eq!(tight.allowed(Rule::FloatEq), 0);
         // Round-trips through the TOML form.
         assert_eq!(Baseline::parse(&tight.to_toml()).unwrap(), tight);

@@ -3,7 +3,7 @@
 //! The lint rules need exactly four things the raw source cannot give
 //! them directly: identifiers with line numbers, punctuation with
 //! adjacency (to tell `.unwrap(` from the word "unwrap" in a string),
-//! numeric literals tagged int-vs-float, and comments (for `SAFETY:`
+//! numeric literals tagged int-vs-float, and comments (for `ORDER:`
 //! checks and `fpb-lint:` directives). Everything else — strings, char
 //! literals, lifetimes — is recognized only so its *contents* cannot be
 //! mistaken for code. No `syn`, no registry dependencies: the scanner

@@ -1,19 +1,25 @@
 //! # fpb-analyze: project-specific static analysis for the FPB workspace
 //!
 //! A hand-rolled, zero-registry-dependency Rust source scanner enforcing
-//! the invariants FPB's results depend on but the compiler cannot see:
+//! the invariants FPB's results depend on that neither the compiler nor
+//! clippy can express:
 //!
-//! * **Determinism** — no wall-clock, environment reads, or randomized
-//!   hash iteration in the simulation crates (`fpb-core`, `fpb-sim`,
-//!   `fpb-pcm`), whose outputs feed the serial-vs-parallel bit-equality
-//!   gate.
 //! * **Panic-freedom** — no `unwrap`/`expect`/`panic!`-family in the
-//!   engine/ledger/manager hot paths outside test code.
+//!   engine/ledger/manager hot paths outside test code, and no panic site
+//!   reachable from `System::run`/`step` through the call graph.
 //! * **Power accounting** — no narrowing `as` casts or exact float
-//!   equality on token/energy/cycle values.
-//! * **Unsafe hygiene** — every `unsafe` carries a `// SAFETY:` comment,
-//!   and crates with no `unsafe` lock that in with
-//!   `#![forbid(unsafe_code)]`.
+//!   equality on token/energy/cycle values, and every granted power token
+//!   consumed on every exit path.
+//! * **Determinism taint** — no wall-clock, environment, hash-order or
+//!   thread-id source on a call chain into metrics, reports or the event
+//!   log.
+//! * **Scheme isolation and atomic ordering** — scheme policy mutated
+//!   only in the scheme module; `Ordering::Relaxed` on coordination
+//!   atomics only with an `// ORDER:` justification.
+//!
+//! The blanket bans live in stock tools: `unsafe_code = "forbid"` in the
+//! workspace `[lints]`, and the wall-clock, environment and hash-container
+//! bans in `crates/clippy.toml`.
 //!
 //! Existing debt is allowlisted in a checked-in ratchet baseline
 //! (`lint-baseline.toml`) whose per-rule counts may only decrease; new
@@ -35,11 +41,9 @@
 //! The CLI entry point is `fpb lint`; CI runs it as a blocking job with
 //! `--format json` and uploads the report artifact.
 
-#![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod baseline;
-pub mod cache;
 pub mod callgraph;
 pub mod cfg;
 pub mod lexer;
@@ -54,7 +58,7 @@ pub mod walk;
 use std::io;
 use std::path::Path;
 
-use rules::{Rule, Violation};
+use rules::Violation;
 
 /// The result of scanning a workspace tree.
 #[derive(Debug, Clone)]
@@ -63,112 +67,29 @@ pub struct ScanResult {
     pub files_scanned: usize,
     /// Every violation found, in (file, line) order.
     pub violations: Vec<Violation>,
-    /// Cache hit/miss counters for this run (all misses when no cache
-    /// path was given).
-    pub cache: cache::CacheStats,
 }
 
 /// Scans every source file under `root` (see [`walk::collect_sources`]
 /// for what is included) and applies the whole rule catalog: the lexical
-/// rules, the per-crate [`Rule::MissingForbidUnsafe`] check, and the
-/// semantic rules (token leaks, panic reachability, nondeterminism
-/// taint) over the workspace call graph.
+/// rules and the semantic rules (token leaks, panic reachability,
+/// nondeterminism taint) over the workspace call graph.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from traversal or file reads.
 pub fn scan_root(root: &Path) -> io::Result<ScanResult> {
-    scan_root_cached(root, None)
-}
-
-/// [`scan_root`] with an optional incremental cache: per-file facts are
-/// reused when the file's content hash matches, and the cache file is
-/// rewritten after the scan. Results are byte-identical with and without
-/// a cache — CI enforces this by diffing cold and warm reports.
-///
-/// # Errors
-///
-/// Propagates I/O errors from traversal or file reads. Cache *read*
-/// problems fall back to a cold scan; cache *write* failures are
-/// silently dropped (the cache is an optimization, never a requirement).
-pub fn scan_root_cached(root: &Path, cache_path: Option<&Path>) -> io::Result<ScanResult> {
     let sources = walk::collect_sources(root)?;
-    let cached = cache_path.and_then(cache::load).unwrap_or_default();
-    let mut stats = cache::CacheStats::default();
-    let mut facts: Vec<semantic::FileFacts> = Vec::with_capacity(sources.len());
-    for src_file in &sources {
-        let text = std::fs::read_to_string(&src_file.abs_path)?;
-        let hash = semantic::fnv1a64(text.as_bytes());
-        match cached.get(&src_file.rel_path) {
-            Some(hit) if hit.hash == hash && hit.crate_key == src_file.crate_key => {
-                stats.hits += 1;
-                facts.push(hit.clone());
-            }
-            _ => {
-                stats.misses += 1;
-                facts.push(semantic::file_facts(
-                    &src_file.rel_path,
-                    &src_file.crate_key,
-                    &text,
-                ));
-            }
-        }
-    }
-
-    let mut violations = semantic::analyze(&facts);
-    violations.extend(missing_forbid_unsafe(&facts));
-    violations.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-
-    if let Some(path) = cache_path {
-        // Best-effort: a read-only target directory must not fail lint.
-        let _ = cache::save(path, &facts);
-    }
+    let facts = sources
+        .iter()
+        .map(|src| {
+            let text = std::fs::read_to_string(&src.abs_path)?;
+            Ok(semantic::file_facts(&src.rel_path, &src.crate_key, &text))
+        })
+        .collect::<io::Result<Vec<_>>>()?;
     Ok(ScanResult {
         files_scanned: sources.len(),
-        violations,
-        cache: stats,
+        violations: semantic::analyze(&facts),
     })
-}
-
-/// The per-crate aggregate check: a crate with no `unsafe` anywhere
-/// should lock that in at its root.
-fn missing_forbid_unsafe(facts: &[semantic::FileFacts]) -> Vec<Violation> {
-    let mut crates: std::collections::BTreeMap<&str, CrateUnsafeInfo> =
-        std::collections::BTreeMap::new();
-    for f in facts {
-        let info = crates.entry(f.crate_key.as_str()).or_default();
-        info.has_unsafe |= f.has_unsafe;
-        if f.is_crate_root {
-            info.root_file = Some(f.rel_path.clone());
-            info.root_has_forbid = f.root_has_forbid;
-            info.root_allows_rule = f.root_allows_forbid;
-        }
-    }
-    let mut out = Vec::new();
-    for (key, info) in &crates {
-        if let Some(root_file) = &info.root_file {
-            if !info.has_unsafe && !info.root_has_forbid && !info.root_allows_rule {
-                out.push(Violation {
-                    rule: Rule::MissingForbidUnsafe,
-                    file: root_file.clone(),
-                    line: 1,
-                    message: format!(
-                        "crate `{key}` contains no unsafe code but its root lacks \
-                         #![forbid(unsafe_code)]"
-                    ),
-                });
-            }
-        }
-    }
-    out
-}
-
-#[derive(Debug, Default)]
-struct CrateUnsafeInfo {
-    has_unsafe: bool,
-    root_file: Option<String>,
-    root_has_forbid: bool,
-    root_allows_rule: bool,
 }
 
 #[cfg(test)]
@@ -201,6 +122,25 @@ mod tests {
             report.ok(),
             "lint regressed:\n{}",
             report::render_text(&report, result.files_scanned)
+        );
+    }
+
+    #[test]
+    fn every_directive_names_a_known_rule() {
+        // A directive naming a removed or misspelled rule suppresses
+        // nothing, and says so nowhere; keep every one meaningful.
+        let mut unknown = Vec::new();
+        for src in walk::collect_sources(&repo_root()).expect("walk workspace") {
+            let text = std::fs::read_to_string(&src.abs_path).expect("read source");
+            let directives = rules::Directives::parse(&lexer::lex(&text).comments);
+            for (line, name) in directives.unknown {
+                unknown.push(format!("{}:{line}: `{name}`", src.rel_path));
+            }
+        }
+        assert!(
+            unknown.is_empty(),
+            "fpb-lint directives naming no known rule:\n{}",
+            unknown.join("\n")
         );
     }
 

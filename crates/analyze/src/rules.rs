@@ -1,24 +1,15 @@
 //! The lint rule catalog and the per-file scanning pass.
 //!
-//! Every rule guards an invariant the compiler cannot see but FPB's
-//! results depend on:
+//! Every rule guards an invariant neither the compiler nor clippy can see
+//! but FPB's results depend on:
 //!
 //! * [`Rule::PanicFreedom`] — the engine/ledger/manager hot paths must
 //!   degrade gracefully (PR 1's contract), so `unwrap`/`expect`/`panic!`/
 //!   `unreachable!`/`todo!`/`unimplemented!` are banned outside test code.
-//! * [`Rule::Determinism`] — wall-clock (`Instant`, `SystemTime`) and
-//!   environment reads (`std::env`) inside the simulation crates would
-//!   break the serial-vs-parallel bit-equality gate.
-//! * [`Rule::HashOrder`] — `HashMap`/`HashSet` iteration order is
-//!   randomized per process; any use in metric or report paths risks
-//!   nondeterministic output, so the simulation crates use `BTreeMap`/
-//!   `BTreeSet` (or sorted vectors) instead.
 //! * [`Rule::TruncatingCast`] — an `as u32`-style narrowing cast on a
 //!   token/cycle/energy quantity silently loses power accounting.
 //! * [`Rule::FloatEq`] — exact `==` against a float literal on accounting
 //!   values is almost always a latent epsilon bug.
-//! * [`Rule::UnsafeNoSafety`] — every `unsafe` must carry a
-//!   `// SAFETY:` comment.
 //! * [`Rule::SchemeIsolation`] — scheme policy knobs (write cancellation,
 //!   pausing, truncation, PreSET, controller feedback) may only be
 //!   mutated inside the scheme module; engine stages must consume them
@@ -39,21 +30,13 @@ use crate::lexer::{lex, Comment, TokKind, Token};
 pub enum Rule {
     /// `unwrap`/`expect`/`panic!`-family outside `#[cfg(test)]`.
     PanicFreedom,
-    /// `Instant`/`SystemTime`/`std::env` in simulation crates.
-    Determinism,
-    /// `HashMap`/`HashSet` in simulation crates.
-    HashOrder,
     /// Narrowing `as` cast on a power-accounting quantity.
     TruncatingCast,
     /// `==`/`!=` against a float literal.
     FloatEq,
-    /// `unsafe` without an adjacent `// SAFETY:` comment.
-    UnsafeNoSafety,
-    /// A crate with no `unsafe` whose root lacks `#![forbid(unsafe_code)]`.
-    MissingForbidUnsafe,
     /// Scheme policy field mutated outside the scheme module.
     SchemeIsolation,
-    /// A power-token acquisition (`try_grant_*`, `take_*scratch`) not
+    /// A power-token acquisition (`try_grant_flat`, `try_grant_chips`) not
     /// released, returned, or propagated on every exit path (semantic).
     TokenLeak,
     /// A panic site transitively reachable from `System::run`/`step`
@@ -69,14 +52,10 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in reporting order.
-    pub const ALL: [Rule; 12] = [
+    pub const ALL: [Rule; 8] = [
         Rule::PanicFreedom,
-        Rule::Determinism,
-        Rule::HashOrder,
         Rule::TruncatingCast,
         Rule::FloatEq,
-        Rule::UnsafeNoSafety,
-        Rule::MissingForbidUnsafe,
         Rule::SchemeIsolation,
         Rule::TokenLeak,
         Rule::PanicReachability,
@@ -89,12 +68,8 @@ impl Rule {
     pub fn name(self) -> &'static str {
         match self {
             Rule::PanicFreedom => "panic_freedom",
-            Rule::Determinism => "determinism",
-            Rule::HashOrder => "hash_order",
             Rule::TruncatingCast => "truncating_cast",
             Rule::FloatEq => "float_eq",
-            Rule::UnsafeNoSafety => "unsafe_no_safety",
-            Rule::MissingForbidUnsafe => "missing_forbid_unsafe",
             Rule::SchemeIsolation => "scheme_isolation",
             Rule::TokenLeak => "token_leak",
             Rule::PanicReachability => "panic_reachability",
@@ -112,16 +87,8 @@ impl Rule {
     pub fn rationale(self) -> &'static str {
         match self {
             Rule::PanicFreedom => "hot paths must degrade gracefully, not panic",
-            Rule::Determinism => {
-                "wall-clock/env reads break the serial-vs-parallel bit-equality gate"
-            }
-            Rule::HashOrder => "randomized hash iteration order can leak into metrics/reports",
             Rule::TruncatingCast => "narrowing cast silently loses power accounting",
             Rule::FloatEq => "exact float equality on accounting values is an epsilon bug",
-            Rule::UnsafeNoSafety => "every unsafe block needs a `// SAFETY:` justification",
-            Rule::MissingForbidUnsafe => {
-                "crates without unsafe should lock that in with #![forbid(unsafe_code)]"
-            }
             Rule::SchemeIsolation => {
                 "scheme policy is composed in the scheme module; stages consume it via hooks"
             }
@@ -146,8 +113,10 @@ impl Rule {
     /// `pcm`, ...) or `fpb` for the workspace root package.
     pub fn applies_to(self, crate_key: &str) -> bool {
         match self {
-            // The engine/ledger/manager and device-model hot paths.
-            Rule::PanicFreedom | Rule::Determinism | Rule::HashOrder => {
+            // The engine/ledger/manager and device-model hot paths. Grants
+            // are issued by fpb-core's ledger and consumed in the simulation
+            // crates; panic/taint propagation follows the same scope.
+            Rule::PanicFreedom | Rule::TokenLeak | Rule::PanicReachability | Rule::NondetTaint => {
                 matches!(crate_key, "core" | "sim" | "pcm")
             }
             // Accounting quantities are defined in fpb-types and consumed
@@ -155,15 +124,8 @@ impl Rule {
             Rule::TruncatingCast | Rule::FloatEq => {
                 matches!(crate_key, "core" | "sim" | "pcm" | "types")
             }
-            Rule::UnsafeNoSafety | Rule::MissingForbidUnsafe => true,
             // The Scheme trait and its composable setup live in fpb-sim.
             Rule::SchemeIsolation => crate_key == "sim",
-            // Grants are issued by fpb-core's ledger and consumed in the
-            // simulation crates; panic/taint propagation follows the same
-            // hot-path scope as their lexical siblings.
-            Rule::TokenLeak | Rule::PanicReachability | Rule::NondetTaint => {
-                matches!(crate_key, "core" | "sim" | "pcm")
-            }
             // The cross-thread coordination atomics live in fpb-sim's
             // exec/supervise modules.
             Rule::AtomicOrdering => crate_key == "sim",
@@ -223,9 +185,9 @@ const SCHEME_FIELDS: [&str; 6] = [
 /// * `crate_key` — which crate the file belongs to (see
 ///   [`Rule::applies_to`]).
 ///
-/// Test code is exempt from every rule except [`Rule::UnsafeNoSafety`]:
-/// regions under `#[cfg(test)]`/`#[test]`, and whole files under
-/// `tests/`, `benches/`, `examples/`, or named `proptests.rs`.
+/// Test code is exempt from every rule: regions under
+/// `#[cfg(test)]`/`#[test]`, and whole files under `tests/`, `benches/`,
+/// `examples/`, or named `proptests.rs`.
 pub fn scan_source(file: &str, crate_key: &str, src: &str) -> Vec<Violation> {
     scan_lexed(file, crate_key, &lex(src))
 }
@@ -238,12 +200,6 @@ pub(crate) fn scan_lexed(file: &str, crate_key: &str, lexed: &crate::lexer::Lexe
     let test_lines = test_region_lines(&lexed.tokens);
     let allow = Directives::parse(&lexed.comments);
     let domain_lines = domain_word_lines(&lexed.tokens);
-    let safety_lines: BTreeSet<u32> = lexed
-        .comments
-        .iter()
-        .filter(|c| c.text.contains("SAFETY:"))
-        .flat_map(|c| c.start_line..=c.end_line)
-        .collect();
     let order_lines: BTreeSet<u32> = lexed
         .comments
         .iter()
@@ -308,39 +264,6 @@ pub(crate) fn scan_lexed(file: &str, crate_key: &str, lexed: &crate::lexer::Lexe
                     &mut out,
                 );
             }
-            "Instant" | "SystemTime" if !in_test => {
-                emit(
-                    Rule::Determinism,
-                    t.line,
-                    format!("`{}` reads the wall clock", t.text),
-                    &mut out,
-                );
-            }
-            "env" if !in_test => {
-                // `std::env` / `env::var(...)` — but not the compile-time
-                // `env!(...)` macro.
-                let path_use = i > 0
-                    && toks[i - 1].is_punct(':')
-                    && !toks.get(i + 1).is_some_and(|n| n.is_punct('!'));
-                let call_use = toks.get(i + 1).is_some_and(|n| n.is_punct(':'))
-                    && toks.get(i + 3).is_some_and(|n| n.is_ident("var"));
-                if path_use || call_use {
-                    emit(
-                        Rule::Determinism,
-                        t.line,
-                        "`std::env` read makes behavior depend on the environment".to_string(),
-                        &mut out,
-                    );
-                }
-            }
-            "HashMap" | "HashSet" if !in_test => {
-                emit(
-                    Rule::HashOrder,
-                    t.line,
-                    format!("`{}` has randomized iteration order; use BTree or sort", t.text),
-                    &mut out,
-                );
-            }
             "as" if !in_test => {
                 if let Some(next) = toks.get(i + 1) {
                     if next.kind == TokKind::Ident
@@ -383,19 +306,6 @@ pub(crate) fn scan_lexed(file: &str, crate_key: &str, lexed: &crate::lexer::Lexe
                         Rule::AtomicOrdering,
                         t.line,
                         "`Ordering::Relaxed` without an `// ORDER:` justification".to_string(),
-                        &mut out,
-                    );
-                }
-            }
-            "unsafe" => {
-                // Applies in test code too: unsafe is unsafe everywhere.
-                let documented = (t.line.saturating_sub(3)..=t.line)
-                    .any(|l| safety_lines.contains(&l));
-                if !documented {
-                    emit(
-                        Rule::UnsafeNoSafety,
-                        t.line,
-                        "`unsafe` without a `// SAFETY:` comment".to_string(),
                         &mut out,
                     );
                 }
@@ -569,12 +479,19 @@ pub(crate) struct Directives {
     file_wide: BTreeSet<Rule>,
     /// Rule → lines on which it is suppressed.
     lines: BTreeMap<Rule, BTreeSet<u32>>,
+    /// `(line, name)` of every directive argument that names no rule.
+    pub(crate) unknown: Vec<(u32, String)>,
 }
 
 impl Directives {
     pub(crate) fn parse(comments: &[Comment]) -> Self {
         let mut d = Directives::default();
         for c in comments {
+            // Doc comments (`///`, `//!`, `/** */`, `/*! */`) may quote a
+            // directive; only plain comments are directives.
+            if c.text.starts_with(['/', '!', '*']) {
+                continue;
+            }
             let Some(idx) = c.text.find("fpb-lint:") else {
                 continue;
             };
@@ -588,6 +505,7 @@ impl Directives {
             };
             for name in args.split(',') {
                 let Some(rule) = Rule::from_name(name.trim()) else {
+                    d.unknown.push((c.start_line, name.trim().to_string()));
                     continue;
                 };
                 if file_wide {
@@ -687,25 +605,6 @@ mod tests {
     }
 
     #[test]
-    fn determinism_rule_matches_clock_and_env() {
-        let src = "use std::time::Instant;\nfn f() { let _ = std::env::var(\"X\"); }";
-        let found = rules_found("crates/sim/src/x.rs", "sim", src);
-        assert_eq!(found, vec![(Rule::Determinism, 1), (Rule::Determinism, 2)]);
-        // The compile-time env! macro is fine, and out-of-scope crates are
-        // not flagged.
-        let src2 = "const V: &str = env!(\"CARGO_PKG_VERSION\");";
-        assert!(rules_found("crates/sim/src/x.rs", "sim", src2).is_empty());
-        assert!(rules_found("crates/bench/src/x.rs", "bench", src).is_empty());
-    }
-
-    #[test]
-    fn hash_order_flagged_in_scope() {
-        let src = "use std::collections::HashMap;\nstruct S { m: HashMap<u64, u64> }";
-        assert_eq!(rules_found("crates/core/src/x.rs", "core", src).len(), 2);
-        assert!(rules_found("crates/trace/src/x.rs", "trace", src).is_empty());
-    }
-
-    #[test]
     fn truncating_cast_needs_domain_word() {
         let src = "fn f(t: u64) -> u32 { t as u32 }";
         assert!(rules_found("crates/core/src/x.rs", "core", src).is_empty());
@@ -734,20 +633,6 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_requires_safety_comment() {
-        let src = "fn f() { unsafe { danger() } }";
-        assert_eq!(
-            rules_found("crates/trace/src/x.rs", "trace", src),
-            vec![(Rule::UnsafeNoSafety, 1)]
-        );
-        let src = "fn f() {\n    // SAFETY: justified\n    unsafe { danger() }\n}";
-        assert!(rules_found("crates/trace/src/x.rs", "trace", src).is_empty());
-        // Applies even in test files.
-        let src = "fn t() { unsafe { danger() } }";
-        assert_eq!(rules_found("crates/trace/tests/t.rs", "trace", src).len(), 1);
-    }
-
-    #[test]
     fn allow_directives_suppress() {
         let src = "// fpb-lint: allow(panic_freedom) — documented contract\n\
                    fn f() { x.unwrap(); }\n\
@@ -757,13 +642,32 @@ mod tests {
             vec![(Rule::PanicFreedom, 3)],
             "directive covers its own and the next line only"
         );
-        let src = "// fpb-lint: allow-file(hash_order)\n\
-                   use std::collections::HashMap;\n\
+        let src = "// fpb-lint: allow-file(float_eq)\n\
+                   fn g(x: f64) -> bool { x == 0.5 }\n\
                    fn f() { x.unwrap(); }\n";
         assert_eq!(
             rules_found("crates/core/src/x.rs", "core", src),
             vec![(Rule::PanicFreedom, 3)],
             "allow-file suppresses only the named rule"
+        );
+        let d = Directives::parse(&lex("// fpb-lint: allow(float_eq, determinism)").comments);
+        assert_eq!(d.unknown, vec![(1, "determinism".to_string())]);
+    }
+
+    #[test]
+    fn doc_comments_are_not_directives() {
+        let src = "/// Silence it with `// fpb-lint: allow(panic_freedom)`.\n\
+                   fn f() { x.unwrap(); }\n";
+        assert_eq!(
+            rules_found("crates/core/src/x.rs", "core", src),
+            vec![(Rule::PanicFreedom, 2)]
+        );
+        let src = "//! `// fpb-lint: allow-file(panic_freedom)` exempts a file.\n\
+                   /** fpb-lint: allow(panic_freedom) */\n\
+                   fn f() { x.unwrap(); }\n";
+        assert_eq!(
+            rules_found("crates/core/src/x.rs", "core", src),
+            vec![(Rule::PanicFreedom, 3)]
         );
     }
 

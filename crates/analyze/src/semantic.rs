@@ -1,21 +1,18 @@
 //! Per-file semantic fact extraction and the interprocedural link stage.
 //!
-//! The semantic rules split into two phases so the expensive half can be
-//! cached per file (see [`crate::cache`]):
+//! The semantic rules split into two phases:
 //!
 //! 1. **Extraction** ([`file_facts`]) — lex + parse one file, run the
 //!    lexical rules and the intra-procedural [`Rule::TokenLeak`] check,
 //!    and record the interprocedural *facts*: every call site (with its
 //!    conservative resolution kind), every panic site, and every
-//!    nondeterminism source. Facts depend only on the file's own text, so
-//!    a content-hash cache entry stays valid no matter what changed
-//!    elsewhere.
+//!    nondeterminism source. Facts depend only on the file's own text.
 //! 2. **Link** ([`link`]) — build the workspace symbol table and call
 //!    graph from all files' facts and run the reachability rules:
 //!    [`Rule::PanicReachability`] (shortest call chain from
 //!    `System::run`/`step` to each panic site) and [`Rule::NondetTaint`]
 //!    (nondeterminism sources transitively callable from metrics/report
-//!    emission). Link always re-runs — it is cheap next to extraction.
+//!    emission).
 //!
 //! Directive suppression (`fpb-lint: allow(...)`) happens at extraction
 //! time: a suppressed panic site or nondet source is simply not recorded,
@@ -85,48 +82,23 @@ pub struct FnFact {
     pub nondet_sources: Vec<SiteFact>,
 }
 
-/// The cacheable analysis result for one file.
+/// The analysis result for one file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileFacts {
     /// Repo-relative path.
     pub rel_path: String,
     /// Crate key (see [`Rule::applies_to`]).
     pub crate_key: String,
-    /// FNV-1a-64 hash of the file's text (the cache key).
-    pub hash: u64,
-    /// Whether the file contains any `unsafe` token.
-    pub has_unsafe: bool,
-    /// Whether this is a crate root (`src/lib.rs`).
-    pub is_crate_root: bool,
-    /// Crate root only: whether `#![forbid(unsafe_code)]` is present.
-    pub root_has_forbid: bool,
-    /// Crate root only: whether the root allow-files the forbid rule.
-    pub root_allows_forbid: bool,
     /// Per-file violations: every lexical rule plus [`Rule::TokenLeak`].
     pub violations: Vec<Violation>,
     /// Function facts for the link stage.
     pub fns: Vec<FnFact>,
 }
 
-/// FNV-1a 64-bit content hash — the cache key for a file's facts.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Ledger/manager functions whose return value carries granted power
-/// tokens (or the scratch that recycles them) and must therefore be
-/// released, returned, stored, or propagated on every exit path.
-const ACQUIRE_FNS: [&str; 4] = [
-    "try_grant_flat",
-    "try_grant_chips",
-    "take_scratch",
-    "take_grant_scratch",
-];
+/// Ledger functions whose return value carries granted power tokens and
+/// must therefore be released, returned, stored, or propagated on every
+/// exit path.
+const ACQUIRE_FNS: [&str; 2] = ["try_grant_flat", "try_grant_chips"];
 
 /// Keywords that look like calls when followed by `(` but are not.
 const NON_CALL_KEYWORDS: [&str; 14] = [
@@ -167,11 +139,6 @@ pub fn file_facts(rel_path: &str, crate_key: &str, src: &str) -> FileFacts {
     FileFacts {
         rel_path: rel_path.to_string(),
         crate_key: crate_key.to_string(),
-        hash: fnv1a64(src.as_bytes()),
-        has_unsafe: lexed.tokens.iter().any(|t| t.is_ident("unsafe")),
-        is_crate_root: rel_path.replace('\\', "/").ends_with("src/lib.rs"),
-        root_has_forbid: src.contains("#![forbid(unsafe_code)]"),
-        root_allows_forbid: src.contains("fpb-lint: allow-file(missing_forbid_unsafe)"),
         violations,
         fns,
     }
@@ -660,7 +627,7 @@ mod tests {
                    fn a(&mut self) -> Option<Grant> { self.ledger.try_grant_flat(d) }\n\
                    fn b(&mut self) { self.hold = self.ledger.try_grant_flat(d); }\n\
                    fn c(&mut self) { self.stash(self.ledger.try_grant_flat(d)); }\n\
-                   fn d(&mut self) -> A { A { g: self.power.take_grant_scratch() } }\n\
+                   fn d(&mut self) -> A { A { g: self.ledger.try_grant_chips(&d) } }\n\
                    }";
         assert_eq!(leaks(src), Vec::<u32>::new());
     }
@@ -816,13 +783,5 @@ mod tests {
         let ba = analyze(&[b, a]);
         assert_eq!(ab, ba);
         assert!(ab.iter().any(|v| v.rule == Rule::PanicReachability));
-    }
-
-    #[test]
-    fn fnv_hash_is_stable() {
-        // Pinned values so cache files stay portable across builds.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"fpb"), fnv1a64(b"fpb"));
-        assert_ne!(fnv1a64(b"fpb"), fnv1a64(b"fpc"));
     }
 }

@@ -1,6 +1,5 @@
 //! Seeded `nondet_taint` violations: nondeterminism sources on call
-//! chains into metrics/report emission. Lexical determinism/hash-order
-//! hits are directive-suppressed so each marker pins the taint rule.
+//! chains into metrics/report emission.
 
 pub struct Metrics {
     pub cycles: u64,
@@ -21,13 +20,11 @@ fn worker_tag() -> String {
 }
 
 fn bucket_count() -> usize {
-    // fpb-lint: allow(hash_order)
     let m = std::collections::HashMap::<u32, u32>::new(); //~ nondet_taint
     m.len()
 }
 
 fn elapsed_cycles() -> u64 {
-    // fpb-lint: allow(determinism)
     let _t = std::time::Instant::now(); //~ nondet_taint
     0
 }
@@ -35,7 +32,6 @@ fn elapsed_cycles() -> u64 {
 fn unused_clock() -> bool {
     // Not reachable from a metrics/report sink: the source is recorded
     // but taint never fires.
-    // fpb-lint: allow(determinism)
     let _t = std::time::SystemTime::now();
     true
 }

@@ -12,13 +12,14 @@ impl Ledger {
         (want <= self.budget).then(|| Grant(want))
     }
 
-    pub fn take_scratch(&mut self) -> Vec<u64> {
-        Vec::new()
+    pub fn try_grant_chips(&mut self, per_chip: &[u64]) -> Option<Grant> {
+        let want = per_chip.iter().sum();
+        (want <= self.budget).then(|| Grant(want))
     }
 }
 
 fn spend(_g: Grant) {}
-fn stash(_s: Vec<u64>) {}
+fn stash(_g: Option<Grant>) {}
 
 pub fn spends_at_end_of_scope(l: &mut Ledger) {
     let g = l.try_grant_flat(4);
@@ -66,7 +67,7 @@ pub fn if_let_header_arm_consumes(l: &mut Ledger) {
     }
 }
 
-pub fn scratch_flows_onward(l: &mut Ledger) {
-    let s = l.take_scratch();
-    stash(s);
+pub fn chip_grant_flows_onward(l: &mut Ledger) {
+    let g = l.try_grant_chips(&[1, 2]);
+    stash(g);
 }

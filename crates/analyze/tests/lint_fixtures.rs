@@ -124,16 +124,6 @@ fn semantic_fixtures_outside_scoped_crates_are_exempt() {
 }
 
 #[test]
-fn determinism_fixture() {
-    assert_fixture("determinism.rs", "sim");
-}
-
-#[test]
-fn hash_order_fixture() {
-    assert_fixture("hash_order.rs", "core");
-}
-
-#[test]
 fn truncating_cast_fixture() {
     assert_fixture("truncating_cast.rs", "types");
 }
@@ -141,11 +131,6 @@ fn truncating_cast_fixture() {
 #[test]
 fn float_eq_fixture() {
     assert_fixture("float_eq.rs", "pcm");
-}
-
-#[test]
-fn unsafe_hygiene_fixture() {
-    assert_fixture("unsafe_hygiene.rs", "trace");
 }
 
 #[test]
@@ -171,9 +156,14 @@ fn allow_file_fixture_is_clean() {
 
 #[test]
 fn fixtures_outside_scoped_crates_are_exempt() {
-    // The determinism/hash/panic rules only police the simulation crates;
-    // the same sources under an unscoped crate key report nothing.
-    for name in ["panic_freedom.rs", "determinism.rs", "hash_order.rs"] {
+    // The lexical rules police the simulation crates (and fpb-types); the
+    // same sources under an unscoped crate key report nothing.
+    for name in [
+        "panic_freedom.rs",
+        "truncating_cast.rs",
+        "float_eq.rs",
+        "scheme_isolation.rs",
+    ] {
         let src = fixture(name);
         assert!(
             scan_source(name, "analyze", &src).is_empty(),
@@ -186,11 +176,8 @@ fn fixtures_outside_scoped_crates_are_exempt() {
 fn every_rule_is_covered_by_a_fixture() {
     let all: std::collections::BTreeSet<Rule> = [
         "panic_freedom.rs",
-        "determinism.rs",
-        "hash_order.rs",
         "truncating_cast.rs",
         "float_eq.rs",
-        "unsafe_hygiene.rs",
         "scheme_isolation.rs",
         "token_leak.rs",
         "panic_reachability.rs",
@@ -201,11 +188,6 @@ fn every_rule_is_covered_by_a_fixture() {
     .flat_map(|name| markers(&fixture(name)).into_iter().map(|(r, _)| r))
     .collect();
     for rule in Rule::ALL {
-        // MissingForbidUnsafe is a per-crate aggregate, exercised by the
-        // workspace-level tests in the lib instead of a file fixture.
-        if rule == Rule::MissingForbidUnsafe {
-            continue;
-        }
         assert!(all.contains(&rule), "no fixture covers {rule}");
     }
 }

@@ -26,7 +26,6 @@
 //! assert_eq!(out.level, HitLevel::L1);
 //! ```
 
-#![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod hierarchy;

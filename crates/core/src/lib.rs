@@ -43,7 +43,6 @@
 
 // clippy::unwrap_used comes from [workspace.lints]; unwraps in tests are
 // fine, only hot-path code must justify them.
-#![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod budget;

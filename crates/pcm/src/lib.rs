@@ -38,7 +38,6 @@
 //! assert!(write.total_iterations() >= 2);
 //! ```
 
-#![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod cell;

@@ -111,7 +111,7 @@ mod tests {
         let mut wl = IntraLineWearLeveler::new(4, 1024);
         let mut rng = SimRng::seed_from(3);
         let line = LineAddr::new(1);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..200 {
             seen.insert(wl.offset_for_write(line, &mut rng));
         }

@@ -358,6 +358,8 @@ impl EventSink for FileSink {
 mod tests {
     use super::*;
 
+    // Scratch files for the test; the path never reaches a result.
+    #[allow(clippy::disallowed_methods)]
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("fpb-inspect-recorder-tests");
         std::fs::create_dir_all(&dir).unwrap();

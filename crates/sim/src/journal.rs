@@ -379,6 +379,8 @@ impl JournalWriter {
 mod tests {
     use super::*;
 
+    // Scratch files for the test; the path never reaches a result.
+    #[allow(clippy::disallowed_methods)]
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("fpb-journal-tests");
         std::fs::create_dir_all(&dir).unwrap();

@@ -5,8 +5,8 @@
 //! `--resume` restarts, and the bench ladder's repeated rungs all
 //! warm-start from `target/fpb-sweep-cache.v1`.
 //!
-//! The design follows the fpb-analyze facts cache: a schema line, then
-//! one tab-separated record per entry, FNV-1a-64 keys, and a
+//! The file is line-oriented text: a schema line, then one
+//! tab-separated record per entry, FNV-1a-64 keys, and a
 //! whole-cache-discard policy — any malformed record, checksum mismatch,
 //! or schema/salt drift throws the entire file away and the sweep runs
 //! cold. A cache can only ever *miss*, never lie:
@@ -47,8 +47,7 @@ pub const CACHE_SCHEMA: &str = "fpb-sweep-cache/v1";
 /// existing cache is then discarded wholesale on load.
 pub const CODE_SALT: &str = "s1";
 
-/// Default cache location, relative to the working directory (the same
-/// convention as the fpb-analyze facts cache).
+/// Default cache location, relative to the working directory.
 pub const DEFAULT_CACHE_PATH: &str = "target/fpb-sweep-cache.v1";
 
 /// An in-memory view of the persistent cache: loaded once per sweep,
@@ -216,6 +215,8 @@ fn unesc(s: &str) -> Option<String> {
 mod tests {
     use super::*;
 
+    // Scratch files for the test; the path never reaches a result.
+    #[allow(clippy::disallowed_methods)]
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("fpb-resultcache-tests");
         fs::create_dir_all(&dir).unwrap();

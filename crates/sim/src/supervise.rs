@@ -20,13 +20,14 @@
 // Deadlines are wall-clock by nature. The clock never feeds simulation
 // results: a job's output is produced by the deterministic engine, and
 // the wall clock only decides whether a job is declared hung — an opt-in
-// knob that is off by default and off in every determinism gate.
-// fpb-lint: allow-file(determinism)
+// knob that is off by default and off in every determinism gate. Each
+// `Instant` site below allows `clippy::disallowed_types` for this reason.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
+#[allow(clippy::disallowed_types)]
 use std::time::{Duration, Instant};
 
 use crate::exec::panic_message;
@@ -170,6 +171,7 @@ impl<R> SuperviseReport<R> {
 
 /// Per-slot supervision state, shared between workers and the watchdog.
 #[derive(Debug)]
+#[allow(clippy::disallowed_types)]
 enum Slot {
     /// Not yet claimed by a worker.
     Idle,
@@ -430,6 +432,7 @@ where
 /// Runs job `i` once and resolves its slot with the result or the
 /// panic — unless a watchdog timeout resolved the slot while the job ran,
 /// in which case the late outcome is discarded.
+#[allow(clippy::disallowed_types)]
 fn run_one<T, R, F>(ctx: &WorkerCtx<T, R, F>, i: usize)
 where
     T: Send + Sync + 'static,

@@ -1558,6 +1558,8 @@ mod tests {
     }
 
     #[test]
+    // Scratch files for the test; the path never reaches a result.
+    #[allow(clippy::disallowed_methods)]
     fn persistent_cache_round_trips_points() {
         let wl = catalog::workload("cop_m").expect("workload");
         let path = std::env::temp_dir().join("fpb-sweep-unit-cache.v1");

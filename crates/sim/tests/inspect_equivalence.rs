@@ -69,6 +69,8 @@ fn recording_leaves_metrics_unchanged() {
 }
 
 #[test]
+// Scratch files for the test; the path never reaches a result.
+#[allow(clippy::disallowed_methods)]
 fn on_disk_log_replays_to_the_live_run() {
     let cfg = faulty_cfg();
     let wl = catalog::workload("mcf_m").expect("workload");

@@ -20,6 +20,8 @@ use fpb_types::{FaultConfig, SystemConfig};
 
 static CASE: AtomicU64 = AtomicU64::new(0);
 
+// Scratch files for the test; the path never reaches a result.
+#[allow(clippy::disallowed_methods)]
 fn tmp() -> PathBuf {
     let dir = std::env::temp_dir().join("fpb-inspect-replay-proptests");
     std::fs::create_dir_all(&dir).expect("mkdir");

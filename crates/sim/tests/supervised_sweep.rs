@@ -41,6 +41,8 @@ fn request<'a>(wl: &'a Workload, axes: &'a [Axis]) -> SupervisedSweepRequest<'a>
     }
 }
 
+// Scratch files for the test; the path never reaches a result.
+#[allow(clippy::disallowed_methods)]
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("fpb-supervised-sweep-tests");
     std::fs::create_dir_all(&dir).expect("mkdir");

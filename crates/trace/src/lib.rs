@@ -29,7 +29,6 @@
 //! assert!(op.gap_instructions > 0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod access;

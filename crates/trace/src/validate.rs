@@ -49,7 +49,7 @@ pub fn measure(gen: &mut CoreTraceGenerator, ops: u64) -> EmpiricalRates {
     assert!(ops > 0, "need at least one operation");
     let mut instructions = 0u64;
     let mut writes = 0u64;
-    let mut lines = std::collections::HashSet::new();
+    let mut lines = std::collections::BTreeSet::new();
     for _ in 0..ops {
         let op = gen.next_op();
         instructions += op.gap_instructions;

@@ -28,7 +28,6 @@
 //! assert_eq!(set_cost, Tokens::from_cells(25));
 //! ```
 
-#![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod config;

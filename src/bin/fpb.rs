@@ -10,9 +10,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fpb::analyze::{
-    baseline::check_ratchet, baseline::Baseline, report, sarif, scan_root_cached,
-};
+use fpb::analyze::{baseline::check_ratchet, baseline::Baseline, report, sarif, scan_root};
 use fpb::cli::{self, Command, LintArgs, LintFormat, RunArgs, SweepControl};
 use fpb::sim::engine::{run_workload_warmed, warm_cores};
 use fpb::sim::journal::JournalMode;
@@ -420,22 +418,7 @@ fn run_lint(la: &LintArgs) -> Result<(), String> {
     let baseline_text = std::fs::read_to_string(&baseline_path)
         .map_err(|e| format!("read {}: {e}", baseline_path.display()))?;
     let baseline = Baseline::parse(&baseline_text)?;
-    let cache_path = if la.no_cache {
-        None
-    } else {
-        Some(match &la.cache {
-            Some(p) => std::path::PathBuf::from(p),
-            None => root.join("target").join("fpb-lint-cache.v1"),
-        })
-    };
-    let scan = scan_root_cached(root, cache_path.as_deref())
-        .map_err(|e| format!("scan {}: {e}", root.display()))?;
-    if cache_path.is_some() {
-        eprintln!(
-            "fpb lint: facts cache {} hit(s), {} miss(es)",
-            scan.cache.hits, scan.cache.misses
-        );
-    }
+    let scan = scan_root(root).map_err(|e| format!("scan {}: {e}", root.display()))?;
     let ratchet = check_ratchet(&scan.violations, &baseline);
     let rendered = match la.format {
         LintFormat::Text => report::render_text(&ratchet, scan.files_scanned),

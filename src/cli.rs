@@ -172,10 +172,6 @@ pub struct LintArgs {
     pub out: Option<String>,
     /// Additionally write a SARIF report to this file, whatever `format`.
     pub sarif_out: Option<String>,
-    /// Disable the incremental facts cache (forces a cold scan).
-    pub no_cache: bool,
-    /// Cache file override; defaults to `<root>/target/fpb-lint-cache.v1`.
-    pub cache: Option<String>,
     /// Rewrite the baseline to the current (never higher) counts.
     pub update_baseline: bool,
     /// Print the rule catalog and exit.
@@ -190,8 +186,6 @@ impl Default for LintArgs {
             format: LintFormat::Text,
             out: None,
             sarif_out: None,
-            no_cache: false,
-            cache: None,
             update_baseline: false,
             rules: false,
         }
@@ -392,8 +386,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     }
                     "--out" => la.out = Some(value("--out")?),
                     "--sarif-out" => la.sarif_out = Some(value("--sarif-out")?),
-                    "--no-cache" => la.no_cache = true,
-                    "--cache" => la.cache = Some(value("--cache")?),
                     "--update-baseline" => la.update_baseline = true,
                     "--rules" => la.rules = true,
                     other => return Err(CliError(format!("unknown flag `{other}`"))),
@@ -740,8 +732,8 @@ USAGE:
   fpb list
   fpb record  --program <C.mcf|...> --ops <n> --out <file.fpbt>
   fpb lint    [--format text|json|sarif] [--out <file>] [--sarif-out <file>]
-              [--no-cache] [--cache <file>] [--update-baseline] [--rules]
-              [--root <dir>] [--baseline lint-baseline.toml]
+              [--update-baseline] [--rules] [--root <dir>]
+              [--baseline lint-baseline.toml]
   fpb inspect record  --log <file.fpbi> [run options]
   fpb inspect replay  --log <file.fpbi> [--metrics-out <file>] [--json]
               [--require-complete]
@@ -832,8 +824,8 @@ FAULT INJECTION (run/compare; all off by default):
   --audit-ledger                 check token conservation after every
                                  grant/release (reports violations)
 
-LINT: scans the workspace sources for determinism, panic-freedom,
-  power-accounting, and unsafe-hygiene violations (see `fpb lint --rules`)
+LINT: scans the workspace sources for panic-freedom, power-accounting,
+  token-leak, and nondeterminism-taint violations (see `fpb lint --rules`)
   and checks the counts against the ratchet baseline. Exits nonzero on any
   regression. After burning down debt, `--update-baseline` tightens the
   checked-in counts.
@@ -1346,8 +1338,8 @@ mod tests {
         assert_eq!(la.root, ".");
         assert_eq!(la.baseline, "lint-baseline.toml");
         assert_eq!(la.format, LintFormat::Text);
-        assert!(!la.no_cache && !la.update_baseline && !la.rules);
-        assert!(la.out.is_none() && la.sarif_out.is_none() && la.cache.is_none());
+        assert!(!la.update_baseline && !la.rules);
+        assert!(la.out.is_none() && la.sarif_out.is_none());
     }
 
     #[test]
@@ -1364,9 +1356,6 @@ mod tests {
             "debt.toml",
             "--sarif-out",
             "lint.sarif",
-            "--cache",
-            "facts.v1",
-            "--no-cache",
             "--update-baseline",
         ]))
         .unwrap();
@@ -1374,10 +1363,9 @@ mod tests {
             panic!("expected lint")
         };
         assert_eq!(la.format, LintFormat::Json);
-        assert!(la.update_baseline && la.no_cache);
+        assert!(la.update_baseline);
         assert_eq!(la.out.as_deref(), Some("lint.json"));
         assert_eq!(la.sarif_out.as_deref(), Some("lint.sarif"));
-        assert_eq!(la.cache.as_deref(), Some("facts.v1"));
         assert_eq!(la.root, "/repo");
         assert_eq!(la.baseline, "debt.toml");
     }
@@ -1396,7 +1384,8 @@ mod tests {
         assert!(parse(&v(&["lint", "--format", "xml"])).is_err());
         assert!(parse(&v(&["lint", "--format"])).is_err());
         assert!(parse(&v(&["lint", "--sarif-out"])).is_err());
-        assert!(parse(&v(&["lint", "--cache"])).is_err());
+        assert!(parse(&v(&["lint", "--cache", "x"])).is_err());
+        assert!(parse(&v(&["lint", "--no-cache"])).is_err());
         assert!(parse(&v(&["lint", "--workload", "x"])).is_err());
     }
 }

@@ -49,7 +49,6 @@
 //! system inventory and the documented substitutions (synthetic traces for
 //! PIN traces, the two-population write-iteration model, etc.).
 
-#![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod cli;
