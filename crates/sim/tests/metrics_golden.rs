@@ -59,6 +59,16 @@ const TIMELINE_DIGESTS: [(&str, u64); 2] = [
 
 const SCRUB_PERIOD: u64 = 5_000;
 
+/// `fpb` per workload with the full L1/L2/L3 front end
+/// ([`SimOptions::full_hierarchy`]) at [`FULL_INSTRUCTIONS`] per core:
+/// the only pins on the L1/L2 caches, `mark_dirty` write-back merges and
+/// full-mode warm-up.
+const FULL_HIERARCHY_DIGESTS: [(&str, u64); 2] = [
+    ("lbm_m", 0xbdb4f8a117d17627),
+    ("mcf_m", 0xe423be13549f2641),
+];
+const FULL_INSTRUCTIONS: u64 = 200_000;
+
 fn opts() -> SimOptions {
     SimOptions::with_instructions(INSTRUCTIONS)
 }
@@ -169,6 +179,26 @@ fn lbm_timelines_match_golden_charts() {
             let tl = Timeline::from_events(sink.events());
             let got = fingerprint64(&tl.render(60).expect("render"));
             (spec.to_string(), got, want)
+        })
+        .collect();
+    check(&table);
+}
+
+#[test]
+fn full_hierarchy_runs_match_golden_metrics() {
+    let cfg = SystemConfig::default();
+    let opts = SimOptions {
+        full_hierarchy: true,
+        ..SimOptions::with_instructions(FULL_INSTRUCTIONS)
+    };
+    let setup = SchemeRegistry::standard().build("fpb", &cfg).expect("fpb spec");
+    let table: Vec<(String, u64, u64)> = FULL_HIERARCHY_DIGESTS
+        .iter()
+        .map(|&(name, want)| {
+            let wl = catalog::workload(name).expect("workload");
+            let m = run_workload(&wl, &cfg, &setup, &opts);
+            assert!(m.pcm_writes > 0, "{name}: the L3 must spill dirty lines to PCM");
+            (name.to_string(), fingerprint64(&m.to_json()), want)
         })
         .collect();
     check(&table);
