@@ -5,7 +5,10 @@
 //! MLC PCM main memory. This crate provides that substrate:
 //!
 //! * [`set_assoc`] — a generic set-associative, write-back, write-allocate
-//!   cache with true-LRU replacement.
+//!   cache with true-LRU replacement. Each way is one `u64` (line number,
+//!   valid bit, dirty bit) and each set keeps its ways most recent first,
+//!   so a 32 MiB LLC of 256 B lines takes 1 MiB and the LRU victim is
+//!   always a set's last way. Lines must span at least 4 bytes.
 //! * [`hierarchy`] — a per-core L1→L2→L3 composition that turns a core's
 //!   byte-address access stream into PCM-level line fills and dirty
 //!   write-backs.

@@ -33,6 +33,21 @@ pub enum CacheFrontEnd {
     Full(CoreCaches),
 }
 
+impl CacheFrontEnd {
+    /// Accesses the cache stack without building an [`LlcOutcome`]
+    /// (warm-up has no PCM traffic to report).
+    fn touch(&mut self, addr: u64, is_write: bool) {
+        match self {
+            CacheFrontEnd::LlcOnly(llc) => {
+                llc.access(addr, is_write);
+            }
+            CacheFrontEnd::Full(stack) => {
+                stack.access(addr, is_write);
+            }
+        }
+    }
+}
+
 /// One core of the CMP: its trace generator, private LLC, and replay
 /// state.
 ///
@@ -234,7 +249,7 @@ impl CoreState {
         let region = fpb_trace::generator::CORE_REGION_BYTES;
         for i in 0..lines {
             let addr = base + (i * self.line_bytes * 17) % region;
-            let _ = self.llc_access(addr, rng.bernoulli(dirty_frac));
+            self.front.touch(addr, rng.bernoulli(dirty_frac));
         }
         let mut regions = self.gen.tier_regions();
         regions.retain(|r| r.bytes <= llc_bytes);
@@ -243,13 +258,14 @@ impl CoreState {
             let mut off = 0;
             while off < r.bytes {
                 let addr = r.start - base + off;
-                let _ = self.llc_access(base + addr % region, rng.bernoulli(r.write_fraction));
+                self.front
+                    .touch(base + addr % region, rng.bernoulli(r.write_fraction));
                 off += self.line_bytes;
             }
         }
         for _ in 0..ops {
             let op = self.gen.next_op();
-            let _ = self.llc_access(op.addr, op.is_write);
+            self.front.touch(op.addr, op.is_write);
         }
     }
 }

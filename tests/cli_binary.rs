@@ -72,6 +72,50 @@ fn bad_arguments_fail_with_diagnostics() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--instructions"));
 }
 
+#[test]
+fn llc_geometry_that_cannot_fill_a_set_is_a_config_error() {
+    // 1 MiB of 256 KiB lines is half of one 8-way set: `validate` must
+    // reject it (exit 1, naming the field) before warm-up builds the LLC.
+    let out = fpb()
+        .args([
+            "run",
+            "--workload",
+            "mcf_m",
+            "--scheme",
+            "fpb",
+            "--instructions",
+            "1000",
+            "--llc-mib",
+            "1",
+            "--line-bytes",
+            "262144",
+        ])
+        .output()
+        .expect("spawn");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert!(err.contains("cache.l3_mib_per_core"), "stderr: {err}");
+
+    let out = fpb()
+        .args([
+            "sweep",
+            "--workload",
+            "mcf_m",
+            "--instructions",
+            "1000",
+            "--no-result-cache",
+            "--axis",
+            "llc-mib=1,2",
+            "--axis",
+            "line-bytes=262144",
+        ])
+        .output()
+        .expect("spawn");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert!(err.contains("cache.l3_mib_per_core"), "stderr: {err}");
+}
+
 const SWEEP_ARGS: [&str; 8] = [
     "sweep",
     "--workload",
