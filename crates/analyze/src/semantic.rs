@@ -509,9 +509,12 @@ pub fn link(facts: &[FileFacts]) -> Vec<Violation> {
     }
 
     // nondet_taint: nondeterminism sources transitively callable from
-    // metrics/report emission, the event folds (metrics, timeline), or
-    // the inspect recorder / event wire codec — a nondeterministic value
-    // reaching the event log would break record→replay byte-identity.
+    // metrics/report emission, the event folds (metrics, timeline), the
+    // inspect recorder / event wire codec, or the record codec that
+    // writes every durable file — a nondeterministic value reaching the
+    // event log would break record→replay byte-identity. The codec is
+    // listed by file because the name-based call graph gives path calls
+    // such as `store::read(..)` no edge.
     let sinks: Vec<FnId> = table
         .fns
         .iter()
@@ -526,7 +529,8 @@ pub fn link(facts: &[FileFacts]) -> Vec<Violation> {
                     || s.file.ends_with("timeline.rs")
                     || s.file.ends_with("report.rs")
                     || s.file.ends_with("inspect/recorder.rs")
-                    || s.file.ends_with("inspect/event.rs"))
+                    || s.file.ends_with("inspect/event.rs")
+                    || s.file.ends_with("sim/src/store.rs"))
         })
         .map(|(id, _)| id)
         .collect();
@@ -729,14 +733,28 @@ mod tests {
         assert_eq!(taint.len(), 1, "{found:?}");
         assert!(taint[0].message.contains("LifecycleEvent::encode → tag"));
 
-        // Any function in the recorder file is a sink, whatever its type.
+        // Any function in the recorder file, or in the record codec that
+        // writes the event log's bytes, is a sink, whatever its type.
         let src = "pub fn frame(body: &str) -> String { salt() }\n\
                    fn salt() -> String { let t = Instant::now(); fmt(t) }";
-        let found = scan_semantic("crates/sim/src/inspect/recorder.rs", "sim", src);
-        assert!(
-            found.iter().any(|v| v.rule == Rule::NondetTaint),
-            "recorder file must be a taint sink: {found:?}"
-        );
+        for file in ["crates/sim/src/inspect/recorder.rs", "crates/sim/src/store.rs"] {
+            let found = scan_semantic(file, "sim", src);
+            assert!(
+                found.iter().any(|v| v.rule == Rule::NondetTaint),
+                "{file} must be a taint sink: {found:?}"
+            );
+        }
+        // A source read inside the codec itself is flagged too.
+        let src = "pub fn push_frame(out: &mut String, body: &str) {\n\
+                   let t = SystemTime::now(); out.push_str(body) }";
+        let found = scan_semantic("crates/sim/src/store.rs", "sim", src);
+        let taint: Vec<&Violation> =
+            found.iter().filter(|v| v.rule == Rule::NondetTaint).collect();
+        assert_eq!(taint.len(), 1, "{found:?}");
+        assert_eq!(taint[0].line, 2);
+        // Outside the sink files the same function feeds nothing.
+        let found = scan_semantic("crates/sim/src/x.rs", "sim", src);
+        assert!(!found.iter().any(|v| v.rule == Rule::NondetTaint), "{found:?}");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! * [`event`] — the event vocabulary and its exact ASCII wire codec.
 //! * [`recorder`] — the durable `fpbi1` event log (CRC-framed, fsync'd,
-//!   torn-tail tolerant — the [`crate::journal`] discipline).
+//!   torn-tail tolerant — a [`crate::store`] format).
 //! * [`cursor`] — ReplayEngine-style step/seek/reset over a stream.
 //! * [`breakpoint`] — halt predicates ("first degraded write",
 //!   "token-stalled>N") for `fpb inspect break`.
@@ -33,9 +33,7 @@ pub use breakpoint::{BreakHit, Breakpoint};
 pub use cursor::Cursor;
 pub use event::{stage_code, stage_from_code, LifecycleEvent, PowerOp, SchemeHook};
 pub use lineage::{lineage_lines, Lineage};
-pub use recorder::{
-    read_event_log, EventLog, EventLogWriter, FileSink, InspectError, EVENT_LOG_MAGIC,
-};
+pub use recorder::{read_event_log, EventLog, EventLogWriter, FileSink, EVENT_LOG_MAGIC};
 pub use stall::{StallKind, StallReport};
 
 /// Receives the engine's lifecycle events.

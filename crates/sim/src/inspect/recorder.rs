@@ -1,34 +1,31 @@
 //! The durable `fpbi1` event log: where a recorded run lives on disk.
 //!
-//! Same discipline as the sweep journal ([`crate::journal`]): a text
-//! file of CRC-framed single-line records, append-only, fsync'd in
-//! batches, refusing to clobber, tolerant of a torn tail. The format:
+//! A [`crate::store`] file, like the sweep journal: CRC-framed single
+//! lines, append-only, fsync'd in batches, refusing to clobber, tolerant
+//! of a torn tail. Line bodies (framed as `fpbi1 <crc32-8hex> <body>`):
 //!
 //! ```text
-//! fpbi1 <crc32-8hex> h <fingerprint-16hex> <meta…>
-//! fpbi1 <crc32-8hex> e <seq> <event-wire-form…>
-//! fpbi1 <crc32-8hex> z <count>
+//! h <fingerprint-16hex> <meta…>
+//! e <seq> <event-wire-form…>
+//! z <count>
 //! ```
 //!
 //! The header binds the log to one run description (`meta`, typically
 //! `workload scheme instructions seed`); each `e` line carries one
 //! [`LifecycleEvent`] in its exact wire form with a strictly increasing
-//! sequence number; the `z` trailer marks a clean close. A log without
-//! its trailer (crash mid-record) is still readable — every CRC-valid
-//! prefix replays — but reports `complete = false` so callers that need
-//! the whole run (`--require-complete`) can refuse it.
+//! sequence number; the store's `z` trailer marks a clean close. A log
+//! without its trailer (crash mid-record) is still readable — every
+//! CRC-valid prefix replays — but reports `complete = false` so callers
+//! that need the whole run (`--require-complete`) can refuse it.
 //!
 //! Unlike the journal's per-line fsync (sweep points are minutes of
 //! work), events are microseconds of work, so the writer batches:
 //! appends buffer in memory and hit the disk every
 //! [`EventLogWriter::SYNC_BATCH`] events and at close.
 
-use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use crate::journal::{crc32, fingerprint64};
+use crate::store::{self, fingerprint64, Appender, StoreError};
 
 use super::event::LifecycleEvent;
 use super::EventSink;
@@ -37,90 +34,11 @@ use super::EventSink;
 /// change so old readers fail loudly instead of misparsing.
 pub const EVENT_LOG_MAGIC: &str = "fpbi1";
 
-/// Why an event log could not be created, written, or read.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum InspectError {
-    /// An underlying filesystem operation failed.
-    Io {
-        /// Operation being attempted (e.g. `create`, `append`, `fsync`).
-        op: &'static str,
-        /// Path involved.
-        path: PathBuf,
-        /// Rendered OS error.
-        detail: String,
-    },
-    /// `create` refuses to clobber an existing file.
-    AlreadyExists(PathBuf),
-    /// The file has no valid header line (empty, corrupt from byte 0, or
-    /// not an event log at all).
-    MissingHeader(PathBuf),
-    /// The log has no clean-close trailer (or the trailer count
-    /// disagrees) and the caller demanded a complete run.
-    Incomplete {
-        /// The offending log.
-        path: PathBuf,
-        /// Events recovered before the tail.
-        events: usize,
-    },
-    /// Header meta must be single-line (the log is line-framed).
-    EmbeddedNewline,
-}
-
-impl fmt::Display for InspectError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            InspectError::Io { op, path, detail } => {
-                write!(f, "event log {op} failed for {}: {detail}", path.display())
-            }
-            InspectError::AlreadyExists(p) => write!(
-                f,
-                "event log {} already exists (delete it explicitly to re-record)",
-                p.display()
-            ),
-            InspectError::MissingHeader(p) => {
-                write!(f, "{} is not an event log (no valid header line)", p.display())
-            }
-            InspectError::Incomplete { path, events } => write!(
-                f,
-                "event log {} is incomplete: {events} event(s) recovered but no clean-close \
-                 trailer (the recording run was killed mid-write)",
-                path.display()
-            ),
-            InspectError::EmbeddedNewline => {
-                write!(f, "event log meta must not contain newlines")
-            }
-        }
-    }
-}
-
-impl std::error::Error for InspectError {}
-
-fn io_err(op: &'static str, path: &Path, e: &std::io::Error) -> InspectError {
-    InspectError::Io { op, path: path.to_path_buf(), detail: e.to_string() }
-}
-
-/// Renders one framed line (with trailing newline) for `body`.
-fn frame(body: &str) -> String {
-    format!("{EVENT_LOG_MAGIC} {:08x} {body}\n", crc32(body.as_bytes()))
-}
-
-/// Parses one complete line (no trailing newline); `None` if the frame
-/// or checksum is invalid (tail damage).
-fn unframe(line: &str) -> Option<&str> {
-    let rest = line.strip_prefix(EVENT_LOG_MAGIC)?.strip_prefix(' ')?;
-    let (crc_hex, body) = rest.split_at_checked(8)?;
-    let body = body.strip_prefix(' ')?;
-    let crc = u32::from_str_radix(crc_hex, 16).ok()?;
-    (crc == crc32(body.as_bytes())).then_some(body)
-}
-
 /// An open event log accepting batched appends.
 #[derive(Debug)]
 pub struct EventLogWriter {
-    file: File,
-    path: PathBuf,
+    out: Appender,
     seq: u64,
-    buf: String,
     pending: u64,
 }
 
@@ -130,44 +48,18 @@ impl EventLogWriter {
     /// simulated history.
     pub const SYNC_BATCH: u64 = 1024;
 
-    /// Creates a fresh log (refusing to clobber), writes and syncs the
-    /// header — plus a best-effort sync of the parent directory so the
-    /// *name* survives a crash too. The header fingerprint is
-    /// [`fingerprint64`] of `meta`.
+    /// Creates a fresh log (refusing to clobber) and syncs its header.
+    /// The header fingerprint is [`fingerprint64`] of `meta`.
     ///
     /// # Errors
     ///
-    /// [`InspectError::AlreadyExists`] if the path exists,
-    /// [`InspectError::EmbeddedNewline`] for a multi-line meta, or
-    /// [`InspectError::Io`] for filesystem failures.
-    pub fn create(path: &Path, meta: &str) -> Result<EventLogWriter, InspectError> {
-        if meta.contains('\n') {
-            return Err(InspectError::EmbeddedNewline);
-        }
-        let mut opts = OpenOptions::new();
-        opts.write(true).create_new(true);
-        let file = opts.open(path).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::AlreadyExists {
-                InspectError::AlreadyExists(path.to_path_buf())
-            } else {
-                io_err("create", path, &e)
-            }
-        })?;
-        let mut w = EventLogWriter {
-            file,
-            path: path.to_path_buf(),
-            seq: 0,
-            buf: String::new(),
-            pending: 0,
-        };
-        w.buf.push_str(&frame(&format!("h {:016x} {meta}", fingerprint64(meta))));
-        w.flush_sync()?;
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(w)
+    /// [`StoreError::AlreadyExists`] if the path exists,
+    /// [`StoreError::EmbeddedNewline`] for a multi-line meta, or
+    /// [`StoreError::Io`] for filesystem failures.
+    pub fn create(path: &Path, meta: &str) -> Result<EventLogWriter, StoreError> {
+        let header = format!("h {:016x} {meta}", fingerprint64(meta));
+        let out = Appender::create(path, EVENT_LOG_MAGIC, &header)?;
+        Ok(EventLogWriter { out, seq: 0, pending: 0 })
     }
 
     /// Appends one event (buffered; synced every
@@ -175,13 +67,14 @@ impl EventLogWriter {
     ///
     /// # Errors
     ///
-    /// [`InspectError::Io`] if the batched flush fails.
-    pub fn append(&mut self, ev: &LifecycleEvent) -> Result<(), InspectError> {
-        self.buf.push_str(&frame(&format!("e {} {}", self.seq, ev.encode())));
+    /// [`StoreError::Io`] if the batched flush fails.
+    pub fn append(&mut self, ev: &LifecycleEvent) -> Result<(), StoreError> {
+        self.out.push(&format!("e {} {}", self.seq, ev.encode()))?;
         self.seq += 1;
         self.pending += 1;
         if self.pending >= Self::SYNC_BATCH {
-            self.flush_sync()?;
+            self.out.sync()?;
+            self.pending = 0;
         }
         Ok(())
     }
@@ -197,21 +90,11 @@ impl EventLogWriter {
     ///
     /// # Errors
     ///
-    /// [`InspectError::Io`] if the final write or sync fails.
-    pub fn finish(mut self) -> Result<u64, InspectError> {
-        self.buf.push_str(&frame(&format!("z {}", self.seq)));
-        self.flush_sync()?;
+    /// [`StoreError::Io`] if the final write or sync fails.
+    pub fn finish(mut self) -> Result<u64, StoreError> {
+        self.out.push(&store::trailer(self.seq))?;
+        self.out.sync()?;
         Ok(self.seq)
-    }
-
-    fn flush_sync(&mut self) -> Result<(), InspectError> {
-        self.file
-            .write_all(self.buf.as_bytes())
-            .and_then(|()| self.file.flush())
-            .map_err(|e| io_err("append", &self.path, &e))?;
-        self.buf.clear();
-        self.pending = 0;
-        self.file.sync_data().map_err(|e| io_err("fsync", &self.path, &e))
     }
 }
 
@@ -226,81 +109,66 @@ pub struct EventLog {
     pub events: Vec<LifecycleEvent>,
     /// True iff the clean-close trailer was found and its count matches.
     pub complete: bool,
-    /// Complete-but-invalid lines dropped at the tail (plus one for an
-    /// unterminated trailing fragment, if any).
+    /// Lines dropped at the tail (an unterminated trailing fragment
+    /// counts as one).
     pub dropped_lines: usize,
 }
 
+fn parse_header(body: &str) -> Option<(u64, String)> {
+    let rest = body.strip_prefix("h ")?;
+    let (fp_hex, rest) = rest.split_at_checked(16)?;
+    let fingerprint = u64::from_str_radix(fp_hex, 16).ok()?;
+    Some((fingerprint, rest.strip_prefix(' ').unwrap_or("").to_string()))
+}
+
+/// Parses an `e` body, which must carry sequence number `seq`: numbers
+/// are dense from 0, so a gap or repeat means the line belongs to some
+/// other write attempt.
+fn parse_event(body: &str, seq: usize) -> Option<LifecycleEvent> {
+    let (n, payload) = body.strip_prefix("e ")?.split_once(' ')?;
+    if n.parse::<u64>().ok()? != seq as u64 {
+        return None;
+    }
+    LifecycleEvent::decode(payload)
+}
+
 /// Reads and validates an event log: header first, then events, with
-/// the corrupt-tail policy of [`crate::journal`] — reading stops at the
-/// first invalid line (bad CRC, bad decode, out-of-order sequence) and
-/// everything before it is reported.
+/// the store's corrupt-tail policy — reading stops at the first invalid
+/// line (bad CRC, bad decode, out-of-order sequence, anything after the
+/// trailer) and everything before it is reported.
 ///
 /// # Errors
 ///
-/// [`InspectError::Io`] if the file cannot be read, or
-/// [`InspectError::MissingHeader`] if line one is not a valid header.
-pub fn read_event_log(path: &Path) -> Result<EventLog, InspectError> {
-    let mut buf = Vec::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut buf))
-        .map_err(|e| io_err("read", path, &e))?;
-    let text = String::from_utf8_lossy(&buf);
-
-    let mut lines = Vec::new();
-    let mut saw_partial_tail = false;
-    for chunk in text.split_inclusive('\n') {
-        match chunk.strip_suffix('\n') {
-            Some(line) => lines.push(line),
-            None => saw_partial_tail = true, // unterminated torn tail
-        }
-    }
-
-    let mut it = lines.iter();
-    let header = it.next().and_then(|l| unframe(l)).and_then(|body| {
-        let rest = body.strip_prefix("h ")?;
-        let (fp_hex, rest) = rest.split_at_checked(16)?;
-        let fingerprint = u64::from_str_radix(fp_hex, 16).ok()?;
-        let meta = rest.strip_prefix(' ').unwrap_or("").to_string();
-        Some((fingerprint, meta))
-    });
-    let Some((fingerprint, meta)) = header else {
-        return Err(InspectError::MissingHeader(path.to_path_buf()));
-    };
-
+/// [`StoreError::Io`] if the file cannot be read, or
+/// [`StoreError::MissingHeader`] if line one is not a valid header.
+pub fn read_event_log(path: &Path) -> Result<EventLog, StoreError> {
+    let mut header = None;
     let mut events = Vec::new();
     let mut complete = false;
-    let mut dropped = usize::from(saw_partial_tail);
-    let mut remaining = it.len();
-    for line in it {
-        remaining -= 1;
-        let parsed = unframe(line).and_then(|body| {
-            if let Some(rest) = body.strip_prefix("e ") {
-                let (seq, payload) = rest.split_once(' ')?;
-                // Sequence numbers are dense from 0: a gap or repeat
-                // means the tail belongs to some other write attempt.
-                if seq.parse::<u64>().ok()? != events.len() as u64 {
-                    return None;
-                }
-                Some(Some(LifecycleEvent::decode(payload)?))
-            } else if let Some(count) = body.strip_prefix("z ") {
-                (count.parse::<u64>().ok()? == events.len() as u64).then_some(None)
-            } else {
-                None
-            }
-        });
-        match parsed {
-            Some(Some(ev)) if !complete => events.push(ev),
-            Some(None) if !complete => complete = true,
-            _ => {
-                // First invalid line (or anything after a trailer):
-                // everything from here is tail.
-                dropped += 1 + remaining;
-                break;
-            }
+    let tail = store::read(path, EVENT_LOG_MAGIC, |body| {
+        if complete {
+            return false;
         }
-    }
-    Ok(EventLog { meta, fingerprint, events, complete, dropped_lines: dropped })
+        if header.is_none() {
+            header = parse_header(body);
+            return header.is_some();
+        }
+        if let Some(count) = store::trailer_count(body) {
+            complete = count == events.len() as u64;
+            return complete;
+        }
+        match parse_event(body, events.len()) {
+            Some(ev) => {
+                events.push(ev);
+                true
+            }
+            None => false,
+        }
+    })?;
+    let Some((fingerprint, meta)) = header else {
+        return Err(StoreError::MissingHeader { path: path.to_path_buf(), magic: EVENT_LOG_MAGIC });
+    };
+    Ok(EventLog { meta, fingerprint, events, complete, dropped_lines: tail.dropped_lines })
 }
 
 /// An [`EventSink`] that streams events straight into an
@@ -310,7 +178,7 @@ pub fn read_event_log(path: &Path) -> Result<EventLog, InspectError> {
 #[derive(Debug)]
 pub struct FileSink {
     writer: Option<EventLogWriter>,
-    error: Option<InspectError>,
+    error: Option<StoreError>,
 }
 
 impl FileSink {
@@ -319,7 +187,7 @@ impl FileSink {
     /// # Errors
     ///
     /// Propagates [`EventLogWriter::create`] failures.
-    pub fn create(path: &Path, meta: &str) -> Result<FileSink, InspectError> {
+    pub fn create(path: &Path, meta: &str) -> Result<FileSink, StoreError> {
         Ok(FileSink { writer: Some(EventLogWriter::create(path, meta)?), error: None })
     }
 
@@ -329,7 +197,7 @@ impl FileSink {
     /// # Errors
     ///
     /// The first latched append error, or the final flush's failure.
-    pub fn finish(self) -> Result<u64, InspectError> {
+    pub fn finish(self) -> Result<u64, StoreError> {
         if let Some(e) = self.error {
             return Err(e);
         }
@@ -357,6 +225,7 @@ impl EventSink for FileSink {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     // Scratch files for the test; the path never reaches a result.
     #[allow(clippy::disallowed_methods)]
@@ -400,7 +269,7 @@ mod tests {
         let path = tmp("no_clobber.fpbi");
         drop(EventLogWriter::create(&path, "m").unwrap());
         let err = EventLogWriter::create(&path, "m").unwrap_err();
-        assert_eq!(err, InspectError::AlreadyExists(path.clone()));
+        assert_eq!(err, StoreError::AlreadyExists(path.clone()));
         std::fs::remove_file(&path).ok();
     }
 
@@ -410,7 +279,7 @@ mod tests {
         let mut w = EventLogWriter::create(&path, "m").unwrap();
         w.append(&LifecycleEvent::RunEnd { at: 5 }).unwrap();
         // Simulate a kill: flush the batch but never write the trailer.
-        w.flush_sync().unwrap();
+        w.out.sync().unwrap();
         drop(w);
         let log = read_event_log(&path).unwrap();
         assert_eq!(log.events.len(), 1);
@@ -447,11 +316,12 @@ mod tests {
     #[test]
     fn out_of_order_sequence_stops_the_read() {
         let path = tmp("bad_seq.fpbi");
-        let mut text = frame(&format!("h {:016x} m", fingerprint64("m")));
-        text.push_str(&frame(&format!("e 0 {}", LifecycleEvent::RunEnd { at: 1 }.encode())));
+        let mut w = EventLogWriter::create(&path, "m").unwrap();
+        w.append(&LifecycleEvent::RunEnd { at: 1 }).unwrap();
         // Valid CRC, wrong sequence number: belongs to another attempt.
-        text.push_str(&frame(&format!("e 7 {}", LifecycleEvent::RunEnd { at: 2 }.encode())));
-        std::fs::write(&path, text).unwrap();
+        w.out.push(&format!("e 7 {}", LifecycleEvent::RunEnd { at: 2 }.encode())).unwrap();
+        w.out.sync().unwrap();
+        drop(w);
         let log = read_event_log(&path).unwrap();
         assert_eq!(log.events.len(), 1);
         assert!(!log.complete);
@@ -465,7 +335,7 @@ mod tests {
         std::fs::write(&path, "hello world\n").unwrap();
         assert_eq!(
             read_event_log(&path),
-            Err(InspectError::MissingHeader(path.clone()))
+            Err(StoreError::MissingHeader { path: path.clone(), magic: EVENT_LOG_MAGIC })
         );
         std::fs::remove_file(&path).ok();
     }

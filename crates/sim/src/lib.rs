@@ -24,6 +24,8 @@
 //!   threads.
 //! * [`supervise`] — the pool every sweep runs on: panic isolation,
 //!   deadlines, quarantine, cancellation.
+//! * [`store`] — the one checksummed line codec every durable file is
+//!   built on: framing, CRC-32, the torn-tail scan, fsync'd appends.
 //! * [`journal`] — the durable fsync'd checkpoint log behind
 //!   `fpb sweep --journal/--resume`.
 //! * [`resultcache`] — the persistent point-result cache
@@ -58,6 +60,7 @@ pub mod report;
 pub mod request;
 pub mod resultcache;
 pub mod scheme;
+pub mod store;
 pub mod supervise;
 pub mod sweep;
 pub mod timeline;
@@ -70,5 +73,6 @@ pub use metrics::{FaultMetrics, Metrics};
 pub use request::{ReadTask, WriteTask};
 pub use resultcache::{ResultCache, DEFAULT_CACHE_PATH};
 pub use scheme::{Scheme, SchemeError, SchemeRegistry, SchemeSetup};
+pub use store::StoreError;
 pub use supervise::{CancelToken, JobOutcome, SupervisePolicy, SuperviseReport};
 pub use timeline::{RenderError, Timeline};

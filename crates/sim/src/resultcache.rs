@@ -5,44 +5,42 @@
 //! `--resume` restarts, and the bench ladder's repeated rungs all
 //! warm-start from `target/fpb-sweep-cache.v1`.
 //!
-//! The file is line-oriented text: a schema line, then one
-//! tab-separated record per entry, FNV-1a-64 keys, and a
-//! whole-cache-discard policy — any malformed record, checksum mismatch,
-//! or schema/salt drift throws the entire file away and the sweep runs
+//! The file is a [`crate::store`] file: a salt header, one record per
+//! entry, and the store's `z <count>` trailer, each line under its own
+//! CRC-32. The policy is whole-cache discard: any dropped line (torn,
+//! bit-flipped, unparseable), a missing or miscounted trailer, or a
+//! schema or salt drift throws the entire file away and the sweep runs
 //! cold. A cache can only ever *miss*, never lie:
 //!
 //! - Entries are keyed by the full effective-config description (the
-//!   dedup unit key). The FNV hash column is an integrity check only;
-//!   lookups compare the stored description byte-for-byte, so a hash
-//!   collision is a miss, not a wrong splice.
+//!   dedup unit key); lookups compare it byte-for-byte.
 //! - Values are [`Metrics::encode_record`] strings — exact integer
 //!   round-trips, so a cache hit produces byte-identical JSON to a
-//!   fresh simulation.
-//! - The schema line carries [`CODE_SALT`]; bumping it on any
+//!   fresh simulation. The CRC covers the whole entry, so a changed
+//!   digit in a value is damage, not a different result.
+//! - The header carries [`CODE_SALT`]; bumping it on any
 //!   semantics-affecting engine change orphans every old cache at once.
-//! - Saves write a temp file and rename it into place, so a reader
-//!   racing a writer sees either the old cache or the new one, never a
-//!   torn file (and a torn file would only mean a cold run anyway).
+//! - Saves go through [`store::replace`] (temp file and rename), so a
+//!   reader racing a writer sees either the old cache or the new one.
 //!
-//! File format:
+//! Line bodies (framed as `fpb-sweep-cache/v2 <crc32-8hex> <body>`):
 //!
 //! ```text
-//! fpb-sweep-cache/v1 <salt>
-//! R\t<fnv64-16hex>\t<escaped-description>\t<metrics-record>
+//! h <salt>
+//! r <escaped-description>\t<metrics-record>
+//! z <count>
 //! ```
 
 use std::collections::BTreeMap;
-use std::fs;
-use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::journal::fingerprint64;
 use crate::metrics::Metrics;
+use crate::store::{self, StoreError};
 
-/// First token of the schema line; bump the version on format changes.
-pub const CACHE_SCHEMA: &str = "fpb-sweep-cache/v1";
+/// Magic opening every cache line; bump the version on format changes.
+pub const CACHE_SCHEMA: &str = "fpb-sweep-cache/v2";
 
-/// Code-version salt carried in the schema line. Bump whenever an engine
+/// Code-version salt carried in the header. Bump whenever an engine
 /// change alters what any cached simulation *would* produce — every
 /// existing cache is then discarded wholesale on load.
 pub const CODE_SALT: &str = "s1";
@@ -56,49 +54,25 @@ pub const DEFAULT_CACHE_PATH: &str = "target/fpb-sweep-cache.v1";
 pub struct ResultCache {
     path: PathBuf,
     entries: BTreeMap<String, Metrics>,
-    /// Lookups answered from the cache.
-    pub hits: usize,
-    /// Lookups that missed (including everything after a discard).
-    pub misses: usize,
     dirty: bool,
 }
 
 impl ResultCache {
     /// Loads the cache at `path`. A missing, unreadable, or in any way
-    /// malformed file yields an *empty* cache — cold is always safe.
+    /// damaged file yields an *empty* cache — cold is always safe.
     pub fn load(path: &Path) -> ResultCache {
-        let entries = fs::read_to_string(path)
-            .ok()
-            .and_then(|text| parse(&text))
-            .unwrap_or_default();
-        ResultCache { path: path.to_path_buf(), entries, hits: 0, misses: 0, dirty: false }
+        ResultCache { entries: parse(path).unwrap_or_default(), ..ResultCache::empty(path) }
     }
 
     /// An empty cache bound to `path` (used by tests and `--no-result-cache`
     /// comparisons).
     pub fn empty(path: &Path) -> ResultCache {
-        ResultCache {
-            path: path.to_path_buf(),
-            entries: BTreeMap::new(),
-            hits: 0,
-            misses: 0,
-            dirty: false,
-        }
+        ResultCache { path: path.to_path_buf(), entries: BTreeMap::new(), dirty: false }
     }
 
-    /// Looks up the metrics stored for an exact unit description,
-    /// counting the hit or miss.
-    pub fn lookup(&mut self, desc: &str) -> Option<Metrics> {
-        match self.entries.get(desc) {
-            Some(m) => {
-                self.hits += 1;
-                Some(m.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+    /// The metrics stored for an exact unit description.
+    pub fn lookup(&self, desc: &str) -> Option<Metrics> {
+        self.entries.get(desc).cloned()
     }
 
     /// Records freshly simulated metrics for a unit description.
@@ -118,60 +92,56 @@ impl ResultCache {
         self.entries.is_empty()
     }
 
-    /// Writes the cache back to its path (temp file + rename, so racing
-    /// readers never observe a torn file). No-op when nothing new was
+    /// Writes the cache back to its path. No-op when nothing new was
     /// inserted. Errors are returned for the caller to report — a failed
     /// save only costs warm starts, never correctness.
-    pub fn save(&self) -> io::Result<()> {
+    pub fn save(&self) -> Result<(), StoreError> {
         if !self.dirty {
             return Ok(());
         }
-        let mut out = String::with_capacity(64 + self.entries.len() * 128);
-        out.push_str(CACHE_SCHEMA);
-        out.push(' ');
-        out.push_str(CODE_SALT);
-        out.push('\n');
+        let mut bodies = Vec::with_capacity(self.entries.len() + 2);
+        bodies.push(format!("h {CODE_SALT}"));
         for (desc, metrics) in &self.entries {
-            out.push_str(&format!(
-                "R\t{:016x}\t{}\t{}\n",
-                fingerprint64(desc),
-                esc(desc),
-                metrics.encode_record()
-            ));
+            bodies.push(format!("r {}\t{}", esc(desc), metrics.encode_record()));
         }
-        if let Some(dir) = self.path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            fs::create_dir_all(dir)?;
-        }
-        let tmp = self.path.with_extension("tmp");
-        fs::write(&tmp, &out)?;
-        fs::rename(&tmp, &self.path)
+        bodies.push(store::trailer(self.entries.len() as u64));
+        store::replace(&self.path, CACHE_SCHEMA, bodies.iter().map(String::as_str))
     }
 }
 
-/// Parses a cache file. Returns `None` — discarding the whole cache — on
-/// a wrong schema line, wrong salt, or *any* malformed record: partial
-/// trust would risk splicing stale or torn entries into results.
-fn parse(text: &str) -> Option<BTreeMap<String, Metrics>> {
-    let mut lines = text.lines();
-    let schema = lines.next()?;
-    let salt = schema.strip_prefix(CACHE_SCHEMA)?.strip_prefix(' ')?;
-    if salt != CODE_SALT {
-        return None;
-    }
+/// Reads a cache file. Returns `None` — discarding the whole cache — on
+/// a wrong magic or salt, *any* dropped line, or a missing or miscounted
+/// trailer: partial trust would risk splicing stale or torn entries into
+/// results.
+fn parse(path: &Path) -> Option<BTreeMap<String, Metrics>> {
+    let mut salted = false;
     let mut entries = BTreeMap::new();
-    for line in lines {
-        let rest = line.strip_prefix("R\t")?;
-        let (fnv_hex, rest) = rest.split_once('\t')?;
-        let (desc_esc, record) = rest.split_once('\t')?;
-        let fnv = u64::from_str_radix(fnv_hex, 16).ok()?;
-        let desc = unesc(desc_esc)?;
-        if fingerprint64(&desc) != fnv {
-            return None; // bit rot or a hand-edited file: trust nothing
+    let mut records = 0u64;
+    let mut closed = false;
+    let tail = store::read(path, CACHE_SCHEMA, |body| {
+        if closed {
+            return false;
         }
-        let metrics = Metrics::decode_record(record)?;
+        if !salted {
+            salted = body.strip_prefix("h ") == Some(CODE_SALT);
+            return salted;
+        }
+        if let Some(count) = store::trailer_count(body) {
+            closed = count == records;
+            return closed;
+        }
+        let Some((desc, record)) = body.strip_prefix("r ").and_then(|r| r.split_once('\t')) else {
+            return false;
+        };
+        let (Some(desc), Some(metrics)) = (unesc(desc), Metrics::decode_record(record)) else {
+            return false;
+        };
         entries.insert(desc, metrics);
-    }
-    Some(entries)
+        records += 1;
+        true
+    })
+    .ok()?;
+    (tail.dropped_lines == 0 && closed).then_some(entries)
 }
 
 /// Escapes tabs, newlines, and backslashes so descriptions survive the
@@ -214,6 +184,7 @@ fn unesc(s: &str) -> Option<String> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use std::fs;
 
     // Scratch files for the test; the path never reaches a result.
     #[allow(clippy::disallowed_methods)]
@@ -236,6 +207,17 @@ mod tests {
         }
     }
 
+    /// A saved two-entry cache and its text.
+    fn saved(name: &str) -> (PathBuf, String) {
+        let path = tmp(name);
+        let mut c = ResultCache::empty(&path);
+        c.insert("alpha".into(), sample_metrics(51_655));
+        c.insert("beta".into(), sample_metrics(2));
+        c.save().unwrap();
+        let text = fs::read_to_string(&path).unwrap();
+        (path, text)
+    }
+
     #[test]
     fn round_trip_hits_exactly() {
         let path = tmp("round_trip.v1");
@@ -244,12 +226,11 @@ mod tests {
         c.insert("unit\tb\\with\nescapes".into(), sample_metrics(22));
         c.save().unwrap();
 
-        let mut r = ResultCache::load(&path);
+        let r = ResultCache::load(&path);
         assert_eq!(r.len(), 2);
         assert_eq!(r.lookup("unit a"), Some(sample_metrics(11)));
         assert_eq!(r.lookup("unit\tb\\with\nescapes"), Some(sample_metrics(22)));
         assert_eq!(r.lookup("unit c"), None);
-        assert_eq!((r.hits, r.misses), (2, 1));
         fs::remove_file(&path).ok();
     }
 
@@ -260,30 +241,69 @@ mod tests {
     }
 
     #[test]
-    fn malformed_record_discards_the_whole_cache() {
-        let path = tmp("malformed.v1");
-        let mut c = ResultCache::empty(&path);
-        c.insert("alpha".into(), sample_metrics(1));
-        c.insert("beta".into(), sample_metrics(2));
-        c.save().unwrap();
-
-        let good = fs::read_to_string(&path).unwrap();
-        for mutation in [
-            good.replacen("R\t", "X\t", 1),          // wrong record tag
-            good.replace(CODE_SALT, "s999"),         // salt bump
-            good.replacen(CACHE_SCHEMA, "bogus/v9", 1), // wrong schema
-            good[..good.len() / 2].to_string(),      // truncated mid-record
-        ] {
-            fs::write(&path, &mutation).unwrap();
-            assert!(ResultCache::load(&path).is_empty(), "kept entries after: {mutation:?}");
-        }
-
-        // Bit-flip inside a record's hash column: integrity check trips.
-        let mut bytes = good.clone().into_bytes();
-        let first_r = good.find("R\t").unwrap();
-        bytes[first_r + 3] = if bytes[first_r + 3] == b'0' { b'1' } else { b'0' };
+    fn a_changed_digit_in_a_stored_metric_discards_the_cache() {
+        let (path, text) = saved("digit.v1");
+        assert_eq!(ResultCache::load(&path).len(), 2);
+        // The first entry's metrics record follows the last tab of its
+        // line; bump the last digit of its first field (cycles).
+        let line_start = text.find('\n').unwrap() + 1;
+        let line_end = line_start + text[line_start..].find('\n').unwrap();
+        let record = line_start + text[line_start..line_end].rfind('\t').unwrap() + 1;
+        let field_end = record + text[record..].find(' ').unwrap();
+        let mut bytes = text.into_bytes();
+        let digit = &mut bytes[field_end - 1];
+        *digit = if *digit == b'9' { b'0' } else { *digit + 1 };
         fs::write(&path, &bytes).unwrap();
-        assert!(ResultCache::load(&path).is_empty(), "hash mismatch must discard");
+        assert!(ResultCache::load(&path).is_empty(), "a changed metric must never splice");
+        fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_cache_cut_at_a_line_boundary_is_discarded() {
+        let (path, text) = saved("lines.v1");
+        // Keep the header and the first entry: every kept line is intact,
+        // but the trailer is gone.
+        let kept: String = text.split_inclusive('\n').take(2).collect();
+        fs::write(&path, kept).unwrap();
+        assert!(ResultCache::load(&path).is_empty(), "a partial cache must not be trusted");
+        fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn damage_anywhere_discards_the_whole_cache() {
+        let (path, good) = saved("malformed.v1");
+        let mut damaged = vec![
+            good[..good.len() / 2].to_string(), // truncated mid-record
+            format!("{good}trailing garbage\n"), // anything after the trailer
+            good.replacen(CACHE_SCHEMA, "fpb-sweep-cache/v1", 1), // old schema
+        ];
+        // Bit flips anywhere: header, record, trailer, framing.
+        for at in [0, 30, good.len() / 2, good.len() - 3] {
+            let mut bytes = good.clone().into_bytes();
+            bytes[at] ^= 0x04;
+            damaged.push(String::from_utf8_lossy(&bytes).into_owned());
+        }
+        for text in &damaged {
+            fs::write(&path, text).unwrap();
+            assert!(ResultCache::load(&path).is_empty(), "kept entries after: {text:?}");
+        }
+        fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_salt_bump_or_a_miscounted_trailer_discards_the_cache() {
+        let path = tmp("salt.v1");
+        let record = format!("r alpha\t{}", sample_metrics(1).encode_record());
+        for bodies in [
+            ["h s999", record.as_str(), "z 1"],
+            ["h s1", record.as_str(), "z 2"],
+            ["h s1", record.as_str(), "z 0"],
+        ] {
+            store::replace(&path, CACHE_SCHEMA, bodies).unwrap();
+            assert!(ResultCache::load(&path).is_empty(), "{bodies:?}");
+        }
+        store::replace(&path, CACHE_SCHEMA, ["h s1", record.as_str(), "z 1"]).unwrap();
+        assert_eq!(ResultCache::load(&path).len(), 1);
         fs::remove_file(&path).ok();
     }
 
@@ -311,8 +331,9 @@ mod tests {
     #[test]
     fn empty_cache_file_parses_empty() {
         let path = tmp("empty.v1");
-        fs::write(&path, format!("{CACHE_SCHEMA} {CODE_SALT}\n")).unwrap();
-        assert!(ResultCache::load(&path).is_empty());
+        store::replace(&path, CACHE_SCHEMA, ["h s1", "z 0"]).unwrap();
+        let c = ResultCache::load(&path);
+        assert!(c.is_empty());
         fs::remove_file(&path).ok();
     }
 }

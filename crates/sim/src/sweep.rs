@@ -16,10 +16,13 @@ use fpb_types::SystemConfig;
 use crate::engine::{run_workload_warmed, warm_cores, SimOptions};
 use crate::exec::parallel_map_indexed;
 use crate::frontend::CoreState;
-use crate::journal::{fingerprint64, JournalError, JournalHeader, JournalMode, JournalWriter};
+use crate::journal::{
+    decode_point, encode_point, JournalError, JournalHeader, JournalMode, JournalWriter,
+};
 use crate::metrics::{json_string, Metrics};
 use crate::resultcache::ResultCache;
 use crate::scheme::{Scheme, SchemeRegistry, SchemeSetup, SchemeSpec};
+use crate::store::fingerprint64;
 use crate::supervise::{supervise_map_ordered, CancelToken, JobOutcome, SupervisePolicy};
 use fpb_trace::Workload;
 
@@ -654,23 +657,18 @@ pub struct SupervisedSweepRequest<'a> {
     /// patching the simulator.
     pub inject_panic: Option<usize>,
     /// Result-reuse ladder (semantic dedup + persistent cache). The
-    /// journal always outranks both levels: restored points splice
-    /// their journaled fragments and never consult the cache.
+    /// journal always outranks both levels: restored points take their
+    /// journaled metrics and never consult the cache.
     pub reuse: ReuseOptions,
 }
 
 /// How one grid point ended up in a [`SweepRun`].
 #[derive(Debug, Clone)]
 pub enum PointState {
-    /// Simulated in this run. Boxed: a [`SweepPoint`] carries full
-    /// [`Metrics`] and dwarfs the other variants.
+    /// Has its metrics: simulated or spliced in this run, or restored
+    /// exactly from a resumed journal. Boxed: a [`SweepPoint`] carries
+    /// full [`Metrics`] and dwarfs the other variants.
     Done(Box<SweepPoint>),
-    /// Restored verbatim from a resumed journal (the stored JSON
-    /// fragment; the metrics were produced by an earlier run).
-    Restored {
-        /// The journaled result fragment, spliced into reports as-is.
-        fragment: String,
-    },
     /// Quarantined (panicked or timed out).
     Failed,
     /// Never ran: the sweep was cancelled first.
@@ -705,8 +703,7 @@ pub struct PointStats {
 
 impl SweepPointRecord {
     /// Derived stats for the summary table; `None` for failed or skipped
-    /// points. Works for restored points too, by extracting the integer
-    /// counters from the stored fragment.
+    /// points.
     pub fn stats(&self) -> Option<PointStats> {
         match &self.state {
             PointState::Done(p) => Some(PointStats {
@@ -714,73 +711,24 @@ impl SweepPointRecord {
                 cpi: p.metrics.cpi(),
                 burst_pct: p.metrics.burst_fraction() * 100.0,
             }),
-            PointState::Restored { fragment } => {
-                let cycles = fragment_u64(fragment, Section::Metrics, "cycles")?;
-                let instructions =
-                    fragment_u64(fragment, Section::Metrics, "instructions_per_core")?;
-                let burst = fragment_u64(fragment, Section::Metrics, "burst_cycles")?;
-                let base_cycles = fragment_u64(fragment, Section::Baseline, "cycles")?;
-                if cycles == 0 || instructions == 0 {
-                    return None;
-                }
-                Some(PointStats {
-                    speedup: base_cycles as f64 / cycles as f64,
-                    cpi: cycles as f64 / instructions as f64,
-                    burst_pct: burst as f64 / cycles as f64 * 100.0,
-                })
-            }
             PointState::Failed | PointState::Skipped => None,
         }
     }
 
-    /// The point's result fragment: the journaled bytes for restored
-    /// points, a fresh rendering for points simulated in this run, and
-    /// `None` for failed/skipped points. Fresh renderings and journaled
-    /// bytes are the same pure function of the metrics — the heart of
-    /// the byte-identical-resume guarantee.
+    /// The point's report fragment, or `None` for failed/skipped points.
+    /// A pure function of `(index, label, metrics)`, and a restored
+    /// point's metrics are exactly those its original run journaled — the
+    /// heart of the byte-identical-resume guarantee.
     pub fn fragment(&self) -> Option<String> {
-        match &self.state {
-            PointState::Done(p) => Some(render_fragment(self.index, &p.label, p)),
-            PointState::Restored { fragment } => Some(fragment.clone()),
-            PointState::Failed | PointState::Skipped => None,
-        }
+        let PointState::Done(p) = &self.state else { return None };
+        Some(format!(
+            "{{\"index\": {}, \"label\": {}, \"metrics\": {}, \"baseline\": {}}}",
+            self.index,
+            json_string(&p.label),
+            p.metrics.to_json_inline(),
+            p.baseline.to_json_inline()
+        ))
     }
-}
-
-/// Which half of a point fragment to read a counter from.
-#[derive(Clone, Copy)]
-enum Section {
-    Metrics,
-    Baseline,
-}
-
-/// Extracts one integer counter from a stored point fragment without a
-/// JSON parser: the fragment format is fixed (rendered by
-/// [`render_fragment`]), so a key search within the right section is
-/// exact.
-fn fragment_u64(fragment: &str, section: Section, field: &str) -> Option<u64> {
-    let split = fragment.find("\"baseline\": ")?;
-    let hay = match section {
-        Section::Metrics => &fragment[..split],
-        Section::Baseline => &fragment[split..],
-    };
-    let key = format!("\"{field}\": ");
-    let start = hay.find(&key)? + key.len();
-    let rest = &hay[start..];
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Renders the journal/report fragment for one completed point. Pure
-/// function of `(index, label, metrics)`: journaled bytes and re-rendered
-/// bytes always agree.
-fn render_fragment(index: usize, label: &str, point: &SweepPoint) -> String {
-    format!(
-        "{{\"index\": {index}, \"label\": {}, \"metrics\": {}, \"baseline\": {}}}",
-        json_string(label),
-        point.metrics.to_json_inline(),
-        point.baseline.to_json_inline()
-    )
 }
 
 /// A finished supervised sweep: every grid point's record plus run-level
@@ -829,12 +777,12 @@ impl SweepRun {
 
     /// Deterministic JSON rendering (schema `fpb-sweep/v1`).
     ///
-    /// Point results are spliced in as stored/rendered fragments, and
-    /// restored points report the `ok` outcome they earned in the run
-    /// that produced them — so a resumed sweep renders **byte-identical**
-    /// JSON to an uninterrupted one. Run-local bookkeeping that *does*
-    /// differ between the two (restored count, dropped journal lines) is
-    /// deliberately kept out of this document.
+    /// Restored points carry the exact metrics of the run that produced
+    /// them and report the `ok` outcome they earned there — so a resumed
+    /// sweep renders **byte-identical** JSON to an uninterrupted one.
+    /// Run-local bookkeeping that *does* differ between the two
+    /// (restored count, dropped journal lines) is deliberately kept out
+    /// of this document.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(4096);
         s.push_str("{\n");
@@ -937,7 +885,7 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
         .map_err(|e| SweepError::Spec(format!("`{}`: {e}", req.baseline)))?;
     // One build against the base config proves every per-point build
     // will succeed (semantic spec errors are config-independent).
-    let scheme_setup = registry
+    registry
         .build_spec(&scheme_spec, &req.base_cfg)
         .map_err(|e| SweepError::Spec(format!("`{}`: {e}", req.scheme)))?;
     registry
@@ -950,6 +898,12 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
     }
     let scheme_render = scheme_spec.render();
     let baseline_render = baseline_spec.render();
+    // Point labels carry the scheme label built against each point's
+    // config, as its result was journaled and reported.
+    let labels: Vec<String> = grid
+        .iter()
+        .map(|(l, cfg)| format!("{l} [{}]", build_spec(registry, &scheme_spec, cfg).label))
+        .collect();
 
     // Attach the journal (if any) and restore completed points.
     let header = JournalHeader {
@@ -968,7 +922,7 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
         ),
     };
     let journal_err = |e: JournalError| SweepError::Journal(e.to_string());
-    let mut restored_frag: Vec<Option<String>> = vec![None; n];
+    let mut restored_points: Vec<Option<SweepPoint>> = vec![None; n];
     let mut dropped_journal_lines = 0usize;
     let mut writer: Option<JournalWriter> = None;
     match &req.journal {
@@ -981,21 +935,26 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
             dropped_journal_lines = contents.dropped_lines;
             for rec in contents.records {
                 // Indices are validated against the header by the reader;
-                // first occurrence wins on duplicates.
-                let slot = &mut restored_frag[rec.index];
+                // a payload that does not decode is refused the same way.
+                // First occurrence wins on duplicates.
+                let Some((metrics, baseline)) = decode_point(&rec.payload) else {
+                    return Err(journal_err(JournalError::BadPayload { index: rec.index }));
+                };
+                let slot = &mut restored_points[rec.index];
                 if slot.is_none() {
-                    *slot = Some(rec.payload);
+                    let label = labels[rec.index].clone();
+                    *slot = Some(SweepPoint { label, metrics, baseline });
                 }
             }
             writer = Some(w);
         }
     }
-    let restored = restored_frag.iter().filter(|f| f.is_some()).count();
+    let restored = restored_points.iter().filter(|p| p.is_some()).count();
 
     // Pending grid indices (everything not restored from the journal).
-    // The journal outranks every reuse level: restored points splice
-    // their stored fragments verbatim and never consult the cache.
-    let pending: Vec<usize> = (0..n).filter(|&i| restored_frag[i].is_none()).collect();
+    // The journal outranks every reuse level: restored points keep their
+    // journaled metrics and never consult the cache.
+    let pending: Vec<usize> = (0..n).filter(|&i| restored_points[i].is_none()).collect();
 
     // Level 1: collapse the pending points' engine runs into units. The
     // `--inject-panic` point gets private salted units so its runs are
@@ -1022,7 +981,7 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
     let mut unit_results: Vec<Option<Metrics>> = plan
         .units
         .iter()
-        .map(|u| cache.as_mut().and_then(|c| c.lookup(&u.desc)))
+        .map(|u| cache.as_ref().and_then(|c| c.lookup(&u.desc)))
         .collect();
     let from_cache: Vec<bool> = unit_results.iter().map(|r| r.is_some()).collect();
     let cache_hits = from_cache.iter().filter(|&&b| b).count();
@@ -1042,10 +1001,7 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
             }
             let (su, bu) = plan.point_units[pi];
             if let (Some(sm), Some(bm)) = (&unit_results[su], &unit_results[bu]) {
-                let label = format!("{} [{}]", grid[gi].0, plan.units[su].setup.label);
-                let point =
-                    SweepPoint { label: label.clone(), metrics: sm.clone(), baseline: bm.clone() };
-                w.append_record(gi, &render_fragment(gi, &label, &point)).map_err(journal_err)?;
+                w.append_record(gi, &encode_point(sm, bm)).map_err(journal_err)?;
             }
         }
     }
@@ -1105,16 +1061,12 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
     // change results or the report order, both keyed by grid index.
     let mut cycles_sum = vec![0u64; warm.sets.len()];
     let mut cycles_cnt = vec![0u64; warm.sets.len()];
-    for (i, frag) in restored_frag.iter().enumerate() {
-        let Some(frag) = frag else { continue };
-        if let (Some(c), Some(b)) = (
-            fragment_u64(frag, Section::Metrics, "cycles"),
-            fragment_u64(frag, Section::Baseline, "cycles"),
-        ) {
-            let k = warm.of_point[i];
-            cycles_sum[k] = cycles_sum[k].saturating_add(c.saturating_add(b));
-            cycles_cnt[k] += 1;
-        }
+    for (i, point) in restored_points.iter().enumerate() {
+        let Some(p) = point else { continue };
+        let k = warm.of_point[i];
+        let cycles = p.metrics.cycles.saturating_add(p.baseline.cycles);
+        cycles_sum[k] = cycles_sum[k].saturating_add(cycles);
+        cycles_cnt[k] += 1;
     }
     let unit_costs: Vec<u64> = sim_unit_ids
         .iter()
@@ -1170,10 +1122,10 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
         (j.unit, m)
     };
 
-    // The collector thread assembles per-point fragments as their last
-    // unit lands and journals them before the point is considered
-    // durable; a journal write failure cancels the sweep (running
-    // unjournaled would betray the --journal contract).
+    // The collector thread journals each point as its last unit lands,
+    // before the point is considered durable; a journal write failure
+    // cancels the sweep (running unjournaled would betray the --journal
+    // contract).
     let mut journal_failure: Option<JournalError> = None;
     let cancel = req.cancel.clone();
     let mut remaining_c = remaining;
@@ -1198,16 +1150,9 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
                 if remaining_c[pi] > 0 {
                     continue;
                 }
-                let gi = pending[pi];
                 let (su, bu) = plan.point_units[pi];
                 if let (Some(sm), Some(bm)) = (&unit_results[su], &unit_results[bu]) {
-                    let label = format!("{} [{}]", grid[gi].0, plan.units[su].setup.label);
-                    let point = SweepPoint {
-                        label: label.clone(),
-                        metrics: sm.clone(),
-                        baseline: bm.clone(),
-                    };
-                    if let Err(e) = w.append_record(gi, &render_fragment(gi, &label, &point)) {
+                    if let Err(e) = w.append_record(pending[pi], &encode_point(sm, bm)) {
                         journal_failure = Some(e);
                         cancel.cancel();
                         return;
@@ -1248,14 +1193,14 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
     // Assemble records in grid order: restored points first, then each
     // pending point from its units — metrics spliced from the shared
     // unit results, outcome merged across the units it needed.
-    let mut records: Vec<SweepPointRecord> = grid
-        .iter()
+    let mut records: Vec<SweepPointRecord> = restored_points
+        .into_iter()
         .enumerate()
-        .map(|(i, (label, _))| SweepPointRecord {
+        .map(|(i, point)| SweepPointRecord {
             index: i,
-            label: format!("{label} [{}]", scheme_setup.label),
-            state: match restored_frag[i].take() {
-                Some(fragment) => PointState::Restored { fragment },
+            label: labels[i].clone(),
+            state: match point {
+                Some(p) => PointState::Done(Box::new(p)),
                 None => PointState::Skipped,
             },
             outcome: JobOutcome::Ok,
@@ -1268,7 +1213,7 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
         } else {
             merge_outcomes(unit_outcomes[su].clone(), unit_outcomes[bu].clone())
         };
-        let label = format!("{} [{}]", grid[gi].0, plan.units[su].setup.label);
+        let label = labels[gi].clone();
         let state = match (&unit_results[su], &unit_results[bu]) {
             (Some(sm), Some(bm)) => PointState::Done(Box::new(SweepPoint {
                 label: label.clone(),
@@ -1442,7 +1387,7 @@ mod tests {
     }
 
     #[test]
-    fn fragment_round_trips_display_stats() {
+    fn journaled_point_renders_the_same_fragment_and_stats() {
         let point = SweepPoint {
             label: "pt=466t [FPB]".to_string(),
             metrics: Metrics {
@@ -1457,45 +1402,28 @@ mod tests {
                 ..Metrics::default()
             },
         };
-        let frag = render_fragment(4, &point.label, &point);
-        assert!(frag.starts_with("{\"index\": 4, \"label\": \"pt=466t [FPB]\", \"metrics\": {"));
-        assert!(!frag.contains('\n'), "fragments must be single-line: {frag}");
-
-        // A Done record and a Restored record over the same data must
-        // derive the same table stats and re-render the same fragment.
-        let done = SweepPointRecord {
+        let record = |point: SweepPoint| SweepPointRecord {
             index: 4,
             label: point.label.clone(),
             state: PointState::Done(Box::new(point)),
             outcome: JobOutcome::Ok,
         };
-        let restored = SweepPointRecord {
-            index: 4,
-            label: done.label.clone(),
-            state: PointState::Restored { fragment: frag.clone() },
-            outcome: JobOutcome::Ok,
-        };
-        assert_eq!(done.fragment().unwrap(), frag);
-        assert_eq!(restored.fragment().unwrap(), frag);
-        let (a, b) = (done.stats().unwrap(), restored.stats().unwrap());
-        assert!((a.speedup - b.speedup).abs() < 1e-12);
-        assert!((a.cpi - b.cpi).abs() < 1e-12);
-        assert!((a.burst_pct - b.burst_pct).abs() < 1e-12);
-        assert!((b.speedup - 1.5).abs() < 1e-12);
-        assert!((b.cpi - 2.0).abs() < 1e-12);
-        assert!((b.burst_pct - 25.0).abs() < 1e-12);
-    }
+        let done = record(point.clone());
+        let frag = done.fragment().unwrap();
+        assert!(frag.starts_with("{\"index\": 4, \"label\": \"pt=466t [FPB]\", \"metrics\": {"));
+        assert!(!frag.contains('\n'), "fragments must be single-line: {frag}");
 
-    #[test]
-    fn fragment_u64_reads_the_right_section() {
-        let frag = "{\"index\": 1, \"label\": \"x\", \"metrics\": {\"cycles\": 10, \
-                    \"burst_cycles\": 3}, \"baseline\": {\"cycles\": 40, \"burst_cycles\": 7}}";
-        assert_eq!(fragment_u64(frag, Section::Metrics, "cycles"), Some(10));
-        assert_eq!(fragment_u64(frag, Section::Baseline, "cycles"), Some(40));
-        assert_eq!(fragment_u64(frag, Section::Metrics, "burst_cycles"), Some(3));
-        assert_eq!(fragment_u64(frag, Section::Baseline, "burst_cycles"), Some(7));
-        assert_eq!(fragment_u64(frag, Section::Metrics, "absent"), None);
-        assert_eq!(fragment_u64("no baseline here", Section::Metrics, "cycles"), None);
+        // A point restored from its journal payload is the same record:
+        // same fragment bytes, same table stats.
+        let (metrics, baseline) =
+            decode_point(&encode_point(&point.metrics, &point.baseline)).unwrap();
+        let restored = record(SweepPoint { label: point.label.clone(), metrics, baseline });
+        assert_eq!(restored.fragment().unwrap(), frag);
+        let stats = restored.stats().unwrap();
+        assert_eq!(stats, done.stats().unwrap());
+        assert!((stats.speedup - 1.5).abs() < 1e-12);
+        assert!((stats.cpi - 2.0).abs() < 1e-12);
+        assert!((stats.burst_pct - 25.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1624,9 +1552,11 @@ mod tests {
                 SweepPointRecord {
                     index: 0,
                     label: "pt=466t [FPB]".to_string(),
-                    state: PointState::Restored {
-                        fragment: "{\"index\": 0, \"label\": \"pt=466t [FPB]\", \"metrics\": {}, \"baseline\": {}}".to_string(),
-                    },
+                    state: PointState::Done(Box::new(SweepPoint {
+                        label: "pt=466t [FPB]".to_string(),
+                        metrics: Metrics::default(),
+                        baseline: Metrics::default(),
+                    })),
                     outcome: JobOutcome::Ok,
                 },
                 SweepPointRecord {

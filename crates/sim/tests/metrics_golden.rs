@@ -11,7 +11,7 @@
 //! deliberate update is a copy of that list.
 
 use fpb_sim::inspect::MemorySink;
-use fpb_sim::journal::fingerprint64;
+use fpb_sim::store::fingerprint64;
 use fpb_sim::scheme::SchemeRegistry;
 use fpb_sim::timeline::Timeline;
 use fpb_sim::{run_workload, run_workload_recorded, Metrics, SimOptions};

@@ -4,7 +4,7 @@
 
 use std::path::PathBuf;
 
-use fpb_sim::journal::JournalMode;
+use fpb_sim::journal::{read_journal, JournalMode, JournalWriter};
 use fpb_sim::sweep::{
     enumerate_grid, run_sweep_supervised, Axis, PointState, ReuseOptions, SupervisedSweepRequest,
     SweepError, SweepRun,
@@ -267,6 +267,26 @@ fn resume_refuses_a_journal_from_a_different_sweep() {
     let err = run_sweep_supervised(req).expect_err("must refuse");
     assert!(matches!(err, SweepError::Journal(_)));
     assert!(err.to_string().contains("different sweep"), "{err}");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn resume_refuses_a_record_whose_payload_does_not_decode() {
+    let wl = workload();
+    let axes = axes();
+    let path = tmp("bad_payload.fpbj");
+    journaled_run(&wl, &axes, JournalMode::Fresh(path.clone()), Some(1)).expect("seed journal");
+
+    // A CRC-valid record for a real grid point that holds no metrics:
+    // not tail damage, so resume must refuse it rather than re-run it.
+    let header = read_journal(&path).expect("journal").header;
+    let (mut w, _) = JournalWriter::resume(&path, &header).expect("reopen");
+    w.append_record(3, "not a metrics record").expect("append");
+    drop(w);
+    let err = journaled_run(&wl, &axes, JournalMode::Resume(path.clone()), None)
+        .expect_err("must refuse");
+    assert!(matches!(err, SweepError::Journal(_)));
+    assert!(err.to_string().contains("point 3 does not decode"), "{err}");
     std::fs::remove_file(&path).ok();
 }
 

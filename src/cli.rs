@@ -123,7 +123,7 @@ pub struct SweepControl {
     /// Start a fresh durable journal at this path (`--journal`).
     pub journal: Option<String>,
     /// Resume from an existing journal (`--resume`); mutually exclusive
-    /// with `--journal` and `--csv`.
+    /// with `--journal`.
     pub resume: Option<String>,
     /// Write the final `fpb-sweep/v1` JSON document here (`--json-out`).
     pub json_out: Option<String>,
@@ -455,13 +455,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                                 .into(),
                         ));
                     }
-                    if csv.is_some() && control.resume.is_some() {
-                        return Err(CliError(
-                            "--csv needs full per-point metrics, which restored points do \
-                             not carry; use --json-out with --resume"
-                                .into(),
-                        ));
-                    }
                     if control.no_result_cache && control.result_cache.is_some() {
                         return Err(CliError(
                             "--no-result-cache disables result reuse; it cannot be \
@@ -780,8 +773,8 @@ SWEEP SUPERVISION: every sweep point runs supervised — a panicking point
   --journal <file>     append each finished point to a durable, fsync'd,
                        checksummed journal (refuses to clobber)
   --resume <file>      skip points already in the journal and finish the
-                       rest; the final JSON is byte-identical to an
-                       uninterrupted run
+                       rest; the final JSON and --csv are byte-identical
+                       to an uninterrupted run
   --json-out <file>    write the full fpb-sweep/v1 JSON document
   --cancel-after <n>   stop admitting new points after n completions (the
                        deterministic stand-in for Ctrl-C in tests/CI)
@@ -1130,13 +1123,17 @@ mod tests {
             .collect();
         let e = parse(&v(&both)).unwrap_err();
         assert!(e.0.contains("exactly one"), "{e}");
+        // Restored points carry exact metrics, so --csv works on resume.
         let csv_resume: Vec<&str> = base
             .iter()
             .chain(&["--resume", "a.fpbj", "--csv", "out.csv"])
             .copied()
             .collect();
-        let e = parse(&v(&csv_resume)).unwrap_err();
-        assert!(e.0.contains("--json-out"), "{e}");
+        let Ok(Command::Sweep { csv, control, .. }) = parse(&v(&csv_resume)) else {
+            panic!("--csv with --resume must parse");
+        };
+        assert_eq!(csv.as_deref(), Some("out.csv"));
+        assert_eq!(control.resume.as_deref(), Some("a.fpbj"));
         // The supervision flags belong to sweep only.
         assert!(parse(&v(&["run", "--resume", "a.fpbj"])).is_err());
         assert!(parse(&v(&["run", "--inject-panic", "1"])).is_err());

@@ -202,6 +202,51 @@ fn injected_panic_quarantines_then_resume_restores_byte_identity() {
 }
 
 #[test]
+fn resumed_sweep_writes_the_same_csv_as_an_uninterrupted_one() {
+    let clean_csv = tmp("cli_csv_clean.csv");
+    let out = sweep_cmd("1", &["--no-result-cache", "--csv", clean_csv.to_str().expect("utf8")])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    // Journal one point, then cancel: the other point is left to resume.
+    let journal = tmp("cli_csv.fpbj");
+    let out = sweep_cmd(
+        "1",
+        &["--no-result-cache", "--cancel-after", "1", "--journal", journal.to_str().expect("utf8")],
+    )
+    .output()
+    .expect("spawn");
+    assert_eq!(out.status.code(), Some(3), "{}", String::from_utf8_lossy(&out.stderr));
+
+    // The restored point carries its exact metrics, so its CSV row is
+    // the one the uninterrupted run wrote.
+    let resumed_csv = tmp("cli_csv_resumed.csv");
+    let out = sweep_cmd(
+        "1",
+        &[
+            "--no-result-cache",
+            "--resume",
+            journal.to_str().expect("utf8"),
+            "--csv",
+            resumed_csv.to_str().expect("utf8"),
+        ],
+    )
+    .output()
+    .expect("spawn");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("restored 1 points"), "stdout: {text}");
+    assert!(text.contains("wrote 2 rows"), "stdout: {text}");
+    let clean = std::fs::read(&clean_csv).expect("clean csv");
+    let resumed = std::fs::read(&resumed_csv).expect("resumed csv");
+    assert_eq!(clean, resumed, "resume must write a byte-identical CSV");
+    for p in [&clean_csv, &journal, &resumed_csv] {
+        std::fs::remove_file(p).ok();
+    }
+}
+
+#[test]
 fn out_of_range_inject_panic_is_an_error() {
     // A crash drill aimed at a missing point must fail, not pass as a
     // healthy run.
