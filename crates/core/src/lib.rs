@@ -54,6 +54,6 @@ pub mod stats;
 
 pub use config::{GcpParams, PowerPolicyConfig, SchemeKind};
 pub use ledger::{BrownoutHold, Grant, Ledger};
-pub use manager::{PowerManager, WriteId};
+pub use manager::{AdmitMemo, PowerManager, WriteId};
 pub use projection::{effective_config_desc, ConfigSensitivity};
 pub use stats::PowerStats;

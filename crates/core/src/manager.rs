@@ -38,13 +38,20 @@ impl fmt::Display for WriteId {
     }
 }
 
+/// A write's memo of its last refused admission, for
+/// [`PowerManager::try_admit_memoized`]: the manager's ledger epoch at
+/// that refusal. A new write starts with the empty (default) memo.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AdmitMemo(Option<u64>);
+
 /// The budgeting engine driving one DIMM's power tokens.
 ///
 /// The simulator's contract:
 ///
 /// 1. [`PowerManager::try_admit`] before issuing a queued write — may apply
 ///    Multi-RESET splitting to the write; on `false` the write stays
-///    queued.
+///    queued. A write that retries until admitted may go through
+///    [`PowerManager::try_admit_memoized`] instead.
 /// 2. After each completed iteration (and `write.advance()`), if the write
 ///    is not finished, [`PowerManager::try_advance`] — on `false` the
 ///    write stalls *holding no tokens*; call again until it succeeds.
@@ -79,6 +86,12 @@ pub struct PowerManager {
     chip_scratch: Vec<u32>,
     /// Reusable outstanding-per-chip buffer for the opt-in auditor.
     audit_scratch: Vec<Tokens>,
+    /// Moves whenever anything admission reads can change: every grant
+    /// (`put_hold`), every release of a hold and each brownout edge. A
+    /// refused grant changes nothing, and config, geometry and the
+    /// per-chip GCP efficiencies are fixed at construction, so a write
+    /// refused at this epoch is refused again until it moves.
+    epoch: u64,
 }
 
 impl PowerManager {
@@ -126,6 +139,7 @@ impl PowerManager {
             demand_scratch: Vec::new(),
             chip_scratch: Vec::new(),
             audit_scratch: Vec::new(),
+            epoch: 0,
         }
     }
 
@@ -153,12 +167,14 @@ impl PowerManager {
     /// `keep_fraction` of every capacity (see [`Ledger::begin_brownout`]).
     pub fn begin_brownout(&mut self, keep_fraction: f64) {
         self.ledger.begin_brownout(keep_fraction);
+        self.epoch += 1;
         self.audit_now();
     }
 
     /// Ends the brownout window, restoring withheld tokens exactly.
     pub fn end_brownout(&mut self) {
         self.ledger.end_brownout();
+        self.epoch += 1;
         self.audit_now();
     }
 
@@ -213,6 +229,55 @@ impl PowerManager {
         false
     }
 
+    /// [`PowerManager::try_admit`] for a queued write that is polled
+    /// until admitted. A write refused at the current ledger epoch is
+    /// refused again without consulting the ledger: nothing admission
+    /// reads has changed since, and the Multi-RESET resplit, if any,
+    /// happened in that first refusal. The repeat refusal is still
+    /// counted, so the stats move exactly as a real attempt moves them.
+    /// `memo` belongs to the write; it is set on a refusal and cleared on
+    /// admission.
+    ///
+    /// Debug builds re-run every skipped attempt on clones of the manager
+    /// and the write, and panic if it would have been admitted or would
+    /// have moved the stats differently.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`PowerManager::try_admit`] does, on every attempt
+    /// that reaches the ledger.
+    pub fn try_admit_memoized(
+        &mut self,
+        id: WriteId,
+        write: &mut LineWrite,
+        memo: &mut AdmitMemo,
+    ) -> bool {
+        if memo.0 == Some(self.epoch) {
+            #[cfg(debug_assertions)]
+            self.check_repeat_refusal(id, write);
+            self.stats.note_admit_failure();
+            return false;
+        }
+        let ok = self.try_admit(id, write);
+        *memo = AdmitMemo((!ok).then_some(self.epoch));
+        ok
+    }
+
+    /// The debug-build check behind a skipped admission: the real attempt,
+    /// made on clones, is refused and moves the stats as the skip does.
+    #[cfg(debug_assertions)]
+    fn check_repeat_refusal(&self, id: WriteId, write: &LineWrite) {
+        let mut pm = self.clone();
+        let admitted = pm.try_admit(id, &mut write.clone());
+        let mut skipped = self.stats.clone();
+        skipped.note_admit_failure();
+        assert!(
+            !admitted && pm.stats == skipped,
+            "{id}: refusal memo stale at ledger epoch {}",
+            self.epoch
+        );
+    }
+
     /// Re-budgets a write at an iteration boundary (its previous iteration
     /// has been `advance`d and it is not complete). Returns `false` if the
     /// next iteration's tokens are unavailable; the write then holds
@@ -242,6 +307,7 @@ impl PowerManager {
     /// propagated — release sites must always succeed in freeing the hold.
     pub fn release(&mut self, id: WriteId) {
         if let Some(grant) = self.take_hold(id) {
+            self.epoch += 1;
             if grant.used_gcp() {
                 self.stats.note_gcp_release(grant.gcp_total);
             }
@@ -270,6 +336,7 @@ impl PowerManager {
 
     /// Inserts (or replaces) `id`'s grant, keeping `holds` sorted.
     fn put_hold(&mut self, id: WriteId, grant: Grant) {
+        self.epoch += 1;
         match self.holds.binary_search_by_key(&id, |e| e.0) {
             Ok(i) => self.holds[i].1 = grant,
             Err(i) => self.holds.insert(i, (id, grant)),
@@ -578,6 +645,62 @@ mod tests {
         assert!(pm.try_admit(WriteId::new(2), &mut b));
         assert_eq!(b.reset_groups(), 3, "B must have been split");
         assert_eq!(pm.stats().multi_reset_splits(), 1);
+    }
+
+    #[test]
+    fn refusals_keep_the_epoch_and_repeat_without_the_ledger() {
+        // APT 30 (80 minus WR-A's 50): WR-B's 150 cells are refused whole,
+        // resplit into 3 group-RESETs of ~50, and refused again.
+        let power = PowerConfig {
+            pt_dimm: 80,
+            ..PowerConfig::default()
+        };
+        let cfg = PowerPolicyConfig {
+            ipm: true,
+            multi_reset_splits: 3,
+            ..PowerPolicyConfig::dimm_only(&power, 8)
+        };
+        let mut pm = PowerManager::new(cfg, &geom());
+        let (a_id, b_id) = (WriteId::new(1), WriteId::new(2));
+        let mut a = write_of(50, MlcLevel::L01, 4);
+        assert!(pm.try_admit(a_id, &mut a));
+        let epoch = pm.epoch;
+        let mut b = write_of(150, MlcLevel::L01, 5);
+        let mut memo = AdmitMemo::default();
+        assert!(!pm.try_admit_memoized(b_id, &mut b, &mut memo));
+        assert_eq!(b.reset_groups(), 3, "the refusal resplit B");
+        assert_eq!(pm.epoch, epoch, "a refused resplit changes nothing");
+        assert!(!pm.try_admit(b_id, &mut b));
+        assert_eq!(pm.epoch, epoch, "a plain refusal changes nothing");
+        // The repeat is answered from the memo, and counted like the real
+        // attempt (debug builds re-run it on clones).
+        assert!(!pm.try_admit_memoized(b_id, &mut b, &mut memo));
+        assert_eq!(pm.stats().admission_failures(), 3);
+        assert_eq!(pm.stats().multi_reset_splits(), 1);
+        pm.release(b_id);
+        assert_eq!(pm.epoch, epoch, "a release without a hold changes nothing");
+        pm.release(a_id);
+        assert!(pm.try_admit_memoized(b_id, &mut b, &mut memo));
+        assert_eq!(memo, AdmitMemo::default(), "admission clears the memo");
+    }
+
+    #[test]
+    fn grants_releases_and_brownout_edges_move_the_epoch() {
+        fn moves(pm: &mut PowerManager, what: &str, f: impl FnOnce(&mut PowerManager)) {
+            let before = pm.epoch;
+            f(pm);
+            assert!(pm.epoch > before, "{what} must move the epoch");
+        }
+        let cfg = PowerPolicyConfig::fpb(&PowerConfig::default(), 8);
+        let mut pm = PowerManager::new(cfg, &geom());
+        let id = WriteId::new(1);
+        let mut w = write_of(100, MlcLevel::L01, 3);
+        moves(&mut pm, "a grant", |pm| assert!(pm.try_admit(id, &mut w)));
+        w.advance();
+        moves(&mut pm, "an advance", |pm| assert!(pm.try_advance(id, &w)));
+        moves(&mut pm, "a release of a hold", |pm| pm.release(id));
+        moves(&mut pm, "a brownout start", |pm| pm.begin_brownout(0.5));
+        moves(&mut pm, "a brownout end", PowerManager::end_brownout);
     }
 
     #[test]

@@ -535,16 +535,18 @@ impl LineWrite {
         assert!(groups > 0, "groups must be nonzero");
         let n = self.chips as usize;
         let m = groups as usize;
-        let mut reset_totals = vec![0u32; m];
-        let mut reset_per_chip = vec![0u32; m * n];
+        // Refilled in place: the buffers may be pooled, and the write path
+        // allocates nothing in steady state.
+        self.reset_totals.clear();
+        self.reset_totals.resize(m, 0);
+        self.reset_per_chip.clear();
+        self.reset_per_chip.resize(m * n, 0);
         for &(cell, chip, _) in &self.cell_chips {
             let g = geom.reset_group_of(cell as u32, groups) as usize;
-            reset_totals[g] += 1;
-            reset_per_chip[g * n + chip as usize] += 1;
+            self.reset_totals[g] += 1;
+            self.reset_per_chip[g * n + chip as usize] += 1;
         }
         self.reset_groups = groups;
-        self.reset_totals = reset_totals;
-        self.reset_per_chip = reset_per_chip;
     }
 }
 

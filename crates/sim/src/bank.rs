@@ -147,6 +147,7 @@ mod tests {
             retries: 0,
             iterations_spent: 0,
             watchdog_tripped: false,
+            admit_memo: fpb_core::AdmitMemo::default(),
         }
     }
 

@@ -4,7 +4,7 @@
 //! queue fills, §5.1), plus write-task creation and the read-arrival
 //! notification that drives the scheme's cancellation hook.
 
-use fpb_core::WriteId;
+use fpb_core::{AdmitMemo, WriteId};
 use fpb_pcm::{CellMapping, DimmGeometry, IterationSampler, LineWrite, WriteBufferPool};
 use fpb_types::{Cycles, LineAddr, SimRng};
 
@@ -86,9 +86,13 @@ impl<S: Scheme, E: EventSink> System<S, E> {
                 let free =
                     self.banks[bank].state.accepts_write() && self.banks[bank].parked.is_none();
                 if free {
-                    if let Some(mut task) = self.wrq.remove(i) {
-                        if self.power.try_admit(task.id, task.round_mut()) {
-                            self.emit_power(task.id.get(), PowerOp::Admit, true);
+                    // Admission is tried in place; a refused write stays
+                    // queued and the scan moves on (out-of-order write
+                    // scheduling over the queue).
+                    let ok = self.wrq[i].try_admit(&mut self.power);
+                    self.emit_power(self.wrq[i].id.get(), PowerOp::Admit, ok);
+                    if ok {
+                        if let Some(mut task) = self.wrq.remove(i) {
                             self.emit(LifecycleEvent::WriteAdmitted {
                                 id: task.id.get(),
                                 bank: task.bank.get(),
@@ -99,10 +103,6 @@ impl<S: Scheme, E: EventSink> System<S, E> {
                             self.issue_write(bank, task);
                             continue; // same index now holds the next entry
                         }
-                        self.emit_power(task.id.get(), PowerOp::Admit, false);
-                        // Not admissible: put it back and scan on
-                        // (out-of-order write scheduling over the queue).
-                        self.wrq.insert(i, task);
                     }
                 }
                 i += 1;
@@ -138,7 +138,7 @@ impl<S: Scheme, E: EventSink> System<S, E> {
                         }
                     }
                     BankState::AwaitingRound { mut task, since } => {
-                        let ok = self.power.try_admit(task.id, task.round_mut());
+                        let ok = task.try_admit(&mut self.power);
                         self.emit_power(task.id.get(), PowerOp::Admit, ok);
                         if ok {
                             self.transition(
@@ -158,7 +158,6 @@ impl<S: Scheme, E: EventSink> System<S, E> {
                     }
                 }
             }
-            // Resume a paused write once its bank has no waiting reads.
             // A parked write resumes once its bank has no waiting reads —
             // or unconditionally during a write burst, when writes own the
             // DIMM and reads are blocked anyway (otherwise a paused write
@@ -325,6 +324,7 @@ impl<S: Scheme, E: EventSink> System<S, E> {
             retries: 0,
             iterations_spent: 0,
             watchdog_tripped: false,
+            admit_memo: AdmitMemo::default(),
         }
     }
 

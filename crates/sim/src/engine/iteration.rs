@@ -120,7 +120,7 @@ impl<S: Scheme, E: EventSink> System<S, E> {
             }
             BankState::Backoff { mut task, .. } => {
                 // Backoff expired: re-admit the restarted round.
-                let ok = self.power.try_admit(task.id, task.round_mut());
+                let ok = task.try_admit(&mut self.power);
                 self.emit_power(task.id.get(), PowerOp::Admit, ok);
                 if ok {
                     self.transition(task.id, b, WriteStage::Backoff, WriteStage::Iterating);

@@ -1,6 +1,6 @@
 //! Memory-controller request records and multi-round write splitting.
 
-use fpb_core::WriteId;
+use fpb_core::{AdmitMemo, PowerManager, WriteId};
 use fpb_pcm::{ChangeSet, LineWrite};
 use fpb_types::{BankId, Cycles, LineAddr};
 
@@ -64,6 +64,11 @@ pub struct WriteTask {
     /// True once the watchdog force-closed the current round — its final
     /// verify is skipped so the bank is guaranteed to free up.
     pub watchdog_tripped: bool,
+    /// The ledger epoch of this task's last refused admission (see
+    /// [`PowerManager::try_admit_memoized`]). Empty for a new task; it
+    /// cannot go stale, because the task's rounds only change after an
+    /// admission, which moves the epoch and clears the memo.
+    pub admit_memo: AdmitMemo,
 }
 
 impl WriteTask {
@@ -83,6 +88,17 @@ impl WriteTask {
     /// Panics if all rounds are complete.
     pub fn round_mut(&mut self) -> &mut LineWrite {
         &mut self.rounds[self.current_round]
+    }
+
+    /// Tries to admit the current round, skipping the ledger when the
+    /// answer is already known to be a refusal
+    /// ([`PowerManager::try_admit_memoized`]).
+    pub fn try_admit(&mut self, power: &mut PowerManager) -> bool {
+        power.try_admit_memoized(
+            self.id,
+            &mut self.rounds[self.current_round],
+            &mut self.admit_memo,
+        )
     }
 
     /// Advances to the next round. Returns `false` when no rounds remain

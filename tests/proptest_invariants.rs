@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 
 use fpb::pcm::{CellMapping, ChangeSet, DimmGeometry, IterationSampler, LineWrite, MlcLevel};
-use fpb::power::{Ledger, PowerManager, PowerPolicyConfig, WriteId};
+use fpb::power::{AdmitMemo, Ledger, PowerManager, PowerPolicyConfig, WriteId};
 use fpb::sim::request::split_rounds;
 use fpb::types::{MlcWriteModel, PowerConfig, SimRng, Tokens};
 
@@ -260,6 +260,76 @@ proptest! {
         }
         if let Some(avail) = pm.ledger().dimm_available() {
             prop_assert_eq!(avail, Tokens::from_cells(560));
+        }
+    }
+
+    /// The refusal memo is sound outside the engine: across random
+    /// interleavings of admissions, iteration advances, releases and
+    /// brownout edges, every memoized admission agrees with a plain
+    /// `try_admit` on a clone — same verdict, same Multi-RESET resplit,
+    /// same stats — whether or not it consulted the ledger.
+    #[test]
+    fn memoized_admission_matches_plain_admission(
+        pool in prop::collection::vec(arb_changes(300), 4..8),
+        ops in prop::collection::vec((0u8..8, 0usize..6, 0.2f64..0.9), 1..120),
+        scheme_idx in 0usize..3,
+        seed in 0u64..500,
+    ) {
+        let power = PowerConfig::default();
+        let cfg = match scheme_idx {
+            0 => PowerPolicyConfig::dimm_chip(&power, 8),
+            1 => PowerPolicyConfig::gcp_only(&power, 8),
+            _ => PowerPolicyConfig::fpb(&power, 8),
+        };
+        let geom = DimmGeometry::new(8, 1024);
+        let sampler = IterationSampler::new(MlcWriteModel::default());
+        let mut rng = SimRng::seed_from(seed);
+        let mut pm = PowerManager::new(cfg, &geom);
+        let mut next = 0usize;
+        let mut fresh = |rng: &mut SimRng| {
+            next += 1;
+            let changes = &pool[next % pool.len()];
+            let w = LineWrite::new(changes, &geom, CellMapping::Bim, &sampler, rng, 1);
+            (WriteId::new(next as u64), w, AdmitMemo::default(), false)
+        };
+        // Six write slots: (id, write, memo, admitted). A finished or
+        // released write is replaced by a fresh queued one.
+        let mut slots: Vec<_> = (0..6).map(|_| fresh(&mut rng)).collect();
+        for (kind, slot, keep) in ops {
+            let (id, w, memo, admitted) = &mut slots[slot];
+            match kind {
+                0..=2 if !*admitted => {
+                    let mut plain_pm = pm.clone();
+                    let mut plain_w = w.clone();
+                    let plain = plain_pm.try_admit(*id, &mut plain_w);
+                    let memoized = pm.try_admit_memoized(*id, w, memo);
+                    prop_assert_eq!(memoized, plain, "{} verdicts differ", id);
+                    prop_assert_eq!(&*w, &plain_w);
+                    prop_assert_eq!(pm.stats(), plain_pm.stats());
+                    *admitted = memoized;
+                }
+                3..=5 if *admitted => {
+                    // A write holding tokens finishes its iteration; a
+                    // stalled one (IPM, holding nothing) re-polls its
+                    // advance.
+                    if pm.holds_tokens(*id) {
+                        w.advance();
+                    }
+                    if w.is_complete() {
+                        pm.release(*id);
+                        slots[slot] = fresh(&mut rng);
+                    } else {
+                        pm.try_advance(*id, w);
+                    }
+                }
+                6 if *admitted => {
+                    pm.release(*id);
+                    slots[slot] = fresh(&mut rng);
+                }
+                7 if pm.in_brownout() => pm.end_brownout(),
+                7 => pm.begin_brownout(keep),
+                _ => {}
+            }
         }
     }
 
