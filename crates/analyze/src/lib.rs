@@ -21,21 +21,20 @@
 //! workspace `[lints]`, and the wall-clock, environment and hash-container
 //! bans in `crates/clippy.toml`.
 //!
-//! Existing debt is allowlisted in a checked-in ratchet baseline
-//! (`lint-baseline.toml`) whose per-rule counts may only decrease; new
-//! violations fail with `file:line` diagnostics. See [`rules::Rule`] for
-//! the catalog and DESIGN.md for the rationale of each rule.
+//! Intentional exceptions carry an inline `fpb-lint: allow` directive;
+//! any other finding fails the scan with a `file:line` diagnostic. See
+//! [`rules::Rule`] for the catalog and DESIGN.md for the rationale of
+//! each rule.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use fpb_analyze::{baseline::Baseline, baseline::check_ratchet, rules::scan_source};
+//! use fpb_analyze::{report::render_text, rules::scan_source};
 //!
 //! let src = "fn hot(x: Option<u8>) -> u8 { x.unwrap() }";
 //! let violations = scan_source("crates/core/src/hot.rs", "core", src);
 //! assert_eq!(violations.len(), 1);
-//! let report = check_ratchet(&violations, &Baseline::empty());
-//! assert!(!report.ok());
+//! assert!(render_text(&violations, 1).ends_with("— FAILED\n"));
 //! ```
 //!
 //! The CLI entry point is `fpb lint`; CI runs it as a blocking job with
@@ -43,14 +42,12 @@
 
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod cfg;
 pub mod lexer;
 pub mod parser;
 pub mod report;
 pub mod rules;
-pub mod sarif;
 pub mod semantic;
 pub mod symbols;
 pub mod walk;
@@ -95,7 +92,6 @@ pub fn scan_root(root: &Path) -> io::Result<ScanResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::{check_ratchet, Baseline};
 
     /// The repo root, two levels above this crate's manifest.
     fn repo_root() -> std::path::PathBuf {
@@ -107,21 +103,17 @@ mod tests {
     }
 
     #[test]
-    fn workspace_scan_matches_checked_in_baseline() {
-        // The real gate: the workspace must be clean against the
-        // checked-in ratchet. This is the same check `fpb lint` and CI
-        // run, so a regression fails the unit suite too.
+    fn workspace_scan_is_clean() {
+        // The real gate: every finding in the workspace must be fixed or
+        // carry an inline directive. This is the same check `fpb lint`
+        // and CI run, so a new violation fails the unit suite too.
         let root = repo_root();
         let result = scan_root(&root).expect("scan workspace");
         assert!(result.files_scanned > 50, "suspiciously few files scanned");
-        let text = std::fs::read_to_string(root.join("lint-baseline.toml"))
-            .expect("lint-baseline.toml at repo root");
-        let baseline = Baseline::parse(&text).expect("parse baseline");
-        let report = check_ratchet(&result.violations, &baseline);
         assert!(
-            report.ok(),
-            "lint regressed:\n{}",
-            report::render_text(&report, result.files_scanned)
+            result.violations.is_empty(),
+            "lint found violations:\n{}",
+            report::render_text(&result.violations, result.files_scanned)
         );
     }
 

@@ -1,82 +1,72 @@
 //! Diagnostic rendering: human-readable text and the machine-readable
 //! JSON report CI uploads as an artifact.
 
-use crate::baseline::RatchetReport;
-use crate::rules::Rule;
+use crate::rules::{Rule, Violation};
 
 /// Schema tag of the JSON report.
-pub const JSON_SCHEMA: &str = "fpb-lint/v1";
+pub const JSON_SCHEMA: &str = "fpb-lint/v2";
 
-/// Renders the full ratchet verdict as text diagnostics.
+/// The findings of `rule`, in scan order.
+fn of_rule(violations: &[Violation], rule: Rule) -> impl Iterator<Item = &Violation> {
+    violations.iter().filter(move |v| v.rule == rule)
+}
+
+/// Renders a scan's findings as text diagnostics.
 ///
-/// Regressed rules list every violation as `file:line: rule: message` (so
-/// editors and CI logs link straight to the source); clean and improved
-/// rules get a one-line summary.
-pub fn render_text(report: &RatchetReport, files_scanned: usize) -> String {
+/// Each rule with findings lists them as `file:line: rule: message` (so
+/// editors and CI logs link straight to the source). The scan is OK
+/// exactly when there are no findings.
+pub fn render_text(violations: &[Violation], files_scanned: usize) -> String {
     let mut s = String::new();
-    for o in &report.outcomes {
-        if o.regressed() {
-            s.push_str(&format!(
-                "rule {} REGRESSED: {} violation(s), baseline allows {}\n",
-                o.rule, o.count, o.allowed
-            ));
-            s.push_str(&format!("  rationale: {}\n", o.rule.rationale()));
-            for v in &o.violations {
-                s.push_str(&format!("  {}:{}: {}: {}\n", v.file, v.line, v.rule, v.message));
-            }
+    for rule in Rule::ALL {
+        let count = of_rule(violations, rule).count();
+        if count == 0 {
+            continue;
+        }
+        s.push_str(&format!("rule {rule}: {count} violation(s)\n"));
+        s.push_str(&format!("  rationale: {}\n", rule.rationale()));
+        for v in of_rule(violations, rule) {
+            s.push_str(&format!("  {}:{}: {}: {}\n", v.file, v.line, v.rule, v.message));
         }
     }
-    for o in report.improvements() {
-        s.push_str(&format!(
-            "rule {} improved: {} violation(s), baseline allows {} — run \
-             `fpb lint --update-baseline` to ratchet down\n",
-            o.rule, o.count, o.allowed
-        ));
-    }
-    let (total, debt): (u64, u64) = report
-        .outcomes
-        .iter()
-        .fold((0, 0), |(t, d), o| (t + o.count, d + o.count.min(o.allowed)));
     s.push_str(&format!(
-        "fpb lint: {} file(s), {} violation(s) ({} allowlisted) — {}\n",
+        "fpb lint: {} file(s), {} violation(s) — {}\n",
         files_scanned,
-        total,
-        debt,
-        if report.ok() { "OK" } else { "FAILED" }
+        violations.len(),
+        if violations.is_empty() { "OK" } else { "FAILED" }
     ));
     s
 }
 
-/// Renders the machine-readable JSON report.
+/// Renders the machine-readable JSON report. Every rule is listed, clean
+/// ones included.
 ///
 /// Layout:
 ///
 /// ```json
 /// {
-///   "schema": "fpb-lint/v1",
+///   "schema": "fpb-lint/v2",
 ///   "files_scanned": 93,
-///   "ok": true,
+///   "ok": false,
 ///   "rules": [
-///     {"rule": "panic_freedom", "count": 2, "baseline": 2, "regressed": false,
+///     {"rule": "panic_freedom", "count": 1,
 ///      "violations": [{"file": "...", "line": 7, "message": "..."}]}
 ///   ]
 /// }
 /// ```
-pub fn render_json(report: &RatchetReport, files_scanned: usize) -> String {
+pub fn render_json(violations: &[Violation], files_scanned: usize) -> String {
     let mut s = String::with_capacity(2048);
     s.push_str("{\n");
     s.push_str(&format!("  \"schema\": {},\n", json_string(JSON_SCHEMA)));
     s.push_str(&format!("  \"files_scanned\": {files_scanned},\n"));
-    s.push_str(&format!("  \"ok\": {},\n", report.ok()));
+    s.push_str(&format!("  \"ok\": {},\n", violations.is_empty()));
     s.push_str("  \"rules\": [\n");
-    for (i, o) in report.outcomes.iter().enumerate() {
+    for (i, rule) in Rule::ALL.into_iter().enumerate() {
         s.push_str("    {");
-        s.push_str(&format!("\"rule\": {}, ", json_string(o.rule.name())));
-        s.push_str(&format!("\"count\": {}, ", o.count));
-        s.push_str(&format!("\"baseline\": {}, ", o.allowed));
-        s.push_str(&format!("\"regressed\": {}, ", o.regressed()));
+        s.push_str(&format!("\"rule\": {}, ", json_string(rule.name())));
+        s.push_str(&format!("\"count\": {}, ", of_rule(violations, rule).count()));
         s.push_str("\"violations\": [");
-        for (j, v) in o.violations.iter().enumerate() {
+        for (j, v) in of_rule(violations, rule).enumerate() {
             if j > 0 {
                 s.push_str(", ");
             }
@@ -88,7 +78,7 @@ pub fn render_json(report: &RatchetReport, files_scanned: usize) -> String {
             ));
         }
         s.push_str("]}");
-        s.push_str(if i + 1 < report.outcomes.len() { ",\n" } else { "\n" });
+        s.push_str(if i + 1 < Rule::ALL.len() { ",\n" } else { "\n" });
     }
     s.push_str("  ]\n}\n");
     s
@@ -96,7 +86,7 @@ pub fn render_json(report: &RatchetReport, files_scanned: usize) -> String {
 
 /// Minimal JSON string escaping (paths and messages are ASCII in
 /// practice, but escape defensively).
-pub(crate) fn json_string(s: &str) -> String {
+fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -121,8 +111,8 @@ pub fn render_rule_catalog() -> String {
     }
     s.push_str(
         "\nsuppress intentional exceptions with `// fpb-lint: allow(rule)` (this \
-         line + next)\nor `// fpb-lint: allow-file(rule)`; allowlist existing debt \
-         in lint-baseline.toml\n",
+         line + next)\nor `// fpb-lint: allow-file(rule)`; any other finding fails \
+         the scan\n",
     );
     s
 }
@@ -130,52 +120,36 @@ pub fn render_rule_catalog() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::{check_ratchet, Baseline};
-    use crate::rules::Violation;
 
-    fn sample_report(count: usize, allowed: u64) -> RatchetReport {
-        let vs: Vec<Violation> = (0..count)
+    fn sample_violations(count: usize) -> Vec<Violation> {
+        (0..count)
             .map(|i| Violation {
                 rule: Rule::PanicFreedom,
                 file: "crates/core/src/ledger.rs".into(),
                 line: i as u32 + 1,
                 message: "`.unwrap()` can panic; use a typed error path".into(),
             })
-            .collect();
-        let mut counts = std::collections::BTreeMap::new();
-        counts.insert("panic_freedom".to_string(), allowed);
-        check_ratchet(&vs, &Baseline::from_counts(counts))
+            .collect()
     }
 
     #[test]
-    fn text_lists_regressions_with_file_line() {
-        let r = sample_report(2, 1);
-        let text = render_text(&r, 10);
-        assert!(text.contains("panic_freedom REGRESSED"));
+    fn text_lists_violations_with_file_line() {
+        let text = render_text(&sample_violations(2), 10);
+        assert!(text.contains("rule panic_freedom: 2 violation(s)"));
         assert!(text.contains("crates/core/src/ledger.rs:1:"));
         assert!(text.contains("crates/core/src/ledger.rs:2:"));
-        assert!(text.contains("FAILED"));
-    }
-
-    #[test]
-    fn text_notes_improvements() {
-        let r = sample_report(1, 5);
-        let text = render_text(&r, 10);
-        assert!(text.contains("improved"));
-        assert!(text.contains("--update-baseline"));
-        assert!(text.contains("OK"));
+        assert!(text.ends_with("2 violation(s) — FAILED\n"));
+        assert_eq!(render_text(&[], 10), "fpb lint: 10 file(s), 0 violation(s) — OK\n");
     }
 
     #[test]
     fn json_is_well_formed_and_complete() {
-        let r = sample_report(2, 1);
-        let j = render_json(&r, 42);
-        assert!(j.contains("\"schema\": \"fpb-lint/v1\""));
+        let j = render_json(&sample_violations(2), 42);
+        assert!(j.contains("\"schema\": \"fpb-lint/v2\""));
         assert!(j.contains("\"files_scanned\": 42"));
         assert!(j.contains("\"ok\": false"));
         assert!(j.contains("\"rule\": \"panic_freedom\""));
         assert!(j.contains("\"count\": 2"));
-        assert!(j.contains("\"baseline\": 1"));
         // Every rule appears, even clean ones.
         for rule in Rule::ALL {
             assert!(j.contains(&format!("\"rule\": \"{}\"", rule.name())), "{rule}");
@@ -183,6 +157,7 @@ mod tests {
         // Crude balance check on braces/brackets (no parser available).
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
+        assert!(render_json(&[], 42).contains("\"ok\": true"));
     }
 
     #[test]

@@ -18,8 +18,7 @@
 //! Intentional exceptions are annotated in source with a directive
 //! comment: `fpb-lint: allow(rule_name)` suppresses the named rule(s) on
 //! the directive's line and the next line; `fpb-lint: allow-file(rule_name)`
-//! suppresses them for the whole file. Remaining debt lives in the
-//! checked-in ratchet baseline instead.
+//! suppresses them for the whole file. Any other finding fails the scan.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -63,8 +62,8 @@ impl Rule {
         Rule::AtomicOrdering,
     ];
 
-    /// Stable machine-readable name (used in the baseline, the JSON
-    /// report, and `fpb-lint:` directives).
+    /// Stable machine-readable name (used in the reports and
+    /// `fpb-lint:` directives).
     pub fn name(self) -> &'static str {
         match self {
             Rule::PanicFreedom => "panic_freedom",
@@ -78,7 +77,7 @@ impl Rule {
         }
     }
 
-    /// Parses a rule name (directive or baseline key).
+    /// Parses a rule name (as written in a directive).
     pub fn from_name(name: &str) -> Option<Rule> {
         Rule::ALL.iter().copied().find(|r| r.name() == name)
     }

@@ -6,9 +6,7 @@
 
 use std::path::Path;
 
-use fpb_analyze::baseline::{check_ratchet, Baseline};
 use fpb_analyze::report::render_json;
-use fpb_analyze::sarif::render_sarif;
 use fpb_analyze::semantic::{self, FileFacts};
 use proptest::prelude::*;
 
@@ -38,10 +36,8 @@ fn corpus_facts() -> Vec<FileFacts> {
         .collect()
 }
 
-fn rendered(facts: &[FileFacts]) -> (String, String) {
-    let violations = semantic::analyze(facts);
-    let report = check_ratchet(&violations, &Baseline::empty());
-    (render_json(&report, facts.len()), render_sarif(&report))
+fn rendered(facts: &[FileFacts]) -> String {
+    render_json(&semantic::analyze(facts), facts.len())
 }
 
 /// A seed-determined permutation of `0..n` (Fisher–Yates over an LCG),
@@ -62,11 +58,10 @@ proptest! {
     fn reports_are_byte_identical_under_file_order_shuffles(seed in any::<u64>()) {
         let facts = corpus_facts();
         let order = permutation(facts.len(), seed);
-        let (json_ref, sarif_ref) = rendered(&facts);
+        let json_ref = rendered(&facts);
         let shuffled: Vec<FileFacts> =
             order.iter().map(|&i| facts[i].clone()).collect();
-        let (json, sarif) = rendered(&shuffled);
+        let json = rendered(&shuffled);
         prop_assert_eq!(json, json_ref, "JSON diverged for order {:?}", order);
-        prop_assert_eq!(sarif, sarif_ref, "SARIF diverged for order {:?}", order);
     }
 }

@@ -36,7 +36,6 @@ pub mod catalog;
 pub mod data_model;
 pub mod generator;
 pub mod profile;
-pub mod record;
 pub mod validate;
 
 #[cfg(test)]

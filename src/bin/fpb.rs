@@ -4,13 +4,12 @@
 //! cargo run --release --bin fpb -- run --workload mcf_m --scheme fpb
 //! cargo run --release --bin fpb -- compare --workload lbm_m
 //! cargo run --release --bin fpb -- list
-//! cargo run --release --bin fpb -- record --program C.mcf --ops 100000 --out mcf.fpbt
 //! ```
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fpb::analyze::{baseline::check_ratchet, baseline::Baseline, report, sarif, scan_root};
+use fpb::analyze::{report, scan_root};
 use fpb::cli::{self, Command, LintArgs, LintFormat, RunArgs, SweepControl};
 use fpb::sim::engine::{run_workload_warmed, warm_cores};
 use fpb::sim::journal::JournalMode;
@@ -57,18 +56,6 @@ fn dispatch(cmd: Command) -> Result<ExitCode, String> {
                 );
             }
             println!("\nschemes: {}", cli::scheme_names().join(", "));
-            Ok(ExitCode::SUCCESS)
-        }
-        Command::Record { program, ops, out } => {
-            let profile = catalog::program(&program)
-                .ok_or_else(|| format!("unknown program `{program}` (try `fpb list`)"))?;
-            let mut rng = fpb::types::SimRng::seed_from(0xF9B);
-            let mut gen = fpb::trace::CoreTraceGenerator::new(profile, &mut rng);
-            let recorded: Vec<_> = (0..ops).map(|_| gen.next_op()).collect();
-            let file = std::fs::File::create(&out).map_err(|e| format!("create {out}: {e}"))?;
-            let n = fpb::trace::record::write_trace(std::io::BufWriter::new(file), recorded)
-                .map_err(|e| format!("write {out}: {e}"))?;
-            println!("recorded {n} operations of {program} to {out}");
             Ok(ExitCode::SUCCESS)
         }
         Command::Run(ra) => {
@@ -407,45 +394,19 @@ fn run_lint(la: &LintArgs) -> Result<(), String> {
         return Ok(());
     }
     let root = std::path::Path::new(&la.root);
-    let baseline_path = {
-        let p = std::path::Path::new(&la.baseline);
-        if p.is_absolute() {
-            p.to_path_buf()
-        } else {
-            root.join(p)
-        }
-    };
-    let baseline_text = std::fs::read_to_string(&baseline_path)
-        .map_err(|e| format!("read {}: {e}", baseline_path.display()))?;
-    let baseline = Baseline::parse(&baseline_text)?;
     let scan = scan_root(root).map_err(|e| format!("scan {}: {e}", root.display()))?;
-    let ratchet = check_ratchet(&scan.violations, &baseline);
     let rendered = match la.format {
-        LintFormat::Text => report::render_text(&ratchet, scan.files_scanned),
-        LintFormat::Json => report::render_json(&ratchet, scan.files_scanned),
-        LintFormat::Sarif => sarif::render_sarif(&ratchet),
+        LintFormat::Text => report::render_text(&scan.violations, scan.files_scanned),
+        LintFormat::Json => report::render_json(&scan.violations, scan.files_scanned),
     };
     print!("{rendered}");
     if let Some(out) = &la.out {
         std::fs::write(out, &rendered).map_err(|e| format!("write {out}: {e}"))?;
     }
-    if let Some(out) = &la.sarif_out {
-        std::fs::write(out, sarif::render_sarif(&ratchet))
-            .map_err(|e| format!("write {out}: {e}"))?;
-    }
-    if la.update_baseline {
-        if !ratchet.ok() {
-            return Err("refusing to update the baseline while rules are regressed".into());
-        }
-        let tightened = ratchet.tightened_baseline();
-        std::fs::write(&baseline_path, tightened.to_toml())
-            .map_err(|e| format!("write {}: {e}", baseline_path.display()))?;
-        eprintln!("updated {}", baseline_path.display());
-    }
-    if ratchet.ok() {
+    if scan.violations.is_empty() {
         Ok(())
     } else {
-        Err("lint found regressions past the ratchet baseline".into())
+        Err(format!("lint found {} violation(s)", scan.violations.len()))
     }
 }
 

@@ -6,9 +6,8 @@
 //! * `run` — simulate a workload under a scheme and print metrics.
 //! * `compare` — run every major scheme on one workload.
 //! * `list` — list catalog workloads, programs, and scheme names.
-//! * `record` — record a program's synthetic trace to an FPBT file.
 //! * `lint` — run the project's static-analysis rules (`fpb-analyze`)
-//!   against the checked-in ratchet baseline.
+//!   and fail on any finding not suppressed in place.
 
 use std::fmt;
 
@@ -42,15 +41,6 @@ pub enum Command {
     },
     /// `fpb list`
     List,
-    /// `fpb record --program P --ops N --out FILE`
-    Record {
-        /// Suite-qualified program name (e.g. `C.mcf`).
-        program: String,
-        /// Number of operations to record.
-        ops: u64,
-        /// Output path.
-        out: String,
-    },
     /// `fpb lint [options]`
     Lint(LintArgs),
     /// `fpb inspect [verb] [options]` — the event-log time-travel
@@ -153,10 +143,8 @@ pub enum LintFormat {
     /// Human-readable diagnostics (the default).
     #[default]
     Text,
-    /// The machine-readable `fpb-lint/v1` JSON report.
+    /// The machine-readable `fpb-lint/v2` JSON report.
     Json,
-    /// SARIF v2.1.0 for code-scanning UIs.
-    Sarif,
 }
 
 /// Options for `fpb lint`.
@@ -164,16 +152,10 @@ pub enum LintFormat {
 pub struct LintArgs {
     /// Workspace root to scan.
     pub root: String,
-    /// Ratchet baseline path (relative paths resolve against `root`).
-    pub baseline: String,
     /// Report format printed to stdout (and written to `--out`).
     pub format: LintFormat,
     /// Also write the report to this file.
     pub out: Option<String>,
-    /// Additionally write a SARIF report to this file, whatever `format`.
-    pub sarif_out: Option<String>,
-    /// Rewrite the baseline to the current (never higher) counts.
-    pub update_baseline: bool,
     /// Print the rule catalog and exit.
     pub rules: bool,
 }
@@ -182,11 +164,8 @@ impl Default for LintArgs {
     fn default() -> Self {
         LintArgs {
             root: ".".into(),
-            baseline: "lint-baseline.toml".into(),
             format: LintFormat::Text,
             out: None,
-            sarif_out: None,
-            update_baseline: false,
             rules: false,
         }
     }
@@ -334,33 +313,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     match sub {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "list" => Ok(Command::List),
-        "record" => {
-            let mut program = None;
-            let mut ops = 100_000u64;
-            let mut out = None;
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<String, CliError> {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| CliError(format!("{name} needs a value")))
-                };
-                match flag.as_str() {
-                    "--program" => program = Some(value("--program")?),
-                    "--ops" => {
-                        ops = value("--ops")?
-                            .parse()
-                            .map_err(|_| CliError("--ops must be an integer".into()))?
-                    }
-                    "--out" => out = Some(value("--out")?),
-                    other => return Err(CliError(format!("unknown flag `{other}`"))),
-                }
-            }
-            Ok(Command::Record {
-                program: program.ok_or(CliError("record requires --program".into()))?,
-                ops,
-                out: out.ok_or(CliError("record requires --out".into()))?,
-            })
-        }
         "lint" => {
             let mut la = LintArgs::default();
             while let Some(flag) = it.next() {
@@ -371,22 +323,18 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 };
                 match flag.as_str() {
                     "--root" => la.root = value("--root")?,
-                    "--baseline" => la.baseline = value("--baseline")?,
                     "--format" => {
                         la.format = match value("--format")?.as_str() {
                             "text" => LintFormat::Text,
                             "json" => LintFormat::Json,
-                            "sarif" => LintFormat::Sarif,
                             other => {
                                 return Err(CliError(format!(
-                                    "--format must be `text`, `json`, or `sarif`, got `{other}`"
+                                    "--format must be `text` or `json`, got `{other}`"
                                 )))
                             }
                         }
                     }
                     "--out" => la.out = Some(value("--out")?),
-                    "--sarif-out" => la.sarif_out = Some(value("--sarif-out")?),
-                    "--update-baseline" => la.update_baseline = true,
                     "--rules" => la.rules = true,
                     other => return Err(CliError(format!("unknown flag `{other}`"))),
                 }
@@ -723,10 +671,7 @@ USAGE:
               [--journal <file> | --resume <file>] [--json-out <file>]
               [--deadline-ms <n>] [--cancel-after <n>] [options]
   fpb list
-  fpb record  --program <C.mcf|...> --ops <n> --out <file.fpbt>
-  fpb lint    [--format text|json|sarif] [--out <file>] [--sarif-out <file>]
-              [--update-baseline] [--rules] [--root <dir>]
-              [--baseline lint-baseline.toml]
+  fpb lint    [--format text|json] [--out <file>] [--rules] [--root <dir>]
   fpb inspect record  --log <file.fpbi> [run options]
   fpb inspect replay  --log <file.fpbi> [--metrics-out <file>] [--json]
               [--require-complete]
@@ -819,9 +764,8 @@ FAULT INJECTION (run/compare; all off by default):
 
 LINT: scans the workspace sources for panic-freedom, power-accounting,
   token-leak, and nondeterminism-taint violations (see `fpb lint --rules`)
-  and checks the counts against the ratchet baseline. Exits nonzero on any
-  regression. After burning down debt, `--update-baseline` tightens the
-  checked-in counts.
+  and exits nonzero on any finding not suppressed by an inline
+  `fpb-lint: allow` directive.
 ";
 
 #[cfg(test)]
@@ -890,7 +834,6 @@ mod tests {
         }
         assert!(parse(&v(&["run", "--instructions"])).is_err());
         assert!(parse(&v(&["run", "--line-bytes", "100"])).is_err(), "invalid config");
-        assert!(parse(&v(&["record", "--ops", "10"])).is_err(), "missing required");
     }
 
     #[test]
@@ -1151,28 +1094,6 @@ mod tests {
     }
 
     #[test]
-    fn record_parses() {
-        let cmd = parse(&v(&[
-            "record",
-            "--program",
-            "C.mcf",
-            "--ops",
-            "5000",
-            "--out",
-            "/tmp/t.fpbt",
-        ]))
-        .unwrap();
-        assert_eq!(
-            cmd,
-            Command::Record {
-                program: "C.mcf".into(),
-                ops: 5000,
-                out: "/tmp/t.fpbt".into()
-            }
-        );
-    }
-
-    #[test]
     fn every_scheme_name_builds() {
         let ra = RunArgs::default();
         for name in scheme_names() {
@@ -1333,10 +1254,9 @@ mod tests {
         assert_eq!(cmd, Command::Lint(LintArgs::default()));
         let Command::Lint(la) = cmd else { unreachable!() };
         assert_eq!(la.root, ".");
-        assert_eq!(la.baseline, "lint-baseline.toml");
         assert_eq!(la.format, LintFormat::Text);
-        assert!(!la.update_baseline && !la.rules);
-        assert!(la.out.is_none() && la.sarif_out.is_none());
+        assert!(!la.rules);
+        assert!(la.out.is_none());
     }
 
     #[test]
@@ -1349,40 +1269,35 @@ mod tests {
             "lint.json",
             "--root",
             "/repo",
-            "--baseline",
-            "debt.toml",
-            "--sarif-out",
-            "lint.sarif",
-            "--update-baseline",
+            "--rules",
         ]))
         .unwrap();
         let Command::Lint(la) = cmd else {
             panic!("expected lint")
         };
         assert_eq!(la.format, LintFormat::Json);
-        assert!(la.update_baseline);
+        assert!(la.rules);
         assert_eq!(la.out.as_deref(), Some("lint.json"));
-        assert_eq!(la.sarif_out.as_deref(), Some("lint.sarif"));
         assert_eq!(la.root, "/repo");
-        assert_eq!(la.baseline, "debt.toml");
-    }
-
-    #[test]
-    fn lint_format_sarif_parses() {
-        let cmd = parse(&v(&["lint", "--format", "sarif"])).unwrap();
-        let Command::Lint(la) = cmd else {
-            panic!("expected lint")
-        };
-        assert_eq!(la.format, LintFormat::Sarif);
     }
 
     #[test]
     fn lint_rejects_bad_flags() {
-        assert!(parse(&v(&["lint", "--format", "xml"])).is_err());
         assert!(parse(&v(&["lint", "--format"])).is_err());
-        assert!(parse(&v(&["lint", "--sarif-out"])).is_err());
-        assert!(parse(&v(&["lint", "--cache", "x"])).is_err());
-        assert!(parse(&v(&["lint", "--no-cache"])).is_err());
-        assert!(parse(&v(&["lint", "--workload", "x"])).is_err());
+        for (args, named) in [
+            (&["--format", "xml"][..], "xml"),
+            (&["--format", "sarif"], "sarif"),
+            (&["--sarif-out", "x"], "--sarif-out"),
+            (&["--baseline", "x"], "--baseline"),
+            (&["--update-baseline"], "--update-baseline"),
+            (&["--cache", "x"], "--cache"),
+            (&["--no-cache"], "--no-cache"),
+            (&["--workload", "x"], "--workload"),
+        ] {
+            let err = parse(&v(&[&["lint"][..], args].concat())).unwrap_err();
+            assert!(err.0.contains(named), "{args:?}: {err}");
+        }
+        let err = parse(&v(&["record", "--program", "C.mcf"])).unwrap_err();
+        assert!(err.0.contains("unknown subcommand `record`"), "{err}");
     }
 }

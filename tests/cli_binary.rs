@@ -448,27 +448,39 @@ fn result_reuse_is_byte_invisible_and_warm_cache_splices() {
 }
 
 #[test]
-fn record_writes_a_replayable_trace() {
-    let dir = std::env::temp_dir().join("fpb-cli-test");
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let path = dir.join("mcf.fpbt");
+fn lint_fails_on_an_unsuppressed_finding_and_passes_once_fixed() {
+    // A tree with no baseline file: the verdict comes from the findings.
+    let root = std::env::temp_dir().join("fpb-cli-test").join("lint-root");
+    std::fs::remove_dir_all(&root).ok();
+    let src_dir = root.join("crates/core/src");
+    std::fs::create_dir_all(&src_dir).expect("mkdir");
+    let src = src_dir.join("x.rs");
+    let report = tmp("lint-report.json");
+    let root_arg = root.to_str().expect("utf8 path");
+
+    std::fs::write(&src, "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n").expect("write");
+    let out = fpb().args(["lint", "--root", root_arg]).output().expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("crates/core/src/x.rs:1: panic_freedom"), "{text}");
+    assert!(text.ends_with("— FAILED\n"), "{text}");
+
     let out = fpb()
-        .args([
-            "record",
-            "--program",
-            "C.mcf",
-            "--ops",
-            "2000",
-            "--out",
-            path.to_str().expect("utf8 path"),
-        ])
+        .args(["lint", "--root", root_arg, "--format", "json", "--out"])
+        .arg(&report)
         .output()
         .expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    let json = std::fs::read_to_string(&report).expect("report written");
+    assert!(json.contains("\"schema\": \"fpb-lint/v2\""), "{json}");
+    assert!(json.contains("\"ok\": false"), "{json}");
+
+    std::fs::write(&src, "pub fn f(x: Option<u8>) -> u8 { x.unwrap_or(0) }\n").expect("write");
+    let out = fpb().args(["lint", "--root", root_arg]).output().expect("spawn");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let bytes = std::fs::read(&path).expect("file written");
-    let ops = fpb::trace::record::read_trace(&bytes[..]).expect("valid trace");
-    assert_eq!(ops.len(), 2000);
-    let mut replay = fpb::trace::record::ReplayStream::new(ops).expect("nonempty");
-    assert!(replay.next_op().gap_instructions >= 1);
-    std::fs::remove_file(&path).ok();
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("0 violation(s) — OK"), "{text}");
+
+    std::fs::remove_dir_all(&root).ok();
+    std::fs::remove_file(&report).ok();
 }
