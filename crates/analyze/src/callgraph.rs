@@ -172,10 +172,7 @@ mod tests {
                    impl Helper { fn go() {} }";
         let (_, t, g) = graph(src);
         let run = id(&t, "Sys::run");
-        let callees: Vec<String> = g.edges[run]
-            .iter()
-            .map(|&(c, _)| t.fns[c].qual())
-            .collect();
+        let callees: Vec<String> = g.edges[run].iter().map(|&(c, _)| t.fns[c].qual()).collect();
         assert!(callees.contains(&"Sys::step".to_string()));
         assert!(callees.contains(&"leaf".to_string()));
         assert!(callees.contains(&"Helper::go".to_string()));
@@ -202,7 +199,10 @@ mod tests {
         let c = id(&t, "S::c");
         let parent = g.shortest_paths(&[run]);
         let chain = g.chain(&t, &parent, c);
-        assert_eq!(chain, "S::run → S::a → S::c", "BFS must take the first-seeded shortest path");
+        assert_eq!(
+            chain, "S::run → S::a → S::c",
+            "BFS must take the first-seeded shortest path"
+        );
     }
 
     #[test]

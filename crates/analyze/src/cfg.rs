@@ -257,12 +257,7 @@ pub(crate) fn split_match_arms(
 /// split: the diverging else-block is pushed onto `out` as a
 /// non-exhaustive Branch *after* the binding's Plain part. Returns
 /// (the Plain statement, index past the statement).
-fn parse_plain(
-    toks: &[Token],
-    i: usize,
-    end: usize,
-    out: &mut Vec<Stmt>,
-) -> (Option<Stmt>, usize) {
+fn parse_plain(toks: &[Token], i: usize, end: usize, out: &mut Vec<Stmt>) -> (Option<Stmt>, usize) {
     let is_let = toks[i].is_ident("let");
     let mut nest = 0i32;
     let mut saw_control = false;
@@ -531,7 +526,10 @@ mod tests {
 
     #[test]
     fn straight_line_release_is_clean() {
-        assert_eq!(leaks_for("work(); ledger.release(&g);", "g"), Vec::<&str>::new());
+        assert_eq!(
+            leaks_for("work(); ledger.release(&g);", "g"),
+            Vec::<&str>::new()
+        );
     }
 
     #[test]
@@ -547,7 +545,10 @@ mod tests {
 
     #[test]
     fn returning_the_value_is_consumption() {
-        assert_eq!(leaks_for("if ok { return Some(g); } ledger.release(&g);", "g"), Vec::<&str>::new());
+        assert_eq!(
+            leaks_for("if ok { return Some(g); } ledger.release(&g);", "g"),
+            Vec::<&str>::new()
+        );
     }
 
     #[test]
@@ -585,7 +586,10 @@ mod tests {
 
     #[test]
     fn receiver_position_is_not_consumption() {
-        assert_eq!(leaks_for("let x = g.used_gcp();", "g"), vec!["end of scope"]);
+        assert_eq!(
+            leaks_for("let x = g.used_gcp();", "g"),
+            vec!["end of scope"]
+        );
     }
 
     #[test]

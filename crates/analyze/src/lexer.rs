@@ -323,7 +323,7 @@ impl<'a> Lexer<'a> {
                 self.bump();
             }
             self.bump(); // opening "
-            // Scan to `"` followed by `hashes` hash marks.
+                         // Scan to `"` followed by `hashes` hash marks.
             'outer: while let Some(c) = self.bump() {
                 if c == '"' {
                     let mut clone = self.chars.clone();
@@ -538,7 +538,10 @@ mod tests {
         let l = lex("let c = b'x'; d");
         assert_eq!(idents("let c = b'x'; d"), vec!["let", "c", "d"]);
         assert_eq!(
-            l.tokens.iter().filter(|t| t.kind == TokKind::Literal).count(),
+            l.tokens
+                .iter()
+                .filter(|t| t.kind == TokKind::Literal)
+                .count(),
             1
         );
         // Escaped byte char.
@@ -564,7 +567,10 @@ mod tests {
             .iter()
             .any(|t| t.kind == TokKind::Lifetime && t.text == "a"));
         assert_eq!(
-            l.tokens.iter().filter(|t| t.kind == TokKind::Literal).count(),
+            l.tokens
+                .iter()
+                .filter(|t| t.kind == TokKind::Literal)
+                .count(),
             1
         );
         // `'_` anonymous lifetime and `'_'` char literal.
@@ -574,7 +580,10 @@ mod tests {
             .iter()
             .any(|t| t.kind == TokKind::Lifetime && t.text == "_"));
         assert_eq!(
-            l.tokens.iter().filter(|t| t.kind == TokKind::Literal).count(),
+            l.tokens
+                .iter()
+                .filter(|t| t.kind == TokKind::Literal)
+                .count(),
             1
         );
         // Escaped quote char `'\''`.

@@ -138,8 +138,12 @@ fn parse_impl_head(toks: &[Token], mut i: usize) -> Option<(String, usize)> {
             }
             TokKind::Punct('<') => i = skip_angle_group(toks, i),
             TokKind::Punct('{') => break,
-            TokKind::Punct(':') | TokKind::Punct('&') | TokKind::Punct('(')
-            | TokKind::Punct(')') | TokKind::Punct('*') | TokKind::Punct(',')
+            TokKind::Punct(':')
+            | TokKind::Punct('&')
+            | TokKind::Punct('(')
+            | TokKind::Punct(')')
+            | TokKind::Punct('*')
+            | TokKind::Punct(',')
             | TokKind::Punct('\'') => i += 1,
             TokKind::Lifetime => i += 1,
             _ => break,

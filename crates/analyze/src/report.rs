@@ -26,14 +26,21 @@ pub fn render_text(violations: &[Violation], files_scanned: usize) -> String {
         s.push_str(&format!("rule {rule}: {count} violation(s)\n"));
         s.push_str(&format!("  rationale: {}\n", rule.rationale()));
         for v in of_rule(violations, rule) {
-            s.push_str(&format!("  {}:{}: {}: {}\n", v.file, v.line, v.rule, v.message));
+            s.push_str(&format!(
+                "  {}:{}: {}: {}\n",
+                v.file, v.line, v.rule, v.message
+            ));
         }
     }
     s.push_str(&format!(
         "fpb lint: {} file(s), {} violation(s) — {}\n",
         files_scanned,
         violations.len(),
-        if violations.is_empty() { "OK" } else { "FAILED" }
+        if violations.is_empty() {
+            "OK"
+        } else {
+            "FAILED"
+        }
     ));
     s
 }
@@ -64,7 +71,10 @@ pub fn render_json(violations: &[Violation], files_scanned: usize) -> String {
     for (i, rule) in Rule::ALL.into_iter().enumerate() {
         s.push_str("    {");
         s.push_str(&format!("\"rule\": {}, ", json_string(rule.name())));
-        s.push_str(&format!("\"count\": {}, ", of_rule(violations, rule).count()));
+        s.push_str(&format!(
+            "\"count\": {}, ",
+            of_rule(violations, rule).count()
+        ));
         s.push_str("\"violations\": [");
         for (j, v) in of_rule(violations, rule).enumerate() {
             if j > 0 {
@@ -139,7 +149,10 @@ mod tests {
         assert!(text.contains("crates/core/src/ledger.rs:1:"));
         assert!(text.contains("crates/core/src/ledger.rs:2:"));
         assert!(text.ends_with("2 violation(s) — FAILED\n"));
-        assert_eq!(render_text(&[], 10), "fpb lint: 10 file(s), 0 violation(s) — OK\n");
+        assert_eq!(
+            render_text(&[], 10),
+            "fpb lint: 10 file(s), 0 violation(s) — OK\n"
+        );
     }
 
     #[test]
@@ -152,7 +165,10 @@ mod tests {
         assert!(j.contains("\"count\": 2"));
         // Every rule appears, even clean ones.
         for rule in Rule::ALL {
-            assert!(j.contains(&format!("\"rule\": \"{}\"", rule.name())), "{rule}");
+            assert!(
+                j.contains(&format!("\"rule\": \"{}\"", rule.name())),
+                "{rule}"
+            );
         }
         // Crude balance check on braces/brackets (no parser available).
         assert_eq!(j.matches('{').count(), j.matches('}').count());

@@ -193,7 +193,11 @@ pub fn scan_source(file: &str, crate_key: &str, src: &str) -> Vec<Violation> {
 
 /// Token-stream form of [`scan_source`], for callers that already lexed
 /// the file (the semantic fact extractor shares one lex per file).
-pub(crate) fn scan_lexed(file: &str, crate_key: &str, lexed: &crate::lexer::Lexed) -> Vec<Violation> {
+pub(crate) fn scan_lexed(
+    file: &str,
+    crate_key: &str,
+    lexed: &crate::lexer::Lexed,
+) -> Vec<Violation> {
     let test_file = is_test_file(file);
     let scheme_module = is_scheme_module(file);
     let test_lines = test_region_lines(&lexed.tokens);
@@ -297,9 +301,11 @@ pub(crate) fn scan_lexed(file: &str, crate_key: &str, lexed: &crate::lexer::Lexe
                 let qualified = i >= 2
                     && toks[i - 1].is_punct(':')
                     && toks[i - 2].is_punct(':')
-                    && toks.get(i.wrapping_sub(3)).is_some_and(|t| t.is_ident("Ordering"));
-                let documented = (t.line.saturating_sub(3)..=t.line)
-                    .any(|l| order_lines.contains(&l));
+                    && toks
+                        .get(i.wrapping_sub(3))
+                        .is_some_and(|t| t.is_ident("Ordering"));
+                let documented =
+                    (t.line.saturating_sub(3)..=t.line).any(|l| order_lines.contains(&l));
                 if qualified && !documented {
                     emit(
                         Rule::AtomicOrdering,
@@ -357,15 +363,17 @@ pub(crate) fn is_test_file(file: &str) -> bool {
 /// or a compound assignment).
 fn is_eq_operator(toks: &[Token], i: usize) -> bool {
     let Some(t) = toks.get(i) else { return false };
-    let Some(n) = toks.get(i + 1) else { return false };
+    let Some(n) = toks.get(i + 1) else {
+        return false;
+    };
     match t.kind {
         TokKind::Punct('=') => {
             // `==`, not `<=`/`>=`/`+=`/... (previous punct would pair) and
             // not `===`-like runs (Rust has none).
             n.is_punct('=')
-                && !toks
-                    .get(i.wrapping_sub(1))
-                    .is_some_and(|p| matches!(p.kind, TokKind::Punct(c) if "<>=+-*/%&|^!".contains(c)))
+                && !toks.get(i.wrapping_sub(1)).is_some_and(
+                    |p| matches!(p.kind, TokKind::Punct(c) if "<>=+-*/%&|^!".contains(c)),
+                )
         }
         TokKind::Punct('!') => n.is_punct('='),
         _ => false,
@@ -522,8 +530,7 @@ impl Directives {
     }
 
     pub(crate) fn allows(&self, rule: Rule, line: u32) -> bool {
-        self.file_wide.contains(&rule)
-            || self.lines.get(&rule).is_some_and(|s| s.contains(&line))
+        self.file_wide.contains(&rule) || self.lines.get(&rule).is_some_and(|s| s.contains(&line))
     }
 }
 

@@ -351,9 +351,9 @@ fn acquisition_leak(toks: &[Token], item: &FnItem, i: usize) -> Option<String> {
     if (s..i).any(|k| {
         toks[k].is_punct('=')
             && !toks.get(k + 1).is_some_and(|n| n.is_punct('='))
-            && !toks.get(k.wrapping_sub(1)).is_some_and(|p| {
-                matches!(p.kind, TokKind::Punct(c) if "<>=!+-*/%&|^".contains(c))
-            })
+            && !toks
+                .get(k.wrapping_sub(1))
+                .is_some_and(|p| matches!(p.kind, TokKind::Punct(c) if "<>=!+-*/%&|^".contains(c)))
     }) {
         return None;
     }
@@ -537,9 +537,7 @@ pub fn link(facts: &[FileFacts]) -> Vec<Violation> {
     if !sinks.is_empty() {
         let parent = graph.shortest_paths(&sinks);
         for (id, sym) in table.fns.iter().enumerate() {
-            if parent[id].is_none()
-                || sym.is_test
-                || !Rule::NondetTaint.applies_to(&sym.crate_key)
+            if parent[id].is_none() || sym.is_test || !Rule::NondetTaint.applies_to(&sym.crate_key)
             {
                 continue;
             }
@@ -695,7 +693,9 @@ mod tests {
         assert_eq!(reach.len(), 1, "only the reachable site: {found:?}");
         assert_eq!(reach[0].line, 4);
         assert!(
-            reach[0].message.contains("System::run → System::tick → deep"),
+            reach[0]
+                .message
+                .contains("System::run → System::tick → deep"),
             "chain missing: {}",
             reach[0].message
         );
@@ -737,7 +737,10 @@ mod tests {
         // writes the event log's bytes, is a sink, whatever its type.
         let src = "pub fn frame(body: &str) -> String { salt() }\n\
                    fn salt() -> String { let t = Instant::now(); fmt(t) }";
-        for file in ["crates/sim/src/inspect/recorder.rs", "crates/sim/src/store.rs"] {
+        for file in [
+            "crates/sim/src/inspect/recorder.rs",
+            "crates/sim/src/store.rs",
+        ] {
             let found = scan_semantic(file, "sim", src);
             assert!(
                 found.iter().any(|v| v.rule == Rule::NondetTaint),
@@ -748,13 +751,18 @@ mod tests {
         let src = "pub fn push_frame(out: &mut String, body: &str) {\n\
                    let t = SystemTime::now(); out.push_str(body) }";
         let found = scan_semantic("crates/sim/src/store.rs", "sim", src);
-        let taint: Vec<&Violation> =
-            found.iter().filter(|v| v.rule == Rule::NondetTaint).collect();
+        let taint: Vec<&Violation> = found
+            .iter()
+            .filter(|v| v.rule == Rule::NondetTaint)
+            .collect();
         assert_eq!(taint.len(), 1, "{found:?}");
         assert_eq!(taint[0].line, 2);
         // Outside the sink files the same function feeds nothing.
         let found = scan_semantic("crates/sim/src/x.rs", "sim", src);
-        assert!(!found.iter().any(|v| v.rule == Rule::NondetTaint), "{found:?}");
+        assert!(
+            !found.iter().any(|v| v.rule == Rule::NondetTaint),
+            "{found:?}"
+        );
     }
 
     #[test]

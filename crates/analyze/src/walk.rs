@@ -104,7 +104,9 @@ mod tests {
             .expect("workspace root");
         let files = collect_sources(root).expect("walk workspace");
         assert!(!files.is_empty());
-        assert!(files.iter().any(|f| f.rel_path == "crates/core/src/ledger.rs"));
+        assert!(files
+            .iter()
+            .any(|f| f.rel_path == "crates/core/src/ledger.rs"));
         assert!(files.iter().all(|f| !f.rel_path.contains("target/")));
         assert!(files.iter().all(|f| !f.rel_path.contains("shims/")));
         assert!(files.iter().all(|f| !f.rel_path.contains("fixtures/")));

@@ -21,7 +21,9 @@ fn main() {
     let setups = vec![
         SchemeSetup::dimm_chip(&cfg),
         SchemeSetup::fpb(&cfg),
-        SchemeSetup::fpb(&cfg).with_gcp_regulation().expect("fpb has a GCP"),
+        SchemeSetup::fpb(&cfg)
+            .with_gcp_regulation()
+            .expect("fpb has a GCP"),
         SchemeSetup::fpb(&cfg).with_preset(),
         SchemeSetup::ideal(&cfg),
     ];

@@ -62,13 +62,19 @@ fn main() {
 
     print_table(
         "Ablation: mapping x scheme, speedup vs DIMM+chip(NE)",
-        &["chip+NE", "chip+VIM", "chip+BIM", "FPB+NE", "FPB+VIM", "FPB+BIM"],
+        &[
+            "chip+NE", "chip+VIM", "chip+BIM", "FPB+NE", "FPB+VIM", "FPB+BIM",
+        ],
         &rows,
     );
 
     println!("\nper-chip write-wear imbalance (max/mean cells, 1.0 = even), averaged:");
     for (mi, &m) in mappings.iter().enumerate() {
-        println!("  {:<5} {:.3}", m.label(), imbalance_sum[mi] / wls.len() as f64);
+        println!(
+            "  {:<5} {:.3}",
+            m.label(),
+            imbalance_sum[mi] / wls.len() as f64
+        );
     }
 
     let g = rows.last().expect("gmean");

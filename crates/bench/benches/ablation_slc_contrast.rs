@@ -22,7 +22,10 @@ fn main() {
     let mut mlc_loss = Vec::new();
     let mut slc_loss = Vec::new();
     println!("=== DIMM-only loss vs Ideal: iterative (MLC) vs single-pulse (SLC-like) writes ===");
-    println!("{:<10} {:>12} {:>12}", "workload", "MLC loss", "SLC-like loss");
+    println!(
+        "{:<10} {:>12} {:>12}",
+        "workload", "MLC loss", "SLC-like loss"
+    );
     for wl in &wls {
         let cores = warm_cores(wl, &cfg, &opts);
         let mlc_ideal = run_workload_warmed(wl, &cfg, &SchemeSetup::ideal(&cfg), &opts, &cores);

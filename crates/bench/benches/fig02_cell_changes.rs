@@ -45,13 +45,19 @@ fn main() {
 
     print_table(
         "Figure 2: average cell changes per line write",
-        &["256B-mlc", "256B-slc", "128B-mlc", "128B-slc", "64B-mlc", "64B-slc"],
+        &[
+            "256B-mlc", "256B-slc", "128B-mlc", "128B-slc", "64B-mlc", "64B-slc",
+        ],
         &rows,
     );
 
     // Shape checks from the paper's discussion of Fig. 2.
     for r in &rows {
-        assert!(r.values[0] < r.values[1], "{}: MLC must change fewer cells than SLC", r.label);
+        assert!(
+            r.values[0] < r.values[1],
+            "{}: MLC must change fewer cells than SLC",
+            r.label
+        );
         assert!(r.values[2] < r.values[3], "{}", r.label);
         assert!(r.values[4] < r.values[5], "{}", r.label);
         assert!(

@@ -62,7 +62,10 @@ fn main() {
         g.values[1], g.values[2]
     );
     assert!(g.values[1] < 0.95, "DIMM-only must lose performance");
-    assert!(g.values[2] < g.values[1] + 0.03, "chip budget must cost more");
+    assert!(
+        g.values[2] < g.values[1] + 0.03,
+        "chip budget must cost more"
+    );
     assert!(
         g.values[5] >= g.values[2],
         "2xlocal must recover chip-budget loss"

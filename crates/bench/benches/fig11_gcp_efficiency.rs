@@ -25,7 +25,13 @@ fn main() {
     let rows = speedup_rows(&wls, &matrix, 0);
     print_table(
         "Figure 11: speedup vs DIMM+chip for GCP efficiencies (naive mapping)",
-        &["DIMM+chip", "DIMM-only", "GCP-NE-0.95", "GCP-NE-0.7", "GCP-NE-0.5"],
+        &[
+            "DIMM+chip",
+            "DIMM-only",
+            "GCP-NE-0.95",
+            "GCP-NE-0.7",
+            "GCP-NE-0.5",
+        ],
         &rows,
     );
 

@@ -75,7 +75,10 @@ fn main() {
         "{:<26} {:>12} {:>10} {:>14}",
         "scheme", "raw tokens", "overhead", "gmean speedup"
     );
-    println!("{:<26} {:>12} {:>10} {:>14}", "Baseline (8 chips)", 560, "-", "-");
+    println!(
+        "{:<26} {:>12} {:>10} {:>14}",
+        "Baseline (8 chips)", 560, "-", "-"
+    );
     println!(
         "{:<26} {:>12} {:>9.1}% {:>14}",
         "2xLocal (8 chips)",

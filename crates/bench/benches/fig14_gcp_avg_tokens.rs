@@ -30,8 +30,13 @@ fn main() {
         let cores = warm_cores(wl, &cfg, &opts);
         let mut values = Vec::new();
         for (vi, &(mapping, eff)) in variants.iter().enumerate() {
-            let m =
-                run_workload_warmed(wl, &cfg, &SchemeSetup::gcp(&cfg, mapping, eff), &opts, &cores);
+            let m = run_workload_warmed(
+                wl,
+                &cfg,
+                &SchemeSetup::gcp(&cfg, mapping, eff),
+                &opts,
+                &cores,
+            );
             let avg = m.avg_gcp_tokens_per_write();
             avg_sum[vi] += avg;
             waste_sum[vi] += m.power.gcp_waste_total().as_f64();
@@ -48,7 +53,9 @@ fn main() {
         values: avg_sum.iter().map(|s| s / n).collect(),
     });
 
-    let cols = ["NE-0.7", "NE-0.5", "VIM-0.7", "VIM-0.5", "BIM-0.7", "BIM-0.5"];
+    let cols = [
+        "NE-0.7", "NE-0.5", "VIM-0.7", "VIM-0.5", "BIM-0.7", "BIM-0.5",
+    ];
     print_table(
         "Figure 14: average usable GCP tokens requested per line write",
         &cols,

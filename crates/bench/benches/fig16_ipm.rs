@@ -4,7 +4,9 @@
 //! Expected shape (§6.2.1): IPM adds a large step over GCP-BIM; IPM+MR
 //! adds a further margin; the result lands within ~12 % of Ideal.
 
-use fpb_bench::{all_workloads, bench_options, geometric_mean, print_table, run_matrix_setups, speedup_rows};
+use fpb_bench::{
+    all_workloads, bench_options, geometric_mean, print_table, run_matrix_setups, speedup_rows,
+};
 use fpb_sim::engine::{run_workload_warmed, warm_cores};
 use fpb_sim::SchemeSetup;
 use fpb_types::SystemConfig;
@@ -35,16 +37,22 @@ fn main() {
         let mut speedups = Vec::new();
         for wl in &wls {
             let cores = warm_cores(wl, &ecfg, &opts);
-            let base = run_workload_warmed(wl, &ecfg, &SchemeSetup::dimm_chip(&ecfg), &opts, &cores);
+            let base =
+                run_workload_warmed(wl, &ecfg, &SchemeSetup::dimm_chip(&ecfg), &opts, &cores);
             let m = run_workload_warmed(wl, &ecfg, &SchemeSetup::fpb(&ecfg), &opts, &cores);
             speedups.push(m.speedup_over(&base));
         }
-        println!("gm{eff:<8} IPM+MR at E_GCP={eff}: {:.3}", geometric_mean(&speedups));
+        println!(
+            "gm{eff:<8} IPM+MR at E_GCP={eff}: {:.3}",
+            geometric_mean(&speedups)
+        );
     }
 
     let g = rows.last().expect("gmean");
     let (gcp, ipm, mr, ideal) = (g.values[1], g.values[2], g.values[3], g.values[4]);
-    println!("\npaper: IPM +26.9 % over GCP-BIM; IPM+MR +75.6 % over DIMM+chip, within 12.2 % of Ideal");
+    println!(
+        "\npaper: IPM +26.9 % over GCP-BIM; IPM+MR +75.6 % over DIMM+chip, within 12.2 % of Ideal"
+    );
     println!(
         "measured: IPM +{:.1} % over GCP-BIM; IPM+MR +{:.1} % over DIMM+chip; {:.1} % below Ideal",
         (ipm / gcp - 1.0) * 100.0,

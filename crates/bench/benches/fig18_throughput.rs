@@ -4,7 +4,9 @@
 //! GCP+IPM+MR multiply write throughput severalfold (3.4× in the paper),
 //! still short of Ideal.
 
-use fpb_bench::{all_workloads, bench_options, geometric_mean, print_table, run_matrix_setups, Row};
+use fpb_bench::{
+    all_workloads, bench_options, geometric_mean, print_table, run_matrix_setups, Row,
+};
 use fpb_sim::SchemeSetup;
 use fpb_types::SystemConfig;
 
@@ -58,6 +60,9 @@ fn main() {
         gmeans[1], gmeans[2], gmeans[3], gmeans[4]
     );
     assert!(gmeans[3] > gmeans[1], "IPM+MR must beat GCP alone");
-    assert!(gmeans[3] > 1.3, "full FPB must substantially lift throughput");
+    assert!(
+        gmeans[3] > 1.3,
+        "full FPB must substantially lift throughput"
+    );
     assert!(gmeans[4] >= gmeans[3] - 0.05, "Ideal bounds everything");
 }

@@ -27,9 +27,7 @@ fn main() {
         }
     }
     let gmeans: Vec<f64> = (0..sizes.len())
-        .map(|c| {
-            fpb_bench::geometric_mean(&rows.iter().map(|r| r.values[c]).collect::<Vec<_>>())
-        })
+        .map(|c| fpb_bench::geometric_mean(&rows.iter().map(|r| r.values[c]).collect::<Vec<_>>()))
         .collect();
     rows.push(Row {
         label: "gmean".to_string(),

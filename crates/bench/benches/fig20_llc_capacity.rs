@@ -48,5 +48,8 @@ fn main() {
         (gmeans[2] - 1.0) * 100.0,
         (gmeans[3] - 1.0) * 100.0
     );
-    assert!(gmeans.iter().all(|&g| g > 0.95), "FPB must not hurt at any LLC size");
+    assert!(
+        gmeans.iter().all(|&g| g > 0.95),
+        "FPB must not hurt at any LLC size"
+    );
 }

@@ -51,5 +51,8 @@ fn main() {
         (gmeans[1] - 1.0) * 100.0,
         (gmeans[2] - 1.0) * 100.0
     );
-    assert!(gmeans.iter().all(|&g| g > 1.0), "FPB must win at every depth");
+    assert!(
+        gmeans.iter().all(|&g| g > 1.0),
+        "FPB must win at every depth"
+    );
 }

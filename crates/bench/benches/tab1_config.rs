@@ -10,7 +10,10 @@ fn main() {
     cfg.validate().expect("baseline config must validate");
 
     println!("=== Table 1: baseline configuration ===");
-    println!("CPU          {}-core, 4 GHz, single-issue, in-order", cfg.cores);
+    println!(
+        "CPU          {}-core, 4 GHz, single-issue, in-order",
+        cfg.cores
+    );
     println!(
         "L1 I/D       private, {} KB/core, {} B line, {}-cycle hit",
         cfg.cache.l1_kib, cfg.cache.l12_line_bytes, cfg.cache.l1_hit_cycles

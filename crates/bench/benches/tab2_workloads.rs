@@ -29,7 +29,9 @@ fn main() {
             wl.name, wl.table2_rpki, wl.table2_wpki, rpki, wpki
         );
         if wl.table2_rpki > 0.2 {
-            worst_ratio = worst_ratio.max(rpki / wl.table2_rpki).max(wl.table2_rpki / rpki);
+            worst_ratio = worst_ratio
+                .max(rpki / wl.table2_rpki)
+                .max(wl.table2_rpki / rpki);
         }
     }
     println!("\nworst read-rate calibration ratio (non-trivial workloads): {worst_ratio:.2}x");

@@ -13,7 +13,14 @@ use fpb_types::SystemConfig;
 fn main() {
     let cfg = SystemConfig::default();
     let opts = bench_options();
-    let specs = ["dimm-chip", "dimm-only", "gcp:bim:0.7", "gcp-ipm", "fpb", "ideal"];
+    let specs = [
+        "dimm-chip",
+        "dimm-only",
+        "gcp:bim:0.7",
+        "gcp-ipm",
+        "fpb",
+        "ideal",
+    ];
     let registry = SchemeRegistry::standard();
     let labels: Vec<String> = specs
         .iter()

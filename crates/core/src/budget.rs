@@ -130,16 +130,12 @@ mod tests {
 
     #[test]
     fn eq6_holds_for_any_borrow_split() {
-        for pattern in [
-            [Tokens::ZERO; 8],
-            [Tokens::from_cells(66); 8],
-            {
-                let mut p = [Tokens::ZERO; 8];
-                p[0] = Tokens::from_cells(30);
-                p[5] = Tokens::from_cells(12);
-                p
-            },
-        ] {
+        for pattern in [[Tokens::ZERO; 8], [Tokens::from_cells(66); 8], {
+            let mut p = [Tokens::ZERO; 8];
+            p[0] = Tokens::from_cells(30);
+            p[5] = Tokens::from_cells(12);
+            p
+        }] {
             let err = eq6_relative_error(560, 8, 0.95, 0.7, &pattern);
             assert!(err < 1e-4, "relative error {err} for {pattern:?}");
         }

@@ -70,9 +70,7 @@ pub struct BrownoutHold {
 impl BrownoutHold {
     /// Total millitokens withheld across all domains (for metrics).
     pub fn total_millis(&self) -> u64 {
-        self.dimm.millis()
-            + self.chips.iter().map(|t| t.millis()).sum::<u64>()
-            + self.gcp.millis()
+        self.dimm.millis() + self.chips.iter().map(|t| t.millis()).sum::<u64>() + self.gcp.millis()
     }
 }
 
@@ -282,7 +280,11 @@ impl Ledger {
             self.has_chip_budgets(),
             "try_grant_chips requires chip budgets"
         );
-        assert_eq!(per_chip.len(), self.chips_avail.len(), "chip count mismatch");
+        assert_eq!(
+            per_chip.len(),
+            self.chips_avail.len(),
+            "chip count mismatch"
+        );
 
         // Phase 1: plan LCP vs GCP per chip, into the reusable scratch
         // buffers — a refused grant must not allocate (the scheduler
@@ -417,7 +419,11 @@ impl Ledger {
             let cap = self.dimm_cap.saturating_sub(held);
             let back = avail + grant.dimm_raw;
             if back > cap {
-                violate(LedgerDomain::Dimm, grant.dimm_raw, cap.saturating_sub(avail));
+                violate(
+                    LedgerDomain::Dimm,
+                    grant.dimm_raw,
+                    cap.saturating_sub(avail),
+                );
             }
             self.dimm_avail = Some(back.min(cap));
         }
@@ -444,7 +450,11 @@ impl Ledger {
                 let cap = self.gcp_cap.saturating_sub(held);
                 let back = avail + grant.gcp_total;
                 if back > cap {
-                    violate(LedgerDomain::Gcp, grant.gcp_total, cap.saturating_sub(avail));
+                    violate(
+                        LedgerDomain::Gcp,
+                        grant.gcp_total,
+                        cap.saturating_sub(avail),
+                    );
                 }
                 self.gcp_avail = Some(back.min(cap));
             }
@@ -781,7 +791,10 @@ mod tests {
             gu.gcp_raw
         );
         // Chip 0 at 0.7: raw = 10 / 0.7 = 14.286.
-        assert_eq!(gr.gcp_raw, Tokens::from_millis((10_000f64 / 0.7).ceil() as u64));
+        assert_eq!(
+            gr.gcp_raw,
+            Tokens::from_millis((10_000f64 / 0.7).ceil() as u64)
+        );
     }
 
     #[test]

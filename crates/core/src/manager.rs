@@ -570,10 +570,16 @@ mod tests {
         let mut a = write_of(50, MlcLevel::L01, 1);
         let mut b = write_of(40, MlcLevel::L01, 2);
         assert!(pm.try_admit(WriteId::new(1), &mut a));
-        assert!(!pm.try_admit(WriteId::new(2), &mut b), "RESETs cannot overlap");
+        assert!(
+            !pm.try_admit(WriteId::new(2), &mut b),
+            "RESETs cannot overlap"
+        );
         a.advance(); // A's RESET done
         assert!(pm.try_advance(WriteId::new(1), &a)); // A now holds 25
-        assert!(pm.try_admit(WriteId::new(2), &mut b), "B fits alongside A's SETs");
+        assert!(
+            pm.try_admit(WriteId::new(2), &mut b),
+            "B fits alongside A's SETs"
+        );
     }
 
     #[test]
@@ -771,7 +777,10 @@ mod tests {
                 "chip {i}"
             );
         }
-        assert_eq!(pm.ledger().gcp_available(), Some(Tokens::from_millis(66_500)));
+        assert_eq!(
+            pm.ledger().gcp_available(),
+            Some(Tokens::from_millis(66_500))
+        );
     }
 
     #[test]

@@ -163,7 +163,10 @@ mod tests {
         s.note_gcp_grant(Tokens::from_cells(10), Tokens::from_cells(15));
         s.note_gcp_release(Tokens::from_cells(3));
         assert_eq!(PowerStats::from_raw(s.to_raw()), s);
-        assert_eq!(PowerStats::from_raw(PowerStats::default().to_raw()), PowerStats::default());
+        assert_eq!(
+            PowerStats::from_raw(PowerStats::default().to_raw()),
+            PowerStats::default()
+        );
     }
 
     #[test]

@@ -34,12 +34,7 @@ pub enum MlcLevel {
 
 impl MlcLevel {
     /// All four levels, in bit order.
-    pub const ALL: [MlcLevel; 4] = [
-        MlcLevel::L00,
-        MlcLevel::L01,
-        MlcLevel::L10,
-        MlcLevel::L11,
-    ];
+    pub const ALL: [MlcLevel; 4] = [MlcLevel::L00, MlcLevel::L01, MlcLevel::L10, MlcLevel::L11];
 
     /// Level encoding a 2-bit value (only the low 2 bits are used).
     pub const fn from_bits(bits: u8) -> MlcLevel {

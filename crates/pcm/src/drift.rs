@@ -133,10 +133,7 @@ mod tests {
         let m = DriftModel::default();
         let pause_secs = 2.0 * 125e-9; // two extra RESET pulses
         let growth = m.growth_factor(pause_secs);
-        assert!(
-            growth < 1.01,
-            "pause growth {growth} must be negligible"
-        );
+        assert!(growth < 1.01, "pause growth {growth} must be negligible");
         // The misread horizon is hours, not nanoseconds.
         assert!(m.time_to_misread(MlcLevel::L01) > 3600.0);
     }

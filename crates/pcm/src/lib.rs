@@ -41,10 +41,10 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod cell;
+pub mod charge_pump;
 pub mod drift;
 pub mod endurance;
 pub mod faults;
-pub mod charge_pump;
 pub mod geometry;
 pub mod line_write;
 pub mod mapping;
@@ -55,10 +55,10 @@ pub mod write_model;
 mod proptests;
 
 pub use cell::MlcLevel;
+pub use charge_pump::ChargePump;
 pub use drift::DriftModel;
 pub use endurance::EnduranceTracker;
 pub use faults::FaultInjector;
-pub use charge_pump::ChargePump;
 pub use geometry::DimmGeometry;
 pub use line_write::{ChangeSet, IterKind, IterationDemand, LineWrite, WriteBufferPool};
 pub use mapping::CellMapping;

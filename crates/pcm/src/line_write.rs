@@ -455,7 +455,7 @@ impl LineWrite {
             return self.total_changed;
         }
         let j = (iters - self.reset_groups as u32) as usize; // SET pulses done
-        // Cells remaining = those active in SET iteration j+1.
+                                                             // Cells remaining = those active in SET iteration j+1.
         self.set_totals.get(j).copied().unwrap_or(0)
     }
 
@@ -723,7 +723,14 @@ mod tests {
     fn empty_write_is_instantly_empty() {
         let (geom, s) = fixture();
         let mut rng = SimRng::seed_from(1);
-        let w = LineWrite::new(&ChangeSet::empty(), &geom, CellMapping::Bim, &s, &mut rng, 1);
+        let w = LineWrite::new(
+            &ChangeSet::empty(),
+            &geom,
+            CellMapping::Bim,
+            &s,
+            &mut rng,
+            1,
+        );
         assert_eq!(w.total_changed(), 0);
         // A zero-change write still has its RESET slot but pulses nothing.
         assert_eq!(w.total_iterations(), 1);
@@ -734,7 +741,14 @@ mod tests {
     fn all_l00_completes_after_reset() {
         let (geom, s) = fixture();
         let mut rng = SimRng::seed_from(2);
-        let mut w = LineWrite::new(&changes(50, MlcLevel::L00), &geom, CellMapping::Vim, &s, &mut rng, 1);
+        let mut w = LineWrite::new(
+            &changes(50, MlcLevel::L00),
+            &geom,
+            CellMapping::Vim,
+            &s,
+            &mut rng,
+            1,
+        );
         assert_eq!(w.total_iterations(), 1);
         let d = w.next_demand().unwrap();
         assert_eq!(d.kind, IterKind::Reset { group: 0, of: 1 });
@@ -748,7 +762,14 @@ mod tests {
     fn l11_needs_exactly_one_set() {
         let (geom, s) = fixture();
         let mut rng = SimRng::seed_from(3);
-        let mut w = LineWrite::new(&changes(10, MlcLevel::L11), &geom, CellMapping::Vim, &s, &mut rng, 1);
+        let mut w = LineWrite::new(
+            &changes(10, MlcLevel::L11),
+            &geom,
+            CellMapping::Vim,
+            &s,
+            &mut rng,
+            1,
+        );
         assert_eq!(w.total_iterations(), 2);
         w.advance(); // RESET
         let d = w.next_demand().unwrap();
@@ -885,8 +906,8 @@ mod tests {
         let mut rng = SimRng::seed_from(10);
         // 4 slow cells, under the ECC limit from the start.
         let cs = changes(4, MlcLevel::L01);
-        let mut w = LineWrite::new(&cs, &geom, CellMapping::Vim, &s, &mut rng, 3)
-            .with_truncation(8);
+        let mut w =
+            LineWrite::new(&cs, &geom, CellMapping::Vim, &s, &mut rng, 3).with_truncation(8);
         // Must still fire all 3 RESET groups before truncating.
         for _ in 0..3 {
             assert!(!w.is_complete());

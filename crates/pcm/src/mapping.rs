@@ -145,7 +145,11 @@ pub struct ParseMappingError(String);
 
 impl fmt::Display for ParseMappingError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unknown cell mapping `{}` (expected NE, VIM or BIM)", self.0)
+        write!(
+            f,
+            "unknown cell mapping `{}` (expected NE, VIM or BIM)",
+            self.0
+        )
     }
 }
 
@@ -171,10 +175,7 @@ mod tests {
     #[test]
     fn naive_blocks_of_32() {
         for cell in 0..CELLS_PER_CHUNK {
-            assert_eq!(
-                CellMapping::Naive.chip_of(cell, 8).get() as u32,
-                cell / 32
-            );
+            assert_eq!(CellMapping::Naive.chip_of(cell, 8).get() as u32, cell / 32);
         }
     }
 
@@ -220,10 +221,7 @@ mod tests {
     fn every_mapping_is_balanced_over_a_full_chunk() {
         for m in CellMapping::ALL {
             let counts = m.distribute(0..CELLS_PER_CHUNK, 8);
-            assert!(
-                counts.iter().all(|&c| c == 32),
-                "{m}: counts = {counts:?}"
-            );
+            assert!(counts.iter().all(|&c| c == 32), "{m}: counts = {counts:?}");
         }
     }
 

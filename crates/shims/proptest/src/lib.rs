@@ -353,13 +353,19 @@ pub mod collection {
     impl From<Range<usize>> for SizeRange {
         fn from(r: Range<usize>) -> Self {
             assert!(r.start < r.end, "empty collection size range");
-            SizeRange { lo: r.start, hi: r.end - 1 }
+            SizeRange {
+                lo: r.start,
+                hi: r.end - 1,
+            }
         }
     }
 
     impl From<RangeInclusive<usize>> for SizeRange {
         fn from(r: RangeInclusive<usize>) -> Self {
-            SizeRange { lo: *r.start(), hi: *r.end() }
+            SizeRange {
+                lo: *r.start(),
+                hi: *r.end(),
+            }
         }
     }
 
@@ -382,7 +388,10 @@ pub mod collection {
 
     /// `n` independent draws of `element`, `n` sampled from `size`.
     pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { element, size: size.into() }
+        VecStrategy {
+            element,
+            size: size.into(),
+        }
     }
 
     impl<S: Strategy> Strategy for VecStrategy<S> {
@@ -406,7 +415,10 @@ pub mod collection {
         S: Strategy,
         S::Value: Ord,
     {
-        BTreeSetStrategy { element, size: size.into() }
+        BTreeSetStrategy {
+            element,
+            size: size.into(),
+        }
     }
 
     impl<S> Strategy for BTreeSetStrategy<S>

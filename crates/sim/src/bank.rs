@@ -129,7 +129,9 @@ mod tests {
 
     fn dummy_task() -> crate::request::WriteTask {
         use fpb_core::WriteId;
-        use fpb_pcm::{CellMapping, ChangeSet, DimmGeometry, IterationSampler, LineWrite, MlcLevel};
+        use fpb_pcm::{
+            CellMapping, ChangeSet, DimmGeometry, IterationSampler, LineWrite, MlcLevel,
+        };
         use fpb_types::{LineAddr, MlcWriteModel, SimRng};
         let geom = DimmGeometry::new(8, 1024);
         let sampler = IterationSampler::new(MlcWriteModel::default());
@@ -140,7 +142,14 @@ mod tests {
             line: LineAddr::new(0),
             bank: fpb_types::BankId::new(0),
             arrival: Cycles::ZERO,
-            rounds: vec![LineWrite::new(&cs, &geom, CellMapping::Bim, &sampler, &mut rng, 1)],
+            rounds: vec![LineWrite::new(
+                &cs,
+                &geom,
+                CellMapping::Bim,
+                &sampler,
+                &mut rng,
+                1,
+            )],
             current_round: 0,
             pre_read_done: false,
             round_started_at: Cycles::ZERO,
@@ -195,5 +204,4 @@ mod tests {
             assert!(!s.accepts_read());
         }
     }
-
 }

@@ -244,12 +244,7 @@ impl<S: Scheme, E: EventSink> System<S, E> {
         }
     }
 
-    pub(super) fn make_task(
-        &mut self,
-        line: LineAddr,
-        core: usize,
-        arrival: Cycles,
-    ) -> WriteTask {
+    pub(super) fn make_task(&mut self, line: LineAddr, core: usize, arrival: Cycles) -> WriteTask {
         // The scheme decides how cells map to chips and whether the write
         // may be truncated; both are fixed per scheme, so hoist them out
         // of the per-round loop.
@@ -264,13 +259,10 @@ impl<S: Scheme, E: EventSink> System<S, E> {
         }
         let chips = self.cfg.pcm.chips;
         let mut rounds = self.pool.take_rounds();
-        match self.splitter.split_in(
-            &changes,
-            self.cap_total,
-            self.cap_chip,
-            mapping,
-            chips,
-        ) {
+        match self
+            .splitter
+            .split_in(&changes, self.cap_total, self.cap_chip, mapping, chips)
+        {
             None => rounds.push(Self::build_round(
                 &mut self.pool,
                 changes.cells(),
@@ -329,7 +321,10 @@ impl<S: Scheme, E: EventSink> System<S, E> {
     }
 
     pub(super) fn forward_from_write_queue(&self, line: LineAddr) -> bool {
-        self.wrq.iter().chain(self.overflow.iter()).any(|t| t.line == line)
+        self.wrq
+            .iter()
+            .chain(self.overflow.iter())
+            .any(|t| t.line == line)
     }
 
     // ---- read-arrival hook ----

@@ -46,9 +46,7 @@ impl<S: Scheme, E: EventSink> System<S, E> {
     fn worst_case_write_cycles(&self, task: &WriteTask) -> Cycles {
         let resets = task.round().reset_groups() as u64;
         let sets = self.sampler.worst_case_iterations().saturating_sub(1) as u64;
-        Cycles::new(
-            resets * self.cfg.pcm.reset_cycles + sets * self.cfg.pcm.set_cycles,
-        )
+        Cycles::new(resets * self.cfg.pcm.reset_cycles + sets * self.cfg.pcm.set_cycles)
     }
 
     pub(super) fn finish_round_now(&mut self, bank: usize, mut task: WriteTask, from: WriteStage) {
@@ -84,7 +82,10 @@ impl<S: Scheme, E: EventSink> System<S, E> {
             // nonzero delta is the recorded mark.
             let lines = inj.stuck_marked() - before;
             if lines > 0 {
-                self.emit(LifecycleEvent::StuckMarked { lines, at: self.now.get() });
+                self.emit(LifecycleEvent::StuckMarked {
+                    lines,
+                    at: self.now.get(),
+                });
             }
         }
         // The round closed: its recovery bookkeeping starts fresh.

@@ -173,11 +173,7 @@ impl<S: Scheme, E: EventSink> System<S, E> {
     /// Reference stepper: scan every bank and core for the earliest
     /// pending event.
     pub(super) fn next_event_time(&self) -> Option<Cycles> {
-        let bank_next = self
-            .banks
-            .iter()
-            .filter_map(|b| b.state.next_event())
-            .min();
+        let bank_next = self.banks.iter().filter_map(|b| b.state.next_event()).min();
         let core_next = self
             .cores
             .iter()

@@ -239,10 +239,7 @@ impl<S: Scheme, E: EventSink> System<S, E> {
     /// scheme's admission hook decides whether the bridge chip's
     /// comparison read runs first (IPM) or programming starts at once.
     pub(super) fn issue_write(&mut self, bank: usize, mut task: WriteTask) {
-        let start = self
-            .now
-            .max(self.bus_free_at)
-            + Cycles::new(self.cfg.queues.mc_to_bank_cycles);
+        let start = self.now.max(self.bus_free_at) + Cycles::new(self.cfg.queues.mc_to_bank_cycles);
         self.bus_free_at =
             self.now.max(self.bus_free_at) + Cycles::new(self.cfg.queues.bus_cycles_per_line);
         let admit = self.setup.on_admit(AdmitCtx {

@@ -44,9 +44,11 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use fpb_core::PowerManager;
-use fpb_pcm::{DimmGeometry, FaultInjector, IntraLineWearLeveler, IterationSampler, WriteBufferPool};
+use fpb_pcm::{
+    DimmGeometry, FaultInjector, IntraLineWearLeveler, IterationSampler, WriteBufferPool,
+};
 use fpb_trace::Workload;
-use fpb_types::{Cycles, CoreId, LineAddr, SimError, SimRng, SystemConfig};
+use fpb_types::{CoreId, Cycles, LineAddr, SimError, SimRng, SystemConfig};
 
 use crate::bank::BankState;
 use crate::frontend::CoreState;
@@ -329,12 +331,7 @@ impl<S: Scheme + Clone> System<S> {
     ///
     /// Panics if `cfg` fails validation or the workload does not provide a
     /// profile for every core.
-    pub fn new(
-        workload: &Workload,
-        cfg: &SystemConfig,
-        setup: &S,
-        opts: &SimOptions,
-    ) -> Self {
+    pub fn new(workload: &Workload, cfg: &SystemConfig, setup: &S, opts: &SimOptions) -> Self {
         let cores = warm_cores(workload, cfg, opts);
         Self::with_cores(workload, cfg, setup, opts, cores)
     }
@@ -595,9 +592,18 @@ impl<S: Scheme, E: EventSink> System<S, E> {
     pub fn finish_with_sink(mut self) -> (Metrics, E) {
         for ci in 0..self.cores.len() {
             let at = self.cores[ci].done_at.get();
-            self.emit(LifecycleEvent::CoreDone { core: ci as u64, at });
+            self.emit(LifecycleEvent::CoreDone {
+                core: ci as u64,
+                at,
+            });
         }
-        let at = self.cores.iter().map(|c| c.done_at).max().unwrap_or(self.now).get();
+        let at = self
+            .cores
+            .iter()
+            .map(|c| c.done_at)
+            .max()
+            .unwrap_or(self.now)
+            .get();
         self.emit(LifecycleEvent::RunEnd { at });
         (self.metrics, self.sink)
     }

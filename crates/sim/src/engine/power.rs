@@ -43,7 +43,8 @@ impl<S: Scheme, E: EventSink> System<S, E> {
         };
         let active = inj.brownout_active(self.now);
         if active && !self.power.in_brownout() {
-            self.power.begin_brownout(self.cfg.faults.brownout_budget_scale);
+            self.power
+                .begin_brownout(self.cfg.faults.brownout_budget_scale);
             self.brownout_since = Some(self.now);
             self.emit(LifecycleEvent::BrownoutStart { at: self.now.get() });
             // begin_brownout audits the ledger, so the stats snapshot

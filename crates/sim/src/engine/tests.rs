@@ -62,10 +62,7 @@ fn power_limits_cost_performance() {
         chip.cycles
     );
     // And the restriction must actually hurt on a write-heavy load.
-    assert!(
-        chip.cycles > ideal.cycles,
-        "chip budget should cost cycles"
-    );
+    assert!(chip.cycles > ideal.cycles, "chip budget should cost cycles");
 }
 
 #[test]
@@ -81,10 +78,7 @@ fn fpb_recovers_performance() {
         fpb.cycles,
         chip.cycles
     );
-    assert!(
-        fpb.cycles >= ideal.cycles,
-        "FPB cannot beat Ideal"
-    );
+    assert!(fpb.cycles >= ideal.cycles, "FPB cannot beat Ideal");
 }
 
 #[test]
@@ -190,7 +184,12 @@ fn preset_writes_are_single_iteration() {
     let cfg = cfg();
     let wl = catalog::workload("lbm_m").unwrap();
     let plain = run_workload(&wl, &cfg, &SchemeSetup::fpb(&cfg), &small_opts());
-    let preset = run_workload(&wl, &cfg, &SchemeSetup::fpb(&cfg).with_preset(), &small_opts());
+    let preset = run_workload(
+        &wl,
+        &cfg,
+        &SchemeSetup::fpb(&cfg).with_preset(),
+        &small_opts(),
+    );
     // Single-RESET writes slash write-active time per write.
     let plain_cost = plain.write_active_cycles as f64 / plain.pcm_writes.max(1) as f64;
     let preset_cost = preset.write_active_cycles as f64 / preset.pcm_writes.max(1) as f64;
@@ -221,8 +220,8 @@ fn gcp_regulation_reduces_waste() {
     if plain.power.gcp_grants() > 0 && reg.power.gcp_grants() > 0 {
         let plain_rate = plain.power.gcp_waste_total().as_f64()
             / plain.power.gcp_usable_total().as_f64().max(1e-9);
-        let reg_rate = reg.power.gcp_waste_total().as_f64()
-            / reg.power.gcp_usable_total().as_f64().max(1e-9);
+        let reg_rate =
+            reg.power.gcp_waste_total().as_f64() / reg.power.gcp_usable_total().as_f64().max(1e-9);
         assert!(
             reg_rate <= plain_rate + 1e-9,
             "regulation must not waste more: {reg_rate} vs {plain_rate}"
@@ -292,7 +291,10 @@ fn scrubbing_generates_background_reads() {
     let plain = run_workload(&wl, &cfg, &SchemeSetup::fpb(&cfg), &small_opts());
     assert_eq!(plain.scrub_reads, 0);
     let ratio = m.pcm_reads as f64 / plain.pcm_reads as f64;
-    assert!((0.9..1.1).contains(&ratio), "demand reads unchanged: {ratio}");
+    assert!(
+        (0.9..1.1).contains(&ratio),
+        "demand reads unchanged: {ratio}"
+    );
 }
 
 #[test]

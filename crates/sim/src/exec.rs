@@ -85,7 +85,10 @@ where
     // nothing outside it can observe a broken invariant.
     let run = |i: usize| -> Result<R, String> {
         catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))).map_err(|payload| {
-            format!("worker panicked at slot {i}: {}", panic_message(payload.as_ref()))
+            format!(
+                "worker panicked at slot {i}: {}",
+                panic_message(payload.as_ref())
+            )
         })
     };
     let workers = effective_workers(jobs, n);
@@ -190,7 +193,10 @@ mod tests {
         assert!(effective_workers(64, 1000) <= default_jobs());
         assert!(effective_workers(64, 1000) >= 1);
         // Never more workers than items, however many cores exist.
-        assert_eq!(effective_workers(usize::MAX, 2).min(2), effective_workers(usize::MAX, 2));
+        assert_eq!(
+            effective_workers(usize::MAX, 2).min(2),
+            effective_workers(usize::MAX, 2)
+        );
     }
 
     #[test]

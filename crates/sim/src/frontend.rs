@@ -139,8 +139,7 @@ impl CoreState {
         };
         let mut gen = CoreTraceGenerator::for_core(profile, core, rng);
         let first = gen.next_op();
-        let llc_lines =
-            cache.l3_mib_per_core as u64 * 1024 * 1024 / cache.l3_line_bytes as u64;
+        let llc_lines = cache.l3_mib_per_core as u64 * 1024 * 1024 / cache.l3_line_bytes as u64;
         Ok(CoreState {
             front,
             line_bytes: cache.l3_line_bytes as u64,
@@ -174,7 +173,11 @@ impl CoreState {
                 let r = llc.access(addr, is_write);
                 let mut out = LlcOutcome {
                     hit: r.hit,
-                    level: if r.hit { HitLevel::L3 } else { HitLevel::Memory },
+                    level: if r.hit {
+                        HitLevel::L3
+                    } else {
+                        HitLevel::Memory
+                    },
                     fill: None,
                     writebacks: Vec::new(),
                 };

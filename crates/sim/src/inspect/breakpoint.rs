@@ -41,7 +41,11 @@ pub struct BreakHit {
 
 impl fmt::Display for BreakHit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "break at event {}: {} [{}]", self.index, self.event, self.reason)
+        write!(
+            f,
+            "break at event {}: {} [{}]",
+            self.index, self.event, self.reason
+        )
     }
 }
 
@@ -110,9 +114,7 @@ impl Breakpoint {
         } else if e == "truncated" {
             Kind::Truncated
         } else if let Some(rest) = e.strip_prefix("stage:") {
-            Kind::StageEnter(
-                parse_stage(rest).ok_or_else(|| format!("unknown stage {rest:?}"))?,
-            )
+            Kind::StageEnter(parse_stage(rest).ok_or_else(|| format!("unknown stage {rest:?}"))?)
         } else if let Some(rest) = e.strip_prefix("write:") {
             Kind::Write(
                 rest.parse()
@@ -130,7 +132,10 @@ impl Breakpoint {
                  token-stalled><cycles>"
             ));
         };
-        Ok(Breakpoint { kind, stalled_since: BTreeMap::new() })
+        Ok(Breakpoint {
+            kind,
+            stalled_since: BTreeMap::new(),
+        })
     }
 
     /// Checks one event (in stream order); returns the hit if the
@@ -138,9 +143,9 @@ impl Breakpoint {
     pub fn check(&mut self, index: usize, ev: &LifecycleEvent) -> Option<BreakHit> {
         let reason = match &self.kind {
             Kind::Degraded => match ev {
-                LifecycleEvent::WriteCreated { degraded: true, id, .. } => {
-                    Some(format!("write #{id} created in degraded (SLC) mode"))
-                }
+                LifecycleEvent::WriteCreated {
+                    degraded: true, id, ..
+                } => Some(format!("write #{id} created in degraded (SLC) mode")),
                 _ => None,
             },
             Kind::Brownout => matches!(ev, LifecycleEvent::BrownoutStart { .. })
@@ -153,9 +158,11 @@ impl Breakpoint {
             },
             Kind::Cancelled => match ev {
                 // The only transition back to Queued is cancellation.
-                LifecycleEvent::Stage { to: WriteStage::Queued, id, .. } => {
-                    Some(format!("write #{id} cancelled"))
-                }
+                LifecycleEvent::Stage {
+                    to: WriteStage::Queued,
+                    id,
+                    ..
+                } => Some(format!("write #{id} cancelled")),
                 _ => None,
             },
             Kind::Watchdog => match ev {
@@ -165,9 +172,11 @@ impl Breakpoint {
                 _ => None,
             },
             Kind::Truncated => match ev {
-                LifecycleEvent::RoundClosed { truncated: true, id, .. } => {
-                    Some(format!("write #{id} round truncated"))
-                }
+                LifecycleEvent::RoundClosed {
+                    truncated: true,
+                    id,
+                    ..
+                } => Some(format!("write #{id} round truncated")),
                 _ => None,
             },
             Kind::StageEnter(stage) => match ev {
@@ -180,11 +189,21 @@ impl Breakpoint {
                 (ev.write_id() == Some(*want)).then(|| format!("event concerns write #{want}"))
             }
             Kind::TokenStalledOver(bound) => match ev {
-                LifecycleEvent::Stage { to: WriteStage::TokenStalled, id, at, .. } => {
+                LifecycleEvent::Stage {
+                    to: WriteStage::TokenStalled,
+                    id,
+                    at,
+                    ..
+                } => {
                     self.stalled_since.insert(*id, *at);
                     None
                 }
-                LifecycleEvent::Stage { from: WriteStage::TokenStalled, id, at, .. } => {
+                LifecycleEvent::Stage {
+                    from: WriteStage::TokenStalled,
+                    id,
+                    at,
+                    ..
+                } => {
                     let since = self.stalled_since.remove(id)?;
                     let stalled = at.saturating_sub(since);
                     (stalled > *bound)
@@ -193,7 +212,11 @@ impl Breakpoint {
                 _ => None,
             },
         }?;
-        Some(BreakHit { index, event: ev.clone(), reason })
+        Some(BreakHit {
+            index,
+            event: ev.clone(),
+            reason,
+        })
     }
 }
 
@@ -268,7 +291,10 @@ mod tests {
             to: WriteStage::Iterating,
         };
         assert!(bp.check(0, &enter(1, 0)).is_none());
-        assert!(bp.check(1, &leave(1, 50)).is_none(), "50 cycles is under the bound");
+        assert!(
+            bp.check(1, &leave(1, 50)).is_none(),
+            "50 cycles is under the bound"
+        );
         assert!(bp.check(2, &enter(2, 100)).is_none());
         let hit = bp.check(3, &leave(2, 300)).unwrap();
         assert!(hit.reason.contains("200 cycles"), "{}", hit.reason);
@@ -277,8 +303,16 @@ mod tests {
     #[test]
     fn write_filter_matches_any_event_of_that_write() {
         let mut bp = Breakpoint::parse("write:7").unwrap();
-        let other = LifecycleEvent::WatchdogTripped { id: 3, bank: 1, at: 10 };
-        let mine = LifecycleEvent::WatchdogTripped { id: 7, bank: 1, at: 11 };
+        let other = LifecycleEvent::WatchdogTripped {
+            id: 3,
+            bank: 1,
+            at: 10,
+        };
+        let mine = LifecycleEvent::WatchdogTripped {
+            id: 7,
+            bank: 1,
+            at: 11,
+        };
         assert!(bp.check(0, &other).is_none());
         assert!(bp.check(1, &mine).is_some());
     }

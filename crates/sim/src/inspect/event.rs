@@ -467,7 +467,11 @@ impl LifecycleEvent {
                 at,
                 from,
                 to,
-            } => format!("st {id} {bank} {at} {} {}", stage_code(*from), stage_code(*to)),
+            } => format!(
+                "st {id} {bank} {at} {} {}",
+                stage_code(*from),
+                stage_code(*to)
+            ),
             LifecycleEvent::SchemeDecision {
                 hook,
                 action,
@@ -716,11 +720,23 @@ impl fmt::Display for LifecycleEvent {
     /// Human-readable one-liner (the lineage/breakpoint rendering).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LifecycleEvent::RunStart { cores, banks, chips, seed, .. } => write!(
+            LifecycleEvent::RunStart {
+                cores,
+                banks,
+                chips,
+                seed,
+                ..
+            } => write!(
                 f,
                 "run-start: {cores} cores, {banks} banks, {chips} chips, seed {seed}"
             ),
-            LifecycleEvent::StepSnapshot { at, wrq, rdq, burst, .. } => write!(
+            LifecycleEvent::StepSnapshot {
+                at,
+                wrq,
+                rdq,
+                burst,
+                ..
+            } => write!(
                 f,
                 "@{at} step: wrq={wrq} rdq={rdq}{}",
                 if *burst { " BURST" } else { "" }
@@ -728,22 +744,54 @@ impl fmt::Display for LifecycleEvent {
             LifecycleEvent::TimeAdvance { from, to, .. } => {
                 write!(f, "@{from} time advances to {to}")
             }
-            LifecycleEvent::WriteCreated { id, line, bank, at, rounds, degraded } => write!(
+            LifecycleEvent::WriteCreated {
+                id,
+                line,
+                bank,
+                at,
+                rounds,
+                degraded,
+            } => write!(
                 f,
                 "@{at} write #{id} created: line {line} bank {bank}, {rounds} round(s){}",
                 if *degraded { " DEGRADED(SLC)" } else { "" }
             ),
-            LifecycleEvent::WriteCoalesced { old_id, new_id, line, at } => {
-                write!(f, "@{at} write #{old_id} coalesced into #{new_id} (line {line})")
+            LifecycleEvent::WriteCoalesced {
+                old_id,
+                new_id,
+                line,
+                at,
+            } => {
+                write!(
+                    f,
+                    "@{at} write #{old_id} coalesced into #{new_id} (line {line})"
+                )
             }
-            LifecycleEvent::WriteAdmitted { id, bank, at, queue_delay } => write!(
+            LifecycleEvent::WriteAdmitted {
+                id,
+                bank,
+                at,
+                queue_delay,
+            } => write!(
                 f,
                 "@{at} write #{id} admitted to bank {bank} after {queue_delay} queued cycles"
             ),
-            LifecycleEvent::Stage { id, bank, at, from, to } => {
+            LifecycleEvent::Stage {
+                id,
+                bank,
+                at,
+                from,
+                to,
+            } => {
                 write!(f, "@{at} write #{id} bank {bank}: {from:?} -> {to:?}")
             }
-            LifecycleEvent::SchemeDecision { hook, action, id, bank, at } => write!(
+            LifecycleEvent::SchemeDecision {
+                hook,
+                action,
+                id,
+                bank,
+                at,
+            } => write!(
                 f,
                 "@{at} scheme {hook:?} hook on bank {bank} (write #{id}): action {action}"
             ),
@@ -752,7 +800,13 @@ impl fmt::Display for LifecycleEvent {
                 "@{at} power {op:?} for write #{id}: {}",
                 if *ok { "granted" } else { "refused" }
             ),
-            LifecycleEvent::ReadIssued { core, bank, at, latency, scrub } => write!(
+            LifecycleEvent::ReadIssued {
+                core,
+                bank,
+                at,
+                latency,
+                scrub,
+            } => write!(
                 f,
                 "@{at} {} issued to bank {bank} (core {core}, latency {latency})",
                 if *scrub { "scrub read" } else { "read" }
@@ -762,16 +816,33 @@ impl fmt::Display for LifecycleEvent {
                 "@{at} {} done on bank {bank}",
                 if *scrub { "scrub read" } else { "read" }
             ),
-            LifecycleEvent::RoundClosed { id, at, cells, truncated, final_round, .. } => write!(
+            LifecycleEvent::RoundClosed {
+                id,
+                at,
+                cells,
+                truncated,
+                final_round,
+                ..
+            } => write!(
                 f,
                 "@{at} write #{id} round closed: {cells} cells{}{}",
                 if *truncated { ", truncated" } else { "" },
-                if *final_round { " (write complete)" } else { "" }
+                if *final_round {
+                    " (write complete)"
+                } else {
+                    ""
+                }
             ),
             LifecycleEvent::StuckMarked { lines, at } => {
                 write!(f, "@{at} {lines} line(s) marked stuck-at")
             }
-            LifecycleEvent::VerifyFailed { id, line, at, remapped, retries } => write!(
+            LifecycleEvent::VerifyFailed {
+                id,
+                line,
+                at,
+                remapped,
+                retries,
+            } => write!(
                 f,
                 "@{at} write #{id} verify FAILED on line {line}: {}",
                 if *remapped {
@@ -831,8 +902,18 @@ mod tests {
                 rounds: 2,
                 degraded: true,
             },
-            LifecycleEvent::WriteCoalesced { old_id: 3, new_id: 9, line: 55, at: 11 },
-            LifecycleEvent::WriteAdmitted { id: 7, bank: 2, at: 12, queue_delay: 2 },
+            LifecycleEvent::WriteCoalesced {
+                old_id: 3,
+                new_id: 9,
+                line: 55,
+                at: 11,
+            },
+            LifecycleEvent::WriteAdmitted {
+                id: 7,
+                bank: 2,
+                at: 12,
+                queue_delay: 2,
+            },
             LifecycleEvent::Stage {
                 id: 7,
                 bank: 2,
@@ -855,8 +936,18 @@ mod tests {
                 stats: [1, 2, 3, 4, 5, 6, 7, 8, 9],
                 audit: 1,
             },
-            LifecycleEvent::ReadIssued { core: 3, bank: 1, at: 16, latency: 120, scrub: false },
-            LifecycleEvent::ReadDone { bank: 1, at: 17, scrub: true },
+            LifecycleEvent::ReadIssued {
+                core: 3,
+                bank: 1,
+                at: 16,
+                latency: 120,
+                scrub: false,
+            },
+            LifecycleEvent::ReadDone {
+                bank: 1,
+                at: 17,
+                scrub: true,
+            },
             LifecycleEvent::RoundClosed {
                 id: 7,
                 line: 1234,
@@ -868,8 +959,18 @@ mod tests {
                 per_chip: vec![12, 0, 84],
             },
             LifecycleEvent::StuckMarked { lines: 1, at: 19 },
-            LifecycleEvent::VerifyFailed { id: 7, line: 1234, at: 20, remapped: true, retries: 0 },
-            LifecycleEvent::WatchdogTripped { id: 7, bank: 2, at: 21 },
+            LifecycleEvent::VerifyFailed {
+                id: 7,
+                line: 1234,
+                at: 20,
+                remapped: true,
+                retries: 0,
+            },
+            LifecycleEvent::WatchdogTripped {
+                id: 7,
+                bank: 2,
+                at: 21,
+            },
             LifecycleEvent::BrownoutStart { at: 22 },
             LifecycleEvent::BrownoutEnd { at: 23 },
             LifecycleEvent::CoreDone { core: 5, at: 24 },
@@ -891,16 +992,37 @@ mod tests {
         assert_eq!(LifecycleEvent::decode(""), None);
         assert_eq!(LifecycleEvent::decode("zz 1 2"), None);
         assert_eq!(LifecycleEvent::decode("ss 1 2 3"), None, "missing fields");
-        assert_eq!(LifecycleEvent::decode("ss 1 2 3 4 5 6"), None, "trailing junk");
-        assert_eq!(LifecycleEvent::decode("st 1 2 3 xx it"), None, "bad stage code");
-        assert_eq!(LifecycleEvent::decode("wc 1 2 999 4 5 0"), None, "bank overflows u8");
+        assert_eq!(
+            LifecycleEvent::decode("ss 1 2 3 4 5 6"),
+            None,
+            "trailing junk"
+        );
+        assert_eq!(
+            LifecycleEvent::decode("st 1 2 3 xx it"),
+            None,
+            "bad stage code"
+        );
+        assert_eq!(
+            LifecycleEvent::decode("wc 1 2 999 4 5 0"),
+            None,
+            "bank overflows u8"
+        );
     }
 
     #[test]
     fn stage_codes_round_trip() {
         use crate::scheme::WriteStage::*;
-        for s in [Queued, PreRead, Iterating, TokenStalled, Paused, RoundPending, Backoff,
-                  Draining, Done] {
+        for s in [
+            Queued,
+            PreRead,
+            Iterating,
+            TokenStalled,
+            Paused,
+            RoundPending,
+            Backoff,
+            Draining,
+            Done,
+        ] {
             assert_eq!(stage_from_code(stage_code(s)), Some(s));
         }
         assert_eq!(stage_from_code("zz"), None);

@@ -58,7 +58,13 @@ impl Lineage {
     /// True if the write ran to completion inside the stream.
     pub fn completed(&self) -> bool {
         self.events.iter().any(|(_, ev)| {
-            matches!(ev, LifecycleEvent::RoundClosed { final_round: true, .. })
+            matches!(
+                ev,
+                LifecycleEvent::RoundClosed {
+                    final_round: true,
+                    ..
+                }
+            )
         })
     }
 
@@ -87,7 +93,11 @@ impl fmt::Display for Lineage {
             self.created_at().unwrap_or(0),
             self.last_at().unwrap_or(0),
             self.rounds_closed(),
-            if self.completed() { ", completed" } else { ", in flight at stream end" }
+            if self.completed() {
+                ", completed"
+            } else {
+                ", in flight at stream end"
+            }
         )
     }
 }
@@ -122,7 +132,11 @@ mod tests {
                 from: WriteStage::Queued,
                 to: WriteStage::Iterating,
             },
-            LifecycleEvent::WatchdogTripped { id: 9, bank: 0, at: 8 }, // different write
+            LifecycleEvent::WatchdogTripped {
+                id: 9,
+                bank: 0,
+                at: 8,
+            }, // different write
             LifecycleEvent::RoundClosed {
                 id: 3,
                 line: 40,

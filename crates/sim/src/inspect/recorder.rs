@@ -59,7 +59,11 @@ impl EventLogWriter {
     pub fn create(path: &Path, meta: &str) -> Result<EventLogWriter, StoreError> {
         let header = format!("h {:016x} {meta}", fingerprint64(meta));
         let out = Appender::create(path, EVENT_LOG_MAGIC, &header)?;
-        Ok(EventLogWriter { out, seq: 0, pending: 0 })
+        Ok(EventLogWriter {
+            out,
+            seq: 0,
+            pending: 0,
+        })
     }
 
     /// Appends one event (buffered; synced every
@@ -118,7 +122,10 @@ fn parse_header(body: &str) -> Option<(u64, String)> {
     let rest = body.strip_prefix("h ")?;
     let (fp_hex, rest) = rest.split_at_checked(16)?;
     let fingerprint = u64::from_str_radix(fp_hex, 16).ok()?;
-    Some((fingerprint, rest.strip_prefix(' ').unwrap_or("").to_string()))
+    Some((
+        fingerprint,
+        rest.strip_prefix(' ').unwrap_or("").to_string(),
+    ))
 }
 
 /// Parses an `e` body, which must carry sequence number `seq`: numbers
@@ -166,9 +173,18 @@ pub fn read_event_log(path: &Path) -> Result<EventLog, StoreError> {
         }
     })?;
     let Some((fingerprint, meta)) = header else {
-        return Err(StoreError::MissingHeader { path: path.to_path_buf(), magic: EVENT_LOG_MAGIC });
+        return Err(StoreError::MissingHeader {
+            path: path.to_path_buf(),
+            magic: EVENT_LOG_MAGIC,
+        });
     };
-    Ok(EventLog { meta, fingerprint, events, complete, dropped_lines: tail.dropped_lines })
+    Ok(EventLog {
+        meta,
+        fingerprint,
+        events,
+        complete,
+        dropped_lines: tail.dropped_lines,
+    })
 }
 
 /// An [`EventSink`] that streams events straight into an
@@ -188,7 +204,10 @@ impl FileSink {
     ///
     /// Propagates [`EventLogWriter::create`] failures.
     pub fn create(path: &Path, meta: &str) -> Result<FileSink, StoreError> {
-        Ok(FileSink { writer: Some(EventLogWriter::create(path, meta)?), error: None })
+        Ok(FileSink {
+            writer: Some(EventLogWriter::create(path, meta)?),
+            error: None,
+        })
     }
 
     /// Closes the log cleanly, returning the event count — or the first
@@ -319,7 +338,12 @@ mod tests {
         let mut w = EventLogWriter::create(&path, "m").unwrap();
         w.append(&LifecycleEvent::RunEnd { at: 1 }).unwrap();
         // Valid CRC, wrong sequence number: belongs to another attempt.
-        w.out.push(&format!("e 7 {}", LifecycleEvent::RunEnd { at: 2 }.encode())).unwrap();
+        w.out
+            .push(&format!(
+                "e 7 {}",
+                LifecycleEvent::RunEnd { at: 2 }.encode()
+            ))
+            .unwrap();
         w.out.sync().unwrap();
         drop(w);
         let log = read_event_log(&path).unwrap();
@@ -335,7 +359,10 @@ mod tests {
         std::fs::write(&path, "hello world\n").unwrap();
         assert_eq!(
             read_event_log(&path),
-            Err(StoreError::MissingHeader { path: path.clone(), magic: EVENT_LOG_MAGIC })
+            Err(StoreError::MissingHeader {
+                path: path.clone(),
+                magic: EVENT_LOG_MAGIC
+            })
         );
         std::fs::remove_file(&path).ok();
     }

@@ -93,7 +93,10 @@ impl StallReport {
         let mut kind_totals: BTreeMap<StallKind, (u64, u64)> = BTreeMap::new();
         let mut write_totals: BTreeMap<u64, u64> = BTreeMap::new();
         for ev in events {
-            let LifecycleEvent::Stage { id, at, from, to, .. } = ev else {
+            let LifecycleEvent::Stage {
+                id, at, from, to, ..
+            } = ev
+            else {
                 continue;
             };
             if let Some(kind) = StallKind::from_stage(*from) {
@@ -137,7 +140,11 @@ impl StallReport {
                 kind.label()
             ));
         }
-        out.push_str(&format!("  {:<14} {:>31} cycle(s)\n", "total", self.total_cycles()));
+        out.push_str(&format!(
+            "  {:<14} {:>31} cycle(s)\n",
+            "total",
+            self.total_cycles()
+        ));
         if top > 0 && !self.by_write.is_empty() {
             out.push_str("worst writes:\n");
             for &(id, cycles) in self.by_write.iter().take(top) {
@@ -154,7 +161,13 @@ mod tests {
     use super::*;
 
     fn st(id: u64, at: u64, from: WriteStage, to: WriteStage) -> LifecycleEvent {
-        LifecycleEvent::Stage { id, bank: 0, at, from, to }
+        LifecycleEvent::Stage {
+            id,
+            bank: 0,
+            at,
+            from,
+            to,
+        }
     }
 
     #[test]
@@ -164,12 +177,15 @@ mod tests {
             st(1, 10, Iterating, TokenStalled),
             st(1, 50, TokenStalled, Iterating), // 40 cycles starved
             st(2, 20, Iterating, Paused),
-            st(2, 90, Paused, Iterating), // 70 cycles paused
+            st(2, 90, Paused, Iterating),        // 70 cycles paused
             st(1, 100, Iterating, TokenStalled), // still open at stream end
         ];
         let r = StallReport::analyze(&evs);
         let find = |k: StallKind| r.by_kind.iter().find(|e| e.0 == k).copied().unwrap();
-        assert_eq!(find(StallKind::TokenStalled), (StallKind::TokenStalled, 1, 40));
+        assert_eq!(
+            find(StallKind::TokenStalled),
+            (StallKind::TokenStalled, 1, 40)
+        );
         assert_eq!(find(StallKind::Paused), (StallKind::Paused, 1, 70));
         assert_eq!(find(StallKind::Backoff), (StallKind::Backoff, 0, 0));
         assert_eq!(r.total_cycles(), 110);

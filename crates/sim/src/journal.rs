@@ -162,7 +162,10 @@ pub fn encode_point(metrics: &Metrics, baseline: &Metrics) -> String {
 /// `payload` is not a point.
 pub fn decode_point(payload: &str) -> Option<(Metrics, Metrics)> {
     let (metrics, baseline) = payload.split_once('\t')?;
-    Some((Metrics::decode_record(metrics)?, Metrics::decode_record(baseline)?))
+    Some((
+        Metrics::decode_record(metrics)?,
+        Metrics::decode_record(baseline)?,
+    ))
 }
 
 fn header_body(h: &JournalHeader) -> String {
@@ -178,13 +181,20 @@ fn parse_header(body: &str) -> Option<JournalHeader> {
         Some((p, meta)) => (p, meta),
         None => (rest, ""),
     };
-    Some(JournalHeader { fingerprint, points: points.parse().ok()?, meta: meta.to_string() })
+    Some(JournalHeader {
+        fingerprint,
+        points: points.parse().ok()?,
+        meta: meta.to_string(),
+    })
 }
 
 fn parse_record(body: &str) -> Option<JournalRecord> {
     let rest = body.strip_prefix("r ")?;
     let (index, payload) = rest.split_once(' ')?;
-    Some(JournalRecord { index: index.parse().ok()?, payload: payload.to_string() })
+    Some(JournalRecord {
+        index: index.parse().ok()?,
+        payload: payload.to_string(),
+    })
 }
 
 /// Reads and validates a journal file: header first, then records, with
@@ -210,10 +220,15 @@ pub fn read_journal(path: &Path) -> Result<JournalContents, JournalError> {
             None => false,
         },
     })?;
-    let header =
-        header.ok_or_else(|| StoreError::MissingHeader { path: path.to_path_buf(), magic: MAGIC })?;
+    let header = header.ok_or_else(|| StoreError::MissingHeader {
+        path: path.to_path_buf(),
+        magic: MAGIC,
+    })?;
     if let Some(index) = out_of_range {
-        return Err(JournalError::IndexOutOfRange { index, points: header.points });
+        return Err(JournalError::IndexOutOfRange {
+            index,
+            points: header.points,
+        });
     }
     Ok(JournalContents {
         header,
@@ -233,7 +248,9 @@ impl JournalWriter {
     /// Creates a fresh journal (refusing to clobber an existing file)
     /// and syncs its header.
     pub fn create(path: &Path, header: &JournalHeader) -> Result<JournalWriter, JournalError> {
-        Ok(JournalWriter { out: Appender::create(path, MAGIC, &header_body(header))? })
+        Ok(JournalWriter {
+            out: Appender::create(path, MAGIC, &header_body(header))?,
+        })
     }
 
     /// Reopens an existing journal for appending: validates the header
@@ -281,7 +298,11 @@ mod tests {
     }
 
     fn header() -> JournalHeader {
-        JournalHeader { fingerprint: 0xDEAD_BEEF_0123_4567, points: 9, meta: "mcf_m fpb 3x3".into() }
+        JournalHeader {
+            fingerprint: 0xDEAD_BEEF_0123_4567,
+            points: 9,
+            meta: "mcf_m fpb 3x3".into(),
+        }
     }
 
     #[test]
@@ -306,8 +327,14 @@ mod tests {
         let path = tmp("no_clobber.fpbj");
         drop(JournalWriter::create(&path, &header()).unwrap());
         let err = JournalWriter::create(&path, &header()).unwrap_err();
-        assert_eq!(err, JournalError::Store(StoreError::AlreadyExists(path.clone())));
-        assert!(err.to_string().ends_with("(use --resume to continue it)"), "{err}");
+        assert_eq!(
+            err,
+            JournalError::Store(StoreError::AlreadyExists(path.clone()))
+        );
+        assert!(
+            err.to_string().ends_with("(use --resume to continue it)"),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -330,7 +357,11 @@ mod tests {
 
         let (mut w, recovered) = JournalWriter::resume(&path, &header()).unwrap();
         assert_eq!(recovered.records.len(), 1);
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), good_len, "tail truncated");
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            good_len,
+            "tail truncated"
+        );
         w.append_record(2, "payload two").unwrap();
         drop(w);
         let c = read_journal(&path).unwrap();
@@ -366,8 +397,10 @@ mod tests {
     #[test]
     fn missing_or_invalid_header_is_an_error() {
         let path = tmp("no_header.fpbj");
-        let missing =
-            JournalError::Store(StoreError::MissingHeader { path: path.clone(), magic: MAGIC });
+        let missing = JournalError::Store(StoreError::MissingHeader {
+            path: path.clone(),
+            magic: MAGIC,
+        });
         std::fs::write(&path, "not a journal\n").unwrap();
         assert_eq!(read_journal(&path), Err(missing.clone()));
         std::fs::write(&path, "").unwrap();
@@ -380,7 +413,10 @@ mod tests {
         // A journal the previous format wrote: the same grammar under
         // the old magic, with a rendered JSON fragment as its payload.
         let path = tmp("fpbj1.fpbj");
-        let old = [header_body(&header()), "r 0 {\"index\": 0, \"metrics\": {}}".to_string()];
+        let old = [
+            header_body(&header()),
+            "r 0 {\"index\": 0, \"metrics\": {}}".to_string(),
+        ];
         store::replace(&path, "fpbj1", old.iter().map(String::as_str)).unwrap();
         let err = JournalWriter::resume(&path, &header()).unwrap_err();
         assert!(err.to_string().contains("no valid header"), "{err}");
@@ -392,7 +428,10 @@ mod tests {
     fn resume_rejects_wrong_sweep() {
         let path = tmp("wrong_sweep.fpbj");
         drop(JournalWriter::create(&path, &header()).unwrap());
-        let other = JournalHeader { fingerprint: 1, ..header() };
+        let other = JournalHeader {
+            fingerprint: 1,
+            ..header()
+        };
         let err = JournalWriter::resume(&path, &other).unwrap_err();
         assert!(matches!(err, JournalError::HeaderMismatch { .. }));
         assert!(err.to_string().contains("different sweep"));
@@ -408,7 +447,10 @@ mod tests {
         drop(w);
         assert_eq!(
             read_journal(&path).unwrap_err(),
-            JournalError::IndexOutOfRange { index: 99, points: 9 }
+            JournalError::IndexOutOfRange {
+                index: 99,
+                points: 9
+            }
         );
         std::fs::remove_file(&path).ok();
     }
@@ -416,7 +458,10 @@ mod tests {
     #[test]
     fn newlines_in_payload_and_meta_are_rejected() {
         let path = tmp("newline.fpbj");
-        let bad = JournalHeader { meta: "two\nlines".into(), ..header() };
+        let bad = JournalHeader {
+            meta: "two\nlines".into(),
+            ..header()
+        };
         let newline = JournalError::Store(StoreError::EmbeddedNewline);
         assert_eq!(JournalWriter::create(&path, &bad).unwrap_err(), newline);
         let mut w = JournalWriter::create(&path, &header()).unwrap();
@@ -426,19 +471,36 @@ mod tests {
 
     #[test]
     fn point_payload_round_trips_exact_metrics() {
-        let m = Metrics { cycles: 2_000, instructions_per_core: 1_000, ..Metrics::default() };
-        let b = Metrics { cycles: 3_000, per_chip_cells: vec![1, 2], ..Metrics::default() };
+        let m = Metrics {
+            cycles: 2_000,
+            instructions_per_core: 1_000,
+            ..Metrics::default()
+        };
+        let b = Metrics {
+            cycles: 3_000,
+            per_chip_cells: vec![1, 2],
+            ..Metrics::default()
+        };
         let payload = encode_point(&m, &b);
         assert!(!payload.contains('\n'));
         assert_eq!(decode_point(&payload), Some((m.clone(), b)));
-        for bad in ["", "1 2 3", &m.encode_record(), &format!("{payload}\t{payload}")] {
+        for bad in [
+            "",
+            "1 2 3",
+            &m.encode_record(),
+            &format!("{payload}\t{payload}"),
+        ] {
             assert_eq!(decode_point(bad), None, "{bad:?}");
         }
     }
 
     #[test]
     fn header_without_meta_parses() {
-        let h = JournalHeader { fingerprint: 5, points: 2, meta: String::new() };
+        let h = JournalHeader {
+            fingerprint: 5,
+            points: 2,
+            meta: String::new(),
+        };
         let body = header_body(&h);
         assert_eq!(parse_header(&body), Some(h));
     }

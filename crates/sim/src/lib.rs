@@ -66,8 +66,8 @@ pub mod sweep;
 pub mod timeline;
 
 pub use engine::{run_workload, run_workload_recorded, try_run_workload, SimOptions, System};
-pub use inspect::{EventSink, LifecycleEvent, MemorySink, NullSink};
 pub use exec::{default_jobs, effective_workers, parallel_map_indexed, schedule_by_cost};
+pub use inspect::{EventSink, LifecycleEvent, MemorySink, NullSink};
 pub use journal::{JournalError, JournalHeader, JournalWriter};
 pub use metrics::{FaultMetrics, Metrics};
 pub use request::{ReadTask, WriteTask};

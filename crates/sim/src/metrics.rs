@@ -172,8 +172,8 @@ impl Metrics {
             return 0.0; // no chips recorded
         };
         let max = max as f64;
-        let mean = self.per_chip_cells.iter().sum::<u64>() as f64
-            / self.per_chip_cells.len() as f64;
+        let mean =
+            self.per_chip_cells.iter().sum::<u64>() as f64 / self.per_chip_cells.len() as f64;
         // `mean` is an integer sum over a nonzero count: it is exactly 0.0
         // iff no cells were written, so exact equality is the right guard.
         // fpb-lint: allow(float_eq)
@@ -217,7 +217,14 @@ impl Metrics {
                         .with_cells_per_chip(*cells_per_chip_per_line),
                 );
             }
-            LifecycleEvent::TimeAdvance { from, to, burst, writing, brownout, degraded } => {
+            LifecycleEvent::TimeAdvance {
+                from,
+                to,
+                burst,
+                writing,
+                brownout,
+                degraded,
+            } => {
                 let delta = to.saturating_sub(*from);
                 if *burst {
                     self.burst_cycles += delta;
@@ -260,7 +267,14 @@ impl Metrics {
                     self.pcm_reads += 1;
                 }
             }
-            LifecycleEvent::RoundClosed { line, cells, truncated, final_round, per_chip, .. } => {
+            LifecycleEvent::RoundClosed {
+                line,
+                cells,
+                truncated,
+                final_round,
+                per_chip,
+                ..
+            } => {
                 self.write_rounds += 1;
                 // Sized on the first closed round, so a run that closes
                 // none reports an empty array.
@@ -340,8 +354,14 @@ impl Metrics {
             ("advance_stalls", self.power.advance_stalls()),
             ("multi_reset_splits", self.power.multi_reset_splits()),
             ("gcp_grants", self.power.gcp_grants()),
-            ("gcp_usable_millitokens", self.power.gcp_usable_total().millis()),
-            ("gcp_waste_millitokens", self.power.gcp_waste_total().millis()),
+            (
+                "gcp_usable_millitokens",
+                self.power.gcp_usable_total().millis(),
+            ),
+            (
+                "gcp_waste_millitokens",
+                self.power.gcp_waste_total().millis(),
+            ),
         ]
     }
 
@@ -707,7 +727,11 @@ mod tests {
         assert_eq!(m.write_active_cycles, 15);
         assert_eq!(m.faults.brownout_cycles, 5);
         assert_eq!(m.faults.degraded_cycles, 5);
-        assert_eq!(m.power, PowerStats::from_raw([2; 9]), "latest snapshot wins");
+        assert_eq!(
+            m.power,
+            PowerStats::from_raw([2; 9]),
+            "latest snapshot wins"
+        );
         assert_eq!(m.faults.audit_violations, 3);
         assert_eq!(m.cycles, 15);
     }
@@ -741,16 +765,34 @@ mod tests {
         };
         let inline = m.to_json_inline();
         assert!(!inline.contains('\n'), "must be single-line: {inline}");
-        assert!(!inline.contains("schema"), "embedding document owns the schema");
+        assert!(
+            !inline.contains("schema"),
+            "embedding document owns the schema"
+        );
         // Same fields, same order, same values as the multi-line form.
         let multiline = m.to_json();
-        let squeezed: String =
-            multiline.lines().filter(|l| !l.contains("schema")).map(str::trim).collect::<Vec<_>>().join(" ");
-        for field in ["\"cycles\": 987", "\"per_chip_cells\": [4, 4, 5]", "\"endurance_cells\": null"] {
+        let squeezed: String = multiline
+            .lines()
+            .filter(|l| !l.contains("schema"))
+            .map(str::trim)
+            .collect::<Vec<_>>()
+            .join(" ");
+        for field in [
+            "\"cycles\": 987",
+            "\"per_chip_cells\": [4, 4, 5]",
+            "\"endurance_cells\": null",
+        ] {
             assert!(inline.contains(field), "missing {field}: {inline}");
-            assert!(squeezed.contains(field), "field drifted from to_json: {field}");
+            assert!(
+                squeezed.contains(field),
+                "field drifted from to_json: {field}"
+            );
         }
-        assert_eq!(inline, m.clone().to_json_inline(), "pure function of the metrics");
+        assert_eq!(
+            inline,
+            m.clone().to_json_inline(),
+            "pure function of the metrics"
+        );
     }
 
     #[test]
@@ -801,10 +843,16 @@ mod tests {
         let rec = Metrics::default().encode_record();
         assert!(Metrics::decode_record("").is_none());
         assert!(Metrics::decode_record("1 2 3").is_none());
-        assert!(Metrics::decode_record(&format!("{rec} 7")).is_none(), "trailing tokens");
+        assert!(
+            Metrics::decode_record(&format!("{rec} 7")).is_none(),
+            "trailing tokens"
+        );
         assert!(Metrics::decode_record(&rec.replace(' ', " x ")).is_none());
         // Endurance flag other than 0/1 is rejected.
-        let m = Metrics { cores: 1, ..Metrics::default() };
+        let m = Metrics {
+            cores: 1,
+            ..Metrics::default()
+        };
         let bad = m.encode_record().replacen(" 0 ", " 2 ", 1);
         let _ = Metrics::decode_record(&bad); // must not panic, whatever it parses to
     }

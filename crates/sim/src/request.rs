@@ -225,8 +225,8 @@ impl RoundSplitter {
             // started at `ceil(max_chip / cap_chip)` or higher. Only the
             // per-round *total* can still overflow — a round's total is the
             // sum of per-chip ceilings, which can exceed `ceil(n / k)`.
-            let fits = cap_total
-                .is_none_or(|cap| self.rounds[..kk].iter().all(|r| r.len() as u64 <= cap));
+            let fits =
+                cap_total.is_none_or(|cap| self.rounds[..kk].iter().all(|r| r.len() as u64 <= cap));
             if fits {
                 return Some(kk);
             }
@@ -291,9 +291,15 @@ mod tests {
     #[test]
     fn fits_exactly_no_split() {
         let c = cs(560);
-        assert_eq!(split_rounds(&c, Some(560), None, CellMapping::Bim, 8).len(), 1);
+        assert_eq!(
+            split_rounds(&c, Some(560), None, CellMapping::Bim, 8).len(),
+            1
+        );
         let c = cs(561);
-        assert_eq!(split_rounds(&c, Some(560), None, CellMapping::Bim, 8).len(), 2);
+        assert_eq!(
+            split_rounds(&c, Some(560), None, CellMapping::Bim, 8).len(),
+            2
+        );
     }
 
     #[test]

@@ -61,13 +61,20 @@ impl ResultCache {
     /// Loads the cache at `path`. A missing, unreadable, or in any way
     /// damaged file yields an *empty* cache — cold is always safe.
     pub fn load(path: &Path) -> ResultCache {
-        ResultCache { entries: parse(path).unwrap_or_default(), ..ResultCache::empty(path) }
+        ResultCache {
+            entries: parse(path).unwrap_or_default(),
+            ..ResultCache::empty(path)
+        }
     }
 
     /// An empty cache bound to `path` (used by tests and `--no-result-cache`
     /// comparisons).
     pub fn empty(path: &Path) -> ResultCache {
-        ResultCache { path: path.to_path_buf(), entries: BTreeMap::new(), dirty: false }
+        ResultCache {
+            path: path.to_path_buf(),
+            entries: BTreeMap::new(),
+            dirty: false,
+        }
     }
 
     /// The metrics stored for an exact unit description.
@@ -254,7 +261,10 @@ mod tests {
         let digit = &mut bytes[field_end - 1];
         *digit = if *digit == b'9' { b'0' } else { *digit + 1 };
         fs::write(&path, &bytes).unwrap();
-        assert!(ResultCache::load(&path).is_empty(), "a changed metric must never splice");
+        assert!(
+            ResultCache::load(&path).is_empty(),
+            "a changed metric must never splice"
+        );
         fs::remove_file(&path).ok();
     }
 
@@ -265,7 +275,10 @@ mod tests {
         // but the trailer is gone.
         let kept: String = text.split_inclusive('\n').take(2).collect();
         fs::write(&path, kept).unwrap();
-        assert!(ResultCache::load(&path).is_empty(), "a partial cache must not be trusted");
+        assert!(
+            ResultCache::load(&path).is_empty(),
+            "a partial cache must not be trusted"
+        );
         fs::remove_file(&path).ok();
     }
 
@@ -273,7 +286,7 @@ mod tests {
     fn damage_anywhere_discards_the_whole_cache() {
         let (path, good) = saved("malformed.v1");
         let mut damaged = vec![
-            good[..good.len() / 2].to_string(), // truncated mid-record
+            good[..good.len() / 2].to_string(),  // truncated mid-record
             format!("{good}trailing garbage\n"), // anything after the trailer
             good.replacen(CACHE_SCHEMA, "fpb-sweep-cache/v1", 1), // old schema
         ];
@@ -285,7 +298,10 @@ mod tests {
         }
         for text in &damaged {
             fs::write(&path, text).unwrap();
-            assert!(ResultCache::load(&path).is_empty(), "kept entries after: {text:?}");
+            assert!(
+                ResultCache::load(&path).is_empty(),
+                "kept entries after: {text:?}"
+            );
         }
         fs::remove_file(&path).ok();
     }
@@ -321,7 +337,13 @@ mod tests {
 
     #[test]
     fn escape_round_trip() {
-        for s in ["plain", "tab\there", "nl\nhere", "back\\slash", "\\t literal"] {
+        for s in [
+            "plain",
+            "tab\there",
+            "nl\nhere",
+            "back\\slash",
+            "\\t literal",
+        ] {
             assert_eq!(unesc(&esc(s)).as_deref(), Some(s));
         }
         assert_eq!(unesc("bad\\q"), None);

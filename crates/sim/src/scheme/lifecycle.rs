@@ -132,8 +132,18 @@ mod tests {
     #[test]
     fn cancellation_requeues_only_from_iterating() {
         assert!(WriteLifecycle::permitted(Iterating, Queued));
-        for from in [PreRead, TokenStalled, Paused, RoundPending, Backoff, Draining] {
-            assert!(!WriteLifecycle::permitted(from, Queued), "{from:?} -> Queued");
+        for from in [
+            PreRead,
+            TokenStalled,
+            Paused,
+            RoundPending,
+            Backoff,
+            Draining,
+        ] {
+            assert!(
+                !WriteLifecycle::permitted(from, Queued),
+                "{from:?} -> Queued"
+            );
         }
     }
 

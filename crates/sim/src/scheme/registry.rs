@@ -208,9 +208,8 @@ impl SchemeRegistry {
     /// Human-readable listing of the grammar and registered schemes, for
     /// `fpb run --scheme help`.
     pub fn help(&self) -> String {
-        let mut out = String::from(
-            "Scheme specs: BASE[:ARG...][+MOD...]  (case-insensitive)\n\nBases:\n",
-        );
+        let mut out =
+            String::from("Scheme specs: BASE[:ARG...][+MOD...]  (case-insensitive)\n\nBases:\n");
         let width = self
             .entries
             .iter()
@@ -253,7 +252,9 @@ mod tests {
     fn every_registered_name_builds_and_validates() {
         let reg = SchemeRegistry::standard();
         for name in reg.names() {
-            let s = reg.build(name, &cfg()).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let s = reg
+                .build(name, &cfg())
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
             s.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
             assert!(!s.label.is_empty());
         }
@@ -323,12 +324,24 @@ mod tests {
         let reg = SchemeRegistry::standard();
         let mut labels = Vec::new();
         for spec in reg.paper_figure_specs() {
-            let s = reg.build(spec, &cfg()).unwrap_or_else(|e| panic!("{spec}: {e}"));
+            let s = reg
+                .build(spec, &cfg())
+                .unwrap_or_else(|e| panic!("{spec}: {e}"));
             labels.push(s.label.clone());
         }
         // The figure legends the paper uses must all be constructible.
-        for legend in ["Ideal", "DIMM+chip", "PWL", "GCP-NE-0.5", "IPM+MR4", "FPB+WC+WP+WT"] {
-            assert!(labels.iter().any(|l| l == legend), "missing {legend}: {labels:?}");
+        for legend in [
+            "Ideal",
+            "DIMM+chip",
+            "PWL",
+            "GCP-NE-0.5",
+            "IPM+MR4",
+            "FPB+WC+WP+WT",
+        ] {
+            assert!(
+                labels.iter().any(|l| l == legend),
+                "missing {legend}: {labels:?}"
+            );
         }
     }
 }

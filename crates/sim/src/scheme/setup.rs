@@ -407,7 +407,11 @@ mod tests {
     fn pre_read_tracks_ipm() {
         let c = cfg();
         assert!(!SchemeSetup::dimm_chip(&c).controller.pre_write_read);
-        assert!(!SchemeSetup::gcp(&c, CellMapping::Bim, 0.7).controller.pre_write_read);
+        assert!(
+            !SchemeSetup::gcp(&c, CellMapping::Bim, 0.7)
+                .controller
+                .pre_write_read
+        );
         assert!(SchemeSetup::gcp_ipm(&c).controller.pre_write_read);
         assert!(SchemeSetup::fpb(&c).controller.pre_write_read);
     }
@@ -443,7 +447,9 @@ mod tests {
     #[test]
     fn regulation_without_gcp_is_an_error() {
         let c = cfg();
-        let err = SchemeSetup::dimm_chip(&c).with_gcp_regulation().unwrap_err();
+        let err = SchemeSetup::dimm_chip(&c)
+            .with_gcp_regulation()
+            .unwrap_err();
         assert_eq!(err, SchemeError::MissingGcp("per-chip regulation"));
         assert!(err.to_string().contains("needs a GCP"));
     }
@@ -520,7 +526,12 @@ mod tests {
             SchemeSetup::dimm_chip(&c),
             SchemeSetup::fpb(&c).with_wc().with_wp().with_wt(8),
         ] {
-            assert_eq!(s.sensitivity(), ConfigSensitivity::PolicyAbsorbed, "{}", s.label);
+            assert_eq!(
+                s.sensitivity(),
+                ConfigSensitivity::PolicyAbsorbed,
+                "{}",
+                s.label
+            );
         }
     }
 

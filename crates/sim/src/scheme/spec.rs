@@ -142,9 +142,9 @@ fn parse_base(token: &str) -> Result<SchemeBase, SchemeError> {
             }
             let mapping = match args.first() {
                 None => None,
-                Some(m) => Some(CellMapping::from_str(m).map_err(|e| {
-                    SchemeError::BadSpec(e.to_string())
-                })?),
+                Some(m) => Some(
+                    CellMapping::from_str(m).map_err(|e| SchemeError::BadSpec(e.to_string()))?,
+                ),
             };
             let e_gcp = match args.get(1) {
                 None => None,

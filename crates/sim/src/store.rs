@@ -29,7 +29,11 @@ const CRC_TABLE: [u32; 256] = {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 == 1 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 == 1 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
             k += 1;
         }
         table[i] = c;
@@ -99,10 +103,18 @@ impl fmt::Display for StoreError {
                 write!(f, "{op} failed for {}: {detail}", path.display())
             }
             StoreError::AlreadyExists(p) => {
-                write!(f, "{} already exists; refusing to overwrite it", p.display())
+                write!(
+                    f,
+                    "{} already exists; refusing to overwrite it",
+                    p.display()
+                )
             }
             StoreError::MissingHeader { path, magic } => {
-                write!(f, "{} is not a {magic} file (no valid header line)", path.display())
+                write!(
+                    f,
+                    "{} is not a {magic} file (no valid header line)",
+                    path.display()
+                )
             }
             StoreError::EmbeddedNewline => write!(f, "record bodies must not contain newlines"),
         }
@@ -112,7 +124,11 @@ impl fmt::Display for StoreError {
 impl std::error::Error for StoreError {}
 
 fn io_err(op: &'static str, path: &Path, e: &std::io::Error) -> StoreError {
-    StoreError::Io { op, path: path.to_path_buf(), detail: e.to_string() }
+    StoreError::Io {
+        op,
+        path: path.to_path_buf(),
+        detail: e.to_string(),
+    }
 }
 
 /// Appends the framed line `<magic> <crc32-8hex> <body>\n` to `out`.
@@ -130,7 +146,10 @@ fn push_frame(out: &mut String, magic: &str, body: &str) -> Result<(), StoreErro
 /// line is not UTF-8, lacks the frame, or fails its CRC. Only lowercase
 /// hex is accepted, so every bit of the CRC field is checked.
 fn unframe<'a>(magic: &str, line: &'a [u8]) -> Option<&'a str> {
-    let rest = std::str::from_utf8(line).ok()?.strip_prefix(magic)?.strip_prefix(' ')?;
+    let rest = std::str::from_utf8(line)
+        .ok()?
+        .strip_prefix(magic)?
+        .strip_prefix(' ')?;
     let (hex, body) = rest.split_at_checked(8)?;
     let body = body.strip_prefix(' ')?;
     let mut crc = 0u32;
@@ -166,11 +185,17 @@ pub fn scan(bytes: &[u8], magic: &str, mut accept: impl FnMut(&str) -> bool) -> 
     while let Some(line) = lines.next() {
         let body = line.strip_suffix(b"\n").and_then(|l| unframe(magic, l));
         if !body.is_some_and(&mut accept) {
-            return Tail { dropped_lines: 1 + lines.count(), valid_bytes };
+            return Tail {
+                dropped_lines: 1 + lines.count(),
+                valid_bytes,
+            };
         }
         valid_bytes += line.len() as u64;
     }
-    Tail { dropped_lines: 0, valid_bytes }
+    Tail {
+        dropped_lines: 0,
+        valid_bytes,
+    }
 }
 
 /// Reads `path` whole and [`scan`]s it.
@@ -208,21 +233,26 @@ impl Appender {
     /// syncs the `header` line, then syncs the parent directory (best
     /// effort) so the name survives a crash too. A multi-line header is
     /// refused before anything is created.
-    pub fn create(
-        path: &Path,
-        magic: &'static str,
-        header: &str,
-    ) -> Result<Appender, StoreError> {
+    pub fn create(path: &Path, magic: &'static str, header: &str) -> Result<Appender, StoreError> {
         let mut buf = String::new();
         push_frame(&mut buf, magic, header)?;
-        let file = OpenOptions::new().write(true).create_new(true).open(path).map_err(|e| {
-            if e.kind() == ErrorKind::AlreadyExists {
-                StoreError::AlreadyExists(path.to_path_buf())
-            } else {
-                io_err("create", path, &e)
-            }
-        })?;
-        let mut out = Appender { file, path: path.to_path_buf(), magic, buf };
+        let file = OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(path)
+            .map_err(|e| {
+                if e.kind() == ErrorKind::AlreadyExists {
+                    StoreError::AlreadyExists(path.to_path_buf())
+                } else {
+                    io_err("create", path, &e)
+                }
+            })?;
+        let mut out = Appender {
+            file,
+            path: path.to_path_buf(),
+            magic,
+            buf,
+        };
         out.sync()?;
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
             if let Ok(d) = File::open(dir) {
@@ -240,11 +270,20 @@ impl Appender {
         magic: &'static str,
         valid_bytes: u64,
     ) -> Result<Appender, StoreError> {
-        let mut file =
-            OpenOptions::new().write(true).open(path).map_err(|e| io_err("open", path, &e))?;
-        file.set_len(valid_bytes).map_err(|e| io_err("truncate", path, &e))?;
-        file.seek(SeekFrom::Start(valid_bytes)).map_err(|e| io_err("seek", path, &e))?;
-        Ok(Appender { file, path: path.to_path_buf(), magic, buf: String::new() })
+        let mut file = OpenOptions::new()
+            .write(true)
+            .open(path)
+            .map_err(|e| io_err("open", path, &e))?;
+        file.set_len(valid_bytes)
+            .map_err(|e| io_err("truncate", path, &e))?;
+        file.seek(SeekFrom::Start(valid_bytes))
+            .map_err(|e| io_err("seek", path, &e))?;
+        Ok(Appender {
+            file,
+            path: path.to_path_buf(),
+            magic,
+            buf: String::new(),
+        })
     }
 
     /// Buffers one framed line; nothing reaches the file before
@@ -260,7 +299,9 @@ impl Appender {
             .write_all(self.buf.as_bytes())
             .map_err(|e| io_err("append", &self.path, &e))?;
         self.buf.clear();
-        self.file.sync_data().map_err(|e| io_err("fsync", &self.path, &e))
+        self.file
+            .sync_data()
+            .map_err(|e| io_err("fsync", &self.path, &e))
     }
 }
 
@@ -322,7 +363,10 @@ mod tests {
     fn crc32_and_fingerprint_vectors() {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
         // FNV-1a 64 reference vectors.
         assert_eq!(fingerprint64(""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fingerprint64("a"), 0xaf63_dc4c_8601_ec8c);
@@ -330,9 +374,15 @@ mod tests {
 
     #[test]
     fn frames_are_magic_crc_body() {
-        assert_eq!(framed("fpbx1", &["h 1"]), format!("fpbx1 {:08x} h 1\n", crc32(b"h 1")));
+        assert_eq!(
+            framed("fpbx1", &["h 1"]),
+            format!("fpbx1 {:08x} h 1\n", crc32(b"h 1"))
+        );
         let mut out = String::new();
-        assert_eq!(push_frame(&mut out, "fpbx1", "a\nb"), Err(StoreError::EmbeddedNewline));
+        assert_eq!(
+            push_frame(&mut out, "fpbx1", "a\nb"),
+            Err(StoreError::EmbeddedNewline)
+        );
         assert!(out.is_empty());
     }
 
@@ -341,12 +391,24 @@ mod tests {
         let good = framed("fpbx1", &["h 0", "r one", "r two"]);
         let (got, tail) = bodies_of(good.as_bytes(), "fpbx1");
         assert_eq!(got, ["h 0", "r one", "r two"]);
-        assert_eq!(tail, Tail { dropped_lines: 0, valid_bytes: good.len() as u64 });
+        assert_eq!(
+            tail,
+            Tail {
+                dropped_lines: 0,
+                valid_bytes: good.len() as u64
+            }
+        );
 
         // Another magic (or an older version) fails from line one.
         let (got, tail) = bodies_of(good.as_bytes(), "fpbx2");
         assert!(got.is_empty());
-        assert_eq!(tail, Tail { dropped_lines: 3, valid_bytes: 0 });
+        assert_eq!(
+            tail,
+            Tail {
+                dropped_lines: 3,
+                valid_bytes: 0
+            }
+        );
 
         // A corrupt middle line drops itself and everything after it,
         // and an unterminated fragment counts as one more line.
@@ -356,14 +418,25 @@ mod tests {
         bytes.extend_from_slice(b"fpbx1 0000");
         let (got, tail) = bodies_of(&bytes, "fpbx1");
         assert_eq!(got, ["h 0"]);
-        assert_eq!(tail, Tail { dropped_lines: 3, valid_bytes: first.len() as u64 });
+        assert_eq!(
+            tail,
+            Tail {
+                dropped_lines: 3,
+                valid_bytes: first.len() as u64
+            }
+        );
     }
 
     #[test]
     fn uppercase_crc_hex_is_damage() {
         let line = framed("fpbx1", &["r payload with a crc"]);
         let (hex_start, hex_end) = (6, 14);
-        assert!(line[hex_start..hex_end].bytes().any(|b| b.is_ascii_lowercase()), "{line}");
+        assert!(
+            line[hex_start..hex_end]
+                .bytes()
+                .any(|b| b.is_ascii_lowercase()),
+            "{line}"
+        );
         let upper = format!(
             "{}{}{}",
             &line[..hex_start],
@@ -396,7 +469,11 @@ mod tests {
         let path = tmp("append.fpbx");
         let mut out = Appender::create(&path, "fpbx1", "h 1").unwrap();
         out.push("r a").unwrap();
-        assert_eq!(fs::read(&path).unwrap(), framed("fpbx1", &["h 1"]).as_bytes(), "unsynced");
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            framed("fpbx1", &["h 1"]).as_bytes(),
+            "unsynced"
+        );
         out.sync().unwrap();
         drop(out);
         assert_eq!(
@@ -410,7 +487,13 @@ mod tests {
         torn.extend_from_slice(b"fpbx1 12345678 r hal");
         fs::write(&path, &torn).unwrap();
         let tail = read(&path, "fpbx1", |_| true).unwrap();
-        assert_eq!(tail, Tail { dropped_lines: 1, valid_bytes: good.len() as u64 });
+        assert_eq!(
+            tail,
+            Tail {
+                dropped_lines: 1,
+                valid_bytes: good.len() as u64
+            }
+        );
         let mut out = Appender::resume(&path, "fpbx1", tail.valid_bytes).unwrap();
         out.push("r b").unwrap();
         out.sync().unwrap();
@@ -436,16 +519,31 @@ mod tests {
         let path = tmp("replace.fpbx");
         fs::write(&path, "old contents\n").unwrap();
         replace(&path, "fpbx1", ["h 1", "r a"]).unwrap();
-        assert_eq!(fs::read_to_string(&path).unwrap(), framed("fpbx1", &["h 1", "r a"]));
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            framed("fpbx1", &["h 1", "r a"])
+        );
         assert!(!path.with_extension("tmp").exists());
-        assert_eq!(replace(&path, "fpbx1", ["a\nb"]), Err(StoreError::EmbeddedNewline));
-        assert_eq!(fs::read_to_string(&path).unwrap(), framed("fpbx1", &["h 1", "r a"]));
+        assert_eq!(
+            replace(&path, "fpbx1", ["a\nb"]),
+            Err(StoreError::EmbeddedNewline)
+        );
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            framed("fpbx1", &["h 1", "r a"])
+        );
         fs::remove_file(&path).ok();
     }
 
     #[test]
     fn missing_header_names_the_expected_magic() {
-        let e = StoreError::MissingHeader { path: PathBuf::from("j.fpbj"), magic: "fpbj2" };
-        assert_eq!(e.to_string(), "j.fpbj is not a fpbj2 file (no valid header line)");
+        let e = StoreError::MissingHeader {
+            path: PathBuf::from("j.fpbj"),
+            magic: "fpbj2",
+        };
+        assert_eq!(
+            e.to_string(),
+            "j.fpbj is not a fpbj2 file (no valid header line)"
+        );
     }
 }

@@ -78,7 +78,10 @@ pub struct SupervisePolicy {
 
 impl Default for SupervisePolicy {
     fn default() -> Self {
-        SupervisePolicy { jobs: 1, deadline_ms: None }
+        SupervisePolicy {
+            jobs: 1,
+            deadline_ms: None,
+        }
     }
 }
 
@@ -113,7 +116,10 @@ impl JobOutcome {
     /// True for outcomes parked on the quarantine list (poisoned jobs
     /// reported at the end of the run instead of aborting it).
     pub fn quarantined(&self) -> bool {
-        matches!(self, JobOutcome::Panicked { .. } | JobOutcome::TimedOut { .. })
+        matches!(
+            self,
+            JobOutcome::Panicked { .. } | JobOutcome::TimedOut { .. }
+        )
     }
 
     /// Stable lowercase class name (used by reports and JSON).
@@ -442,7 +448,11 @@ where
     {
         let mut s = lock_slot(&ctx.slots[i]);
         match *s {
-            Slot::Idle => *s = Slot::Running { started: Instant::now() },
+            Slot::Idle => {
+                *s = Slot::Running {
+                    started: Instant::now(),
+                }
+            }
             // Resolved (or somehow already running): nothing to do.
             _ => return,
         }
@@ -452,7 +462,10 @@ where
     // boundary cannot expose broken invariants.
     let event = match catch_unwind(AssertUnwindSafe(|| (ctx.f)(i, &ctx.items[i]))) {
         Ok(value) => Event::Done { index: i, value },
-        Err(payload) => Event::Failed { index: i, message: panic_message(payload.as_ref()) },
+        Err(payload) => Event::Failed {
+            index: i,
+            message: panic_message(payload.as_ref()),
+        },
     };
     let mut s = lock_slot(&ctx.slots[i]);
     if matches!(*s, Slot::Resolved) {
@@ -469,7 +482,10 @@ mod tests {
     use super::*;
 
     fn policy(jobs: usize) -> SupervisePolicy {
-        SupervisePolicy { jobs, ..SupervisePolicy::default() }
+        SupervisePolicy {
+            jobs,
+            ..SupervisePolicy::default()
+        }
     }
 
     #[test]
@@ -500,10 +516,17 @@ mod tests {
     #[test]
     fn deterministic_panic_is_quarantined_without_aborting() {
         let items: Vec<u32> = (0..8).collect();
-        let r = supervise_map_ordered(items, &policy(2), &CancelToken::new(), None, |_, &x| {
-            assert!(x != 5, "boom at five");
-            x + 1
-        }, |_, _| {});
+        let r = supervise_map_ordered(
+            items,
+            &policy(2),
+            &CancelToken::new(),
+            None,
+            |_, &x| {
+                assert!(x != 5, "boom at five");
+                x + 1
+            },
+            |_, _| {},
+        );
         assert_eq!(r.count("panicked"), 1);
         assert_eq!(r.count("ok"), 7);
         let q = r.quarantine();
@@ -524,12 +547,19 @@ mod tests {
             deadline_ms: Some(40),
             ..policy(1) // one worker: the replacement spawn is load-bearing
         };
-        let r = supervise_map_ordered(items, &p, &CancelToken::new(), None, |_, &x| {
-            if x == 1 {
-                std::thread::sleep(Duration::from_millis(400));
-            }
-            x * 10
-        }, |_, _| {});
+        let r = supervise_map_ordered(
+            items,
+            &p,
+            &CancelToken::new(),
+            None,
+            |_, &x| {
+                if x == 1 {
+                    std::thread::sleep(Duration::from_millis(400));
+                }
+                x * 10
+            },
+            |_, _| {},
+        );
         assert_eq!(r.outcomes[1], JobOutcome::TimedOut { deadline_ms: 40 });
         assert!(r.results[1].is_none());
         for i in [0usize, 2, 3, 4] {
@@ -545,12 +575,19 @@ mod tests {
         let items: Vec<u32> = (0..10).collect();
         let cancel = CancelToken::new();
         let c2 = cancel.clone();
-        let r = supervise_map_ordered(items, &policy(1), &cancel, None, move |_, &x| {
-            if x == 2 {
-                c2.cancel();
-            }
-            x
-        }, |_, _| {});
+        let r = supervise_map_ordered(
+            items,
+            &policy(1),
+            &cancel,
+            None,
+            move |_, &x| {
+                if x == 2 {
+                    c2.cancel();
+                }
+                x
+            },
+            |_, _| {},
+        );
         assert!(r.cancelled);
         assert_eq!(r.count("ok"), 3);
         assert_eq!(r.count("skipped"), 7);
@@ -574,7 +611,10 @@ mod tests {
         assert_eq!(r.count("ok"), 12);
         let mut seen = seen.into_inner();
         seen.sort_unstable();
-        assert_eq!(seen, (0..12).map(|i| (i as usize, i + 100)).collect::<Vec<_>>());
+        assert_eq!(
+            seen,
+            (0..12).map(|i| (i as usize, i + 100)).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -593,7 +633,9 @@ mod tests {
     #[test]
     fn outcome_classes_and_predicates() {
         let ok = JobOutcome::Ok;
-        let panicked = JobOutcome::Panicked { message: "x".into() };
+        let panicked = JobOutcome::Panicked {
+            message: "x".into(),
+        };
         let timed = JobOutcome::TimedOut { deadline_ms: 5 };
         let skipped = JobOutcome::Skipped;
         assert!(ok.succeeded());

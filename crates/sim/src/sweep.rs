@@ -166,14 +166,20 @@ pub struct ReuseOptions {
 impl Default for ReuseOptions {
     /// Dedup on, no persistent cache.
     fn default() -> Self {
-        ReuseOptions { dedup: true, cache: None }
+        ReuseOptions {
+            dedup: true,
+            cache: None,
+        }
     }
 }
 
 impl ReuseOptions {
     /// Both levels off (`--no-result-cache`).
     pub fn disabled() -> Self {
-        ReuseOptions { dedup: false, cache: None }
+        ReuseOptions {
+            dedup: false,
+            cache: None,
+        }
     }
 }
 
@@ -255,7 +261,11 @@ fn intern_unit(
     }
     let u = units.len();
     index_of.insert(desc.clone(), u);
-    units.push(SimUnit { desc, rep, setup: setup.clone() });
+    units.push(SimUnit {
+        desc,
+        rep,
+        setup: setup.clone(),
+    });
     u
 }
 
@@ -291,7 +301,10 @@ fn plan_units(
             if !dedup {
                 format!("singleton|{gi}|{role}")
             } else if singleton == Some(gi) {
-                format!("inject-panic|{gi}|{role}|{}", unit_desc(workload, opts, cfg, setup))
+                format!(
+                    "inject-panic|{gi}|{role}|{}",
+                    unit_desc(workload, opts, cfg, setup)
+                )
             } else {
                 unit_desc(workload, opts, cfg, setup)
             }
@@ -421,7 +434,10 @@ pub fn run_sweep_jobs_reuse(
         scheme,
         baseline,
         opts: *opts,
-        policy: SupervisePolicy { jobs, ..SupervisePolicy::default() },
+        policy: SupervisePolicy {
+            jobs,
+            ..SupervisePolicy::default()
+        },
         journal: None,
         cancel: CancelToken::new(),
         cancel_after: None,
@@ -592,7 +608,10 @@ pub fn enumerate_grid(
         return Err(SweepError::Axes("no axes given".to_string()));
     }
     if let Some(empty) = axes.iter().find(|a| a.variants.is_empty()) {
-        return Err(SweepError::Axes(format!("axis `{}` has no variants", empty.name)));
+        return Err(SweepError::Axes(format!(
+            "axis `{}` has no variants",
+            empty.name
+        )));
     }
     let mut grid: Vec<(String, SystemConfig)> = Vec::new();
     let mut index = vec![0usize; axes.len()];
@@ -607,7 +626,10 @@ pub fn enumerate_grid(
         }
         let label = parts.join(",");
         if let Err(e) = cfg.validate() {
-            return Err(SweepError::Config { label, detail: e.to_string() });
+            return Err(SweepError::Config {
+                label,
+                detail: e.to_string(),
+            });
         }
         grid.push((label, cfg));
 
@@ -720,7 +742,9 @@ impl SweepPointRecord {
     /// point's metrics are exactly those its original run journaled — the
     /// heart of the byte-identical-resume guarantee.
     pub fn fragment(&self) -> Option<String> {
-        let PointState::Done(p) = &self.state else { return None };
+        let PointState::Done(p) = &self.state else {
+            return None;
+        };
         Some(format!(
             "{{\"index\": {}, \"label\": {}, \"metrics\": {}, \"baseline\": {}}}",
             self.index,
@@ -761,12 +785,18 @@ pub struct SweepRun {
 impl SweepRun {
     /// Number of points whose outcome has the given class.
     pub fn count(&self, class: &str) -> usize {
-        self.points.iter().filter(|p| p.outcome.class() == class).count()
+        self.points
+            .iter()
+            .filter(|p| p.outcome.class() == class)
+            .count()
     }
 
     /// Records of quarantined points, in grid order.
     pub fn quarantined(&self) -> Vec<&SweepPointRecord> {
-        self.points.iter().filter(|p| p.outcome.quarantined()).collect()
+        self.points
+            .iter()
+            .filter(|p| p.outcome.quarantined())
+            .collect()
     }
 
     /// True when every grid point has a result (none quarantined or
@@ -787,10 +817,19 @@ impl SweepRun {
         let mut s = String::with_capacity(4096);
         s.push_str("{\n");
         s.push_str("  \"schema\": \"fpb-sweep/v1\",\n");
-        s.push_str(&format!("  \"workload\": {},\n", json_string(&self.workload)));
+        s.push_str(&format!(
+            "  \"workload\": {},\n",
+            json_string(&self.workload)
+        ));
         s.push_str(&format!("  \"scheme\": {},\n", json_string(&self.scheme)));
-        s.push_str(&format!("  \"baseline\": {},\n", json_string(&self.baseline)));
-        s.push_str(&format!("  \"instructions_per_core\": {},\n", self.instructions));
+        s.push_str(&format!(
+            "  \"baseline\": {},\n",
+            json_string(&self.baseline)
+        ));
+        s.push_str(&format!(
+            "  \"instructions_per_core\": {},\n",
+            self.instructions
+        ));
         s.push_str(&format!("  \"points\": {},\n", self.points.len()));
         s.push_str(&format!("  \"cancelled\": {},\n", self.cancelled));
         s.push_str("  \"job_outcomes\": {\n");
@@ -853,7 +892,10 @@ fn sweep_fingerprint(
     base_cfg: &SystemConfig,
     grid: &[(String, SystemConfig)],
 ) -> u64 {
-    let mut desc = format!("{}|{scheme}|{baseline}|{opts:?}|{base_cfg:?}", workload.name);
+    let mut desc = format!(
+        "{}|{scheme}|{baseline}|{opts:?}|{base_cfg:?}",
+        workload.name
+    );
     for (label, _) in grid {
         desc.push('|');
         desc.push_str(label);
@@ -943,7 +985,11 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
                 let slot = &mut restored_points[rec.index];
                 if slot.is_none() {
                     let label = labels[rec.index].clone();
-                    *slot = Some(SweepPoint { label, metrics, baseline });
+                    *slot = Some(SweepPoint {
+                        label,
+                        metrics,
+                        baseline,
+                    });
                 }
             }
             writer = Some(w);
@@ -1001,7 +1047,8 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
             }
             let (su, bu) = plan.point_units[pi];
             if let (Some(sm), Some(bm)) = (&unit_results[su], &unit_results[bu]) {
-                w.append_record(gi, &encode_point(sm, bm)).map_err(journal_err)?;
+                w.append_record(gi, &encode_point(sm, bm))
+                    .map_err(journal_err)?;
             }
         }
     }
@@ -1028,8 +1075,9 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
     }
 
     // Units to dispatch, in interning order (deterministic).
-    let sim_unit_ids: Vec<usize> =
-        (0..plan.units.len()).filter(|&u| unit_results[u].is_none()).collect();
+    let sim_unit_ids: Vec<usize> = (0..plan.units.len())
+        .filter(|&u| unit_results[u].is_none())
+        .collect();
     let sim_jobs: Vec<SimJob> = sim_unit_ids
         .iter()
         .map(|&u| {
@@ -1051,7 +1099,13 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
     for &u in &sim_unit_ids {
         needed[plan.units[u].rep] = true;
     }
-    let warm = Arc::new(warm_shared(req.workload, &grid, &req.opts, req.policy.jobs, &needed));
+    let warm = Arc::new(warm_shared(
+        req.workload,
+        &grid,
+        &req.opts,
+        req.policy.jobs,
+        &needed,
+    ));
 
     // Execution costs: static estimate, refined by measured cycle counts
     // from journal-restored points sharing the same warm key (same line
@@ -1223,7 +1277,12 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
             _ if outcome.quarantined() => PointState::Failed,
             _ => PointState::Skipped,
         };
-        records[gi] = SweepPointRecord { index: gi, label, state, outcome };
+        records[gi] = SweepPointRecord {
+            index: gi,
+            label,
+            state,
+            outcome,
+        };
     }
 
     Ok(SweepRun {
@@ -1293,10 +1352,7 @@ mod tests {
         let points = run_sweep(
             &wl,
             SystemConfig::default(),
-            &[
-                Axis::pt_dimm(&[466, 560]),
-                Axis::e_gcp(&[0.7, 0.5]),
-            ],
+            &[Axis::pt_dimm(&[466, 560]), Axis::e_gcp(&[0.7, 0.5])],
             "fpb",
             "dimm-chip",
             &opts(),
@@ -1365,10 +1421,19 @@ mod tests {
     #[test]
     fn enumerate_grid_rejects_degenerate_axes() {
         let cfg = SystemConfig::default();
-        assert!(matches!(enumerate_grid(&cfg, &[]), Err(SweepError::Axes(_))));
-        let hollow = Axis { name: "pt", variants: Vec::new() };
+        assert!(matches!(
+            enumerate_grid(&cfg, &[]),
+            Err(SweepError::Axes(_))
+        ));
+        let hollow = Axis {
+            name: "pt",
+            variants: Vec::new(),
+        };
         let err = enumerate_grid(&cfg, &[hollow]).unwrap_err();
-        assert!(err.to_string().contains("axis `pt` has no variants"), "{err}");
+        assert!(
+            err.to_string().contains("axis `pt` has no variants"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1382,7 +1447,12 @@ mod tests {
         let labels: Vec<&str> = grid.iter().map(|(l, _)| l.as_str()).collect();
         assert_eq!(
             labels,
-            ["pt=466t,egcp=0.7", "pt=466t,egcp=0.5", "pt=560t,egcp=0.7", "pt=560t,egcp=0.5"]
+            [
+                "pt=466t,egcp=0.7",
+                "pt=466t,egcp=0.5",
+                "pt=560t,egcp=0.7",
+                "pt=560t,egcp=0.5"
+            ]
         );
     }
 
@@ -1411,13 +1481,20 @@ mod tests {
         let done = record(point.clone());
         let frag = done.fragment().unwrap();
         assert!(frag.starts_with("{\"index\": 4, \"label\": \"pt=466t [FPB]\", \"metrics\": {"));
-        assert!(!frag.contains('\n'), "fragments must be single-line: {frag}");
+        assert!(
+            !frag.contains('\n'),
+            "fragments must be single-line: {frag}"
+        );
 
         // A point restored from its journal payload is the same record:
         // same fragment bytes, same table stats.
         let (metrics, baseline) =
             decode_point(&encode_point(&point.metrics, &point.baseline)).unwrap();
-        let restored = record(SweepPoint { label: point.label.clone(), metrics, baseline });
+        let restored = record(SweepPoint {
+            label: point.label.clone(),
+            metrics,
+            baseline,
+        });
         assert_eq!(restored.fragment().unwrap(), frag);
         let stats = restored.stats().unwrap();
         assert_eq!(stats, done.stats().unwrap());
@@ -1433,13 +1510,28 @@ mod tests {
         let cfg = SystemConfig::default();
         let grid = enumerate_grid(&cfg, &[Axis::pt_dimm(&[466, 560])]).unwrap();
         let base = sweep_fingerprint(&wl, "fpb", "dimm-chip", &opts(), &cfg, &grid);
-        assert_eq!(base, sweep_fingerprint(&wl, "fpb", "dimm-chip", &opts(), &cfg, &grid));
-        assert_ne!(base, sweep_fingerprint(&wl2, "fpb", "dimm-chip", &opts(), &cfg, &grid));
-        assert_ne!(base, sweep_fingerprint(&wl, "gcp", "dimm-chip", &opts(), &cfg, &grid));
+        assert_eq!(
+            base,
+            sweep_fingerprint(&wl, "fpb", "dimm-chip", &opts(), &cfg, &grid)
+        );
+        assert_ne!(
+            base,
+            sweep_fingerprint(&wl2, "fpb", "dimm-chip", &opts(), &cfg, &grid)
+        );
+        assert_ne!(
+            base,
+            sweep_fingerprint(&wl, "gcp", "dimm-chip", &opts(), &cfg, &grid)
+        );
         let other_opts = SimOptions::with_instructions(999);
-        assert_ne!(base, sweep_fingerprint(&wl, "fpb", "dimm-chip", &other_opts, &cfg, &grid));
+        assert_ne!(
+            base,
+            sweep_fingerprint(&wl, "fpb", "dimm-chip", &other_opts, &cfg, &grid)
+        );
         let bigger = enumerate_grid(&cfg, &[Axis::pt_dimm(&[466, 560, 512])]).unwrap();
-        assert_ne!(base, sweep_fingerprint(&wl, "fpb", "dimm-chip", &opts(), &cfg, &bigger));
+        assert_ne!(
+            base,
+            sweep_fingerprint(&wl, "fpb", "dimm-chip", &opts(), &cfg, &bigger)
+        );
     }
 
     #[test]
@@ -1473,7 +1565,10 @@ mod tests {
             assert_eq!(a.baseline, b.baseline, "{}", a.label);
         }
         // Dedup off: every point pays both runs.
-        assert_eq!((s_off.runs_total, s_off.runs_unique, s_off.simulated), (8, 8, 8));
+        assert_eq!(
+            (s_off.runs_total, s_off.runs_unique, s_off.simulated),
+            (8, 8, 8)
+        );
         // Dedup on: the power-blind baseline collapses along the e-gcp
         // axis; fpb stays distinct per point.
         assert_eq!(s_on.runs_total, 8);
@@ -1492,7 +1587,10 @@ mod tests {
         let wl = catalog::workload("cop_m").expect("workload");
         let path = std::env::temp_dir().join("fpb-sweep-unit-cache.v1");
         std::fs::remove_file(&path).ok();
-        let reuse = ReuseOptions { dedup: true, cache: Some(path.clone()) };
+        let reuse = ReuseOptions {
+            dedup: true,
+            cache: Some(path.clone()),
+        };
         let axes = || [Axis::pt_dimm(&[466, 560])];
         let (cold, s_cold) = run_sweep_jobs_reuse(
             &wl,
@@ -1532,8 +1630,15 @@ mod tests {
         assert_eq!(merge_outcomes(Ok, Ok), Ok);
         assert_eq!(merge_outcomes(Ok, Skipped), Skipped);
         assert_eq!(
-            merge_outcomes(Skipped, Panicked { message: "boom".into() }),
-            Panicked { message: "boom".into() }
+            merge_outcomes(
+                Skipped,
+                Panicked {
+                    message: "boom".into()
+                }
+            ),
+            Panicked {
+                message: "boom".into()
+            }
         );
         assert_eq!(
             merge_outcomes(TimedOut { deadline_ms: 5 }, Ok),
@@ -1563,7 +1668,9 @@ mod tests {
                     index: 1,
                     label: "pt=560t [FPB]".to_string(),
                     state: PointState::Failed,
-                    outcome: JobOutcome::Panicked { message: "boom".to_string() },
+                    outcome: JobOutcome::Panicked {
+                        message: "boom".to_string(),
+                    },
                 },
                 SweepPointRecord {
                     index: 2,
@@ -1580,12 +1687,18 @@ mod tests {
         let json = run.to_json();
         assert!(json.contains("\"schema\": \"fpb-sweep/v1\""));
         assert!(json.contains("\"ok\": 1,"));
-        assert!(json.contains("\"retried\": 0,"), "the fpb-sweep/v1 key stays");
+        assert!(
+            json.contains("\"retried\": 0,"),
+            "the fpb-sweep/v1 key stays"
+        );
         assert!(json.contains("\"panicked\": 1,"));
         assert!(json.contains("\"skipped\": 1,"));
         assert!(json.contains("\"cancelled\": true"));
         assert!(json.contains("\"class\": \"panicked\", \"detail\": \"boom\""));
-        assert!(!json.contains("restored"), "run-local bookkeeping stays out of the JSON");
+        assert!(
+            !json.contains("restored"),
+            "run-local bookkeeping stays out of the JSON"
+        );
         assert_eq!(run.count("ok"), 1);
         assert_eq!(run.quarantined().len(), 1);
         assert!(!run.complete());

@@ -88,7 +88,13 @@ impl Timeline {
             metrics.apply(ev);
             match ev {
                 LifecycleEvent::RunStart { banks: b, .. } => banks = *b,
-                LifecycleEvent::StepSnapshot { at, bank_mask, burst, wrq, rdq } => {
+                LifecycleEvent::StepSnapshot {
+                    at,
+                    bank_mask,
+                    burst,
+                    wrq,
+                    rdq,
+                } => {
                     samples.push(Sample {
                         at: Cycles::new(*at),
                         bank_writes: (0..u32::from(banks))
@@ -122,11 +128,7 @@ impl Timeline {
     /// Panics if `bank` is out of range or nothing was recorded.
     pub fn bank_write_occupancy(&self, bank: usize) -> f64 {
         assert!(!self.samples.is_empty(), "empty timeline");
-        let hits = self
-            .samples
-            .iter()
-            .filter(|s| s.bank_writes[bank])
-            .count();
+        let hits = self.samples.iter().filter(|s| s.bank_writes[bank]).count();
         hits as f64 / self.samples.len() as f64
     }
 
@@ -212,7 +214,11 @@ mod tests {
             crate::run_workload_recorded(&wl, &cfg, &scheme(&cfg), &opts, MemorySink::new())
                 .unwrap();
         let tl = Timeline::from_events(sink.events());
-        assert_eq!(tl.metrics(), &m, "the fold must reproduce the run's metrics");
+        assert_eq!(
+            tl.metrics(),
+            &m,
+            "the fold must reproduce the run's metrics"
+        );
         tl
     }
 
@@ -238,8 +244,20 @@ mod tests {
                 cells_per_chip_per_line: 64,
                 seed: 7,
             },
-            LifecycleEvent::StepSnapshot { at: 0, bank_mask: 0b101, burst: false, wrq: 1, rdq: 2 },
-            LifecycleEvent::StepSnapshot { at: 9, bank_mask: 0, burst: true, wrq: 0, rdq: 0 },
+            LifecycleEvent::StepSnapshot {
+                at: 0,
+                bank_mask: 0b101,
+                burst: false,
+                wrq: 1,
+                rdq: 2,
+            },
+            LifecycleEvent::StepSnapshot {
+                at: 9,
+                bank_mask: 0,
+                burst: true,
+                wrq: 0,
+                rdq: 0,
+            },
             LifecycleEvent::RunEnd { at: 9 },
         ];
         let tl = Timeline::from_events(&evs);

@@ -74,7 +74,9 @@ fn recording_leaves_metrics_unchanged() {
 fn on_disk_log_replays_to_the_live_run() {
     let cfg = faulty_cfg();
     let wl = catalog::workload("mcf_m").expect("workload");
-    let setup = SchemeRegistry::standard().build("fpb", &cfg).expect("fpb spec");
+    let setup = SchemeRegistry::standard()
+        .build("fpb", &cfg)
+        .expect("fpb spec");
     let dir = std::env::temp_dir().join("fpb-inspect-equivalence");
     std::fs::create_dir_all(&dir).expect("mkdir");
     let path = dir.join(format!("run-{}.fpbi", std::process::id()));
@@ -83,12 +85,16 @@ fn on_disk_log_replays_to_the_live_run() {
     let sink = FileSink::create(&path, "mcf_m fpb faulty").expect("create log");
     let (live, sink) = run_workload_recorded(&wl, &cfg, &setup, &opts(), sink).expect("recorded");
     sink.finish().expect("close log");
-    let (_, memory) = run_workload_recorded(&wl, &cfg, &setup, &opts(), MemorySink::new())
-        .expect("recorded");
+    let (_, memory) =
+        run_workload_recorded(&wl, &cfg, &setup, &opts(), MemorySink::new()).expect("recorded");
     let log = read_event_log(&path).expect("read back");
     std::fs::remove_file(&path).ok();
     assert!(log.complete);
-    assert_eq!(log.events, memory.events(), "the log must hold the whole stream");
+    assert_eq!(
+        log.events,
+        memory.events(),
+        "the log must hold the whole stream"
+    );
 
     let replayed = Timeline::from_events(&log.events);
     assert_eq!(replayed.metrics().to_json(), live.to_json());

@@ -73,8 +73,8 @@ fn check_one(seed: u64, spec: &str, faulty: bool) -> Result<(), TestCaseError> {
 
     // Through the on-disk log and back.
     let path = tmp();
-    let mut w = EventLogWriter::create(&path, &format!("seed={seed} spec={spec}"))
-        .expect("create log");
+    let mut w =
+        EventLogWriter::create(&path, &format!("seed={seed} spec={spec}")).expect("create log");
     for ev in sink.events() {
         w.append(ev).expect("append");
     }
@@ -83,7 +83,11 @@ fn check_one(seed: u64, spec: &str, faulty: bool) -> Result<(), TestCaseError> {
     let log = read_event_log(&path).expect("read back");
     prop_assert!(log.complete);
     prop_assert_eq!(log.dropped_lines, 0);
-    prop_assert_eq!(&log.events, sink.events(), "file round-trip changed the stream");
+    prop_assert_eq!(
+        &log.events,
+        sink.events(),
+        "file round-trip changed the stream"
+    );
     std::fs::remove_file(&path).ok();
 
     let replayed = Timeline::from_events(&log.events);

@@ -13,8 +13,8 @@
 //! deliberate update is a copy of that list.
 
 use fpb_sim::inspect::MemorySink;
-use fpb_sim::store::fingerprint64;
 use fpb_sim::scheme::SchemeRegistry;
+use fpb_sim::store::fingerprint64;
 use fpb_sim::timeline::Timeline;
 use fpb_sim::{run_workload, run_workload_recorded, Metrics, SimOptions};
 use fpb_trace::catalog;
@@ -65,10 +65,8 @@ const SCRUB_PERIOD: u64 = 5_000;
 /// ([`SimOptions::full_hierarchy`]) at [`FULL_INSTRUCTIONS`] per core:
 /// the only pins on the L1/L2 caches, `mark_dirty` write-back merges and
 /// full-mode warm-up.
-const FULL_HIERARCHY_DIGESTS: [(&str, u64); 2] = [
-    ("lbm_m", 0xbdb4f8a117d17627),
-    ("mcf_m", 0xe423be13549f2641),
-];
+const FULL_HIERARCHY_DIGESTS: [(&str, u64); 2] =
+    [("lbm_m", 0xbdb4f8a117d17627), ("mcf_m", 0xe423be13549f2641)];
 const FULL_INSTRUCTIONS: u64 = 200_000;
 
 /// Digests of the recorded lifecycle-event stream (every event's
@@ -109,7 +107,9 @@ fn faulty_cfg() -> SystemConfig {
 /// `fpb` on `mcf_m` under `cfg` and `opts`.
 fn fpb_run(cfg: &SystemConfig, opts: &SimOptions) -> Metrics {
     let wl = catalog::workload("mcf_m").expect("workload");
-    let setup = SchemeRegistry::standard().build("fpb", cfg).expect("fpb spec");
+    let setup = SchemeRegistry::standard()
+        .build("fpb", cfg)
+        .expect("fpb spec");
     run_workload(&wl, cfg, &setup, opts)
 }
 
@@ -137,7 +137,9 @@ fn paper_figure_specs_match_golden_metrics() {
     let table: Vec<(String, u64, u64)> = specs
         .iter()
         .map(|spec| {
-            let setup = registry.build(spec, &cfg).unwrap_or_else(|e| panic!("{spec}: {e}"));
+            let setup = registry
+                .build(spec, &cfg)
+                .unwrap_or_else(|e| panic!("{spec}: {e}"));
             let got = fingerprint64(&run_workload(&wl, &cfg, &setup, &opts()).to_json());
             let want = PAPER_FIGURE_DIGESTS
                 .iter()
@@ -165,7 +167,10 @@ fn scrubbed_run_matches_golden_metrics() {
         ..opts()
     };
     let m = fpb_run(&SystemConfig::default(), &opts);
-    assert!(m.scrub_reads > 0, "the scrub period must fire within the run");
+    assert!(
+        m.scrub_reads > 0,
+        "the scrub period must fire within the run"
+    );
     check(&[("scrub".into(), fingerprint64(&m.to_json()), SCRUB_DIGEST)]);
 }
 
@@ -176,7 +181,10 @@ fn audited_run_matches_golden_metrics() {
         ..opts()
     };
     let m = fpb_run(&SystemConfig::default(), &opts);
-    assert_eq!(m.faults.audit_violations, 0, "the ledger must conserve tokens");
+    assert_eq!(
+        m.faults.audit_violations, 0,
+        "the ledger must conserve tokens"
+    );
     check(&[("audit".into(), fingerprint64(&m.to_json()), AUDIT_DIGEST)]);
 }
 
@@ -235,13 +243,18 @@ fn full_hierarchy_runs_match_golden_metrics() {
         full_hierarchy: true,
         ..SimOptions::with_instructions(FULL_INSTRUCTIONS)
     };
-    let setup = SchemeRegistry::standard().build("fpb", &cfg).expect("fpb spec");
+    let setup = SchemeRegistry::standard()
+        .build("fpb", &cfg)
+        .expect("fpb spec");
     let table: Vec<(String, u64, u64)> = FULL_HIERARCHY_DIGESTS
         .iter()
         .map(|&(name, want)| {
             let wl = catalog::workload(name).expect("workload");
             let m = run_workload(&wl, &cfg, &setup, &opts);
-            assert!(m.pcm_writes > 0, "{name}: the L3 must spill dirty lines to PCM");
+            assert!(
+                m.pcm_writes > 0,
+                "{name}: the L3 must spill dirty lines to PCM"
+            );
             (name.to_string(), fingerprint64(&m.to_json()), want)
         })
         .collect();

@@ -145,7 +145,16 @@ const FUZZ_BASES: &[&str] = &[
     "fpb-mr:2",
 ];
 const FUZZ_MODS: &[&str] = &[
-    "wc", "wp", "wt4", "wt8", "preset", "worstcase", "reg", "ne", "vim", "bim",
+    "wc",
+    "wp",
+    "wt4",
+    "wt8",
+    "preset",
+    "worstcase",
+    "reg",
+    "ne",
+    "vim",
+    "bim",
 ];
 
 proptest! {

@@ -50,7 +50,12 @@ fn body_strategy() -> impl Strategy<Value = String> {
 }
 
 /// The three damages, each with the offset of its first damaged byte.
-fn damages(written: &[u8], pos: u64, bit: u8, garbage: &[u8]) -> [(&'static str, Vec<u8>, usize); 3] {
+fn damages(
+    written: &[u8],
+    pos: u64,
+    bit: u8,
+    garbage: &[u8],
+) -> [(&'static str, Vec<u8>, usize); 3] {
     let len = written.len();
     let cut = (pos % (len as u64 + 1)) as usize;
     let flip_at = (pos % len as u64) as usize;
@@ -83,8 +88,12 @@ fn check_scan(
     damaged: &[u8],
     at: usize,
 ) -> Result<(usize, u64), TestCaseError> {
-    let ends: Vec<usize> =
-        written.iter().enumerate().filter(|&(_, &b)| b == b'\n').map(|(i, _)| i + 1).collect();
+    let ends: Vec<usize> = written
+        .iter()
+        .enumerate()
+        .filter(|&(_, &b)| b == b'\n')
+        .map(|(i, _)| i + 1)
+        .collect();
     let intact = ends.iter().filter(|&&end| end <= at).count();
     let valid = if intact == 0 { 0 } else { ends[intact - 1] };
 

@@ -65,7 +65,10 @@ fn supervised_points_match_standalone_runs() {
         .map(|(_, cfg)| {
             let scheme = registry.build("fpb", cfg).expect("fpb spec");
             let baseline = registry.build("dimm-chip", cfg).expect("dimm-chip spec");
-            (run_workload(&wl, cfg, &scheme, &opts), run_workload(&wl, cfg, &baseline, &opts))
+            (
+                run_workload(&wl, cfg, &scheme, &opts),
+                run_workload(&wl, cfg, &baseline, &opts),
+            )
         })
         .collect();
     for jobs in [1, 3] {
@@ -98,7 +101,10 @@ fn deterministic_panic_quarantines_one_point_and_finishes_the_grid() {
     let run = run_sweep_supervised(req).expect("sweep itself succeeds");
     assert_eq!(run.count("ok"), 3);
     assert_eq!(run.count("panicked"), 1);
-    assert!(!run.cancelled, "quarantine must not cancel the rest of the grid");
+    assert!(
+        !run.cancelled,
+        "quarantine must not cancel the rest of the grid"
+    );
     let q = run.quarantined();
     assert_eq!(q.len(), 1);
     assert_eq!(q[0].index, 2);
@@ -133,8 +139,8 @@ fn interrupted_then_resumed_sweep_renders_byte_identical_json() {
     // Run with a journal, cancelling after 2 completed points (the
     // deterministic stand-in for Ctrl-C mid-sweep).
     let path = tmp("resume_identity.fpbj");
-    let partial = journaled_run(&wl, &axes, JournalMode::Fresh(path.clone()), Some(2))
-        .expect("partial run");
+    let partial =
+        journaled_run(&wl, &axes, JournalMode::Fresh(path.clone()), Some(2)).expect("partial run");
     assert!(partial.cancelled);
     // One worker: exactly 2 points complete, the rest are skipped.
     let done_first = partial.count("ok");
@@ -142,8 +148,8 @@ fn interrupted_then_resumed_sweep_renders_byte_identical_json() {
     assert_eq!(partial.count("skipped"), 2);
 
     // Resume: restored points + the remainder, byte-identical JSON.
-    let resumed = journaled_run(&wl, &axes, JournalMode::Resume(path.clone()), None)
-        .expect("resumed run");
+    let resumed =
+        journaled_run(&wl, &axes, JournalMode::Resume(path.clone()), None).expect("resumed run");
     assert!(resumed.complete() && !resumed.cancelled);
     assert_eq!(resumed.restored, done_first);
     assert_eq!(resumed.dropped_journal_lines, 0);
@@ -155,8 +161,8 @@ fn interrupted_then_resumed_sweep_renders_byte_identical_json() {
 
     // Resuming a *finished* journal restores everything and still
     // renders identical bytes.
-    let re_resumed = journaled_run(&wl, &axes, JournalMode::Resume(path.clone()), None)
-        .expect("re-resumed run");
+    let re_resumed =
+        journaled_run(&wl, &axes, JournalMode::Resume(path.clone()), None).expect("re-resumed run");
     assert_eq!(re_resumed.restored, 4);
     assert_eq!(re_resumed.to_json(), clean.to_json());
     std::fs::remove_file(&path).ok();
@@ -180,8 +186,8 @@ fn crash_at_point_k_then_resume_is_byte_identical() {
 
     // Resume without the injection: only the quarantined point reruns,
     // and the final document matches the uninterrupted run exactly.
-    let resumed = journaled_run(&wl, &axes, JournalMode::Resume(path.clone()), None)
-        .expect("resumed run");
+    let resumed =
+        journaled_run(&wl, &axes, JournalMode::Resume(path.clone()), None).expect("resumed run");
     assert_eq!(resumed.restored, 3);
     assert!(resumed.complete());
     assert_eq!(resumed.to_json(), clean.to_json());
@@ -201,7 +207,11 @@ fn warm_cache_completes_journaled_sweeps_and_journal_outranks_cache() {
     let seeded = run_sweep_supervised(req).expect("seeding run");
     assert_eq!(seeded.reuse.cache_hits, 0);
     assert!(seeded.reuse.simulated > 0);
-    assert_eq!(seeded.to_json(), clean.to_json(), "cache writes must not change results");
+    assert_eq!(
+        seeded.to_json(),
+        clean.to_json(),
+        "cache writes must not change results"
+    );
 
     // A journaled run over the warm cache completes without simulating:
     // every point is cache-ready and journaled before supervision, and
@@ -215,7 +225,11 @@ fn warm_cache_completes_journaled_sweeps_and_journal_outranks_cache() {
     assert_eq!(warm.reuse.simulated, 0, "{:?}", warm.reuse);
     assert_eq!(warm.reuse.cache_hits, warm.reuse.runs_unique);
     assert!(warm.complete() && !warm.cancelled);
-    assert_eq!(warm.to_json(), clean.to_json(), "cache splice must be byte-identical");
+    assert_eq!(
+        warm.to_json(),
+        clean.to_json(),
+        "cache splice must be byte-identical"
+    );
 
     // Resuming the finished journal restores every point from the
     // journal; the cache is never consulted — the journal outranks it.
@@ -224,7 +238,10 @@ fn warm_cache_completes_journaled_sweeps_and_journal_outranks_cache() {
     req.reuse.cache = Some(cache.clone());
     let resumed = run_sweep_supervised(req).expect("resumed run");
     assert_eq!(resumed.restored, 4);
-    assert_eq!(resumed.reuse.runs_total, 0, "journal splice must win over cache splice");
+    assert_eq!(
+        resumed.reuse.runs_total, 0,
+        "journal splice must win over cache splice"
+    );
     assert_eq!(resumed.reuse.cache_hits, 0);
     assert_eq!(resumed.to_json(), clean.to_json());
     std::fs::remove_file(&path).ok();
@@ -247,7 +264,11 @@ fn injected_panic_fires_even_with_a_warm_cache() {
     req.reuse.cache = Some(cache.clone());
     req.inject_panic = Some(2);
     let run = run_sweep_supervised(req).expect("sweep itself succeeds");
-    assert_eq!(run.count("panicked"), 1, "warm cache must not disarm --inject-panic");
+    assert_eq!(
+        run.count("panicked"),
+        1,
+        "warm cache must not disarm --inject-panic"
+    );
     assert_eq!(run.count("ok"), 3);
     assert_eq!(run.quarantined()[0].index, 2);
     std::fs::remove_file(&cache).ok();
@@ -296,8 +317,8 @@ fn fresh_journal_refuses_to_clobber() {
     let axes = axes();
     let path = tmp("no_clobber_sweep.fpbj");
     journaled_run(&wl, &axes, JournalMode::Fresh(path.clone()), Some(1)).expect("first run");
-    let err = journaled_run(&wl, &axes, JournalMode::Fresh(path.clone()), None)
-        .expect_err("must refuse");
+    let err =
+        journaled_run(&wl, &axes, JournalMode::Fresh(path.clone()), None).expect_err("must refuse");
     assert!(err.to_string().contains("already exists"), "{err}");
     std::fs::remove_file(&path).ok();
 }
@@ -325,7 +346,20 @@ fn out_of_range_inject_panic_is_rejected_before_the_journal_opens() {
     req.journal = Some(JournalMode::Fresh(path.clone()));
     req.inject_panic = Some(4);
     let err = run_sweep_supervised(req).expect_err("index 4 of a 4-point grid must be rejected");
-    assert_eq!(err, SweepError::InjectOutOfRange { index: 4, points: 4 });
-    assert!(err.to_string().contains("point 4 is outside the 4-point grid"), "{err}");
-    assert!(!path.exists(), "the sweep must fail before creating its journal");
+    assert_eq!(
+        err,
+        SweepError::InjectOutOfRange {
+            index: 4,
+            points: 4
+        }
+    );
+    assert!(
+        err.to_string()
+            .contains("point 4 is outside the 4-point grid"),
+        "{err}"
+    );
+    assert!(
+        !path.exists(),
+        "the sweep must fail before creating its journal"
+    );
 }

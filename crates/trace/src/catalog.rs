@@ -69,10 +69,7 @@ pub fn program(name: &str) -> Option<WorkloadProfile> {
         ),
         "C.bwaves" => WorkloadProfile::new(
             "C.bwaves",
-            vec![
-                tier(4.0, 2.0, 10.0, false),
-                tier(3.59, 1.68, 384.0, true),
-            ],
+            vec![tier(4.0, 2.0, 10.0, false), tier(3.59, 1.68, 384.0, true)],
             DataProfile::new(DataClass::Float, 0.55),
         ),
         "C.lbm" => WorkloadProfile::new(
@@ -193,12 +190,7 @@ fn scaled_profile(base: WorkloadProfile, scale: f64) -> WorkloadProfile {
     )
 }
 
-fn homogeneous(
-    name: &'static str,
-    prog: &str,
-    rpki: f64,
-    wpki: f64,
-) -> Workload {
+fn homogeneous(name: &'static str, prog: &str, rpki: f64, wpki: f64) -> Workload {
     let p = scaled_profile(program(prog).expect("known program"), 1.0 / 8.0);
     Workload {
         name,
@@ -208,13 +200,7 @@ fn homogeneous(
     }
 }
 
-fn mix(
-    name: &'static str,
-    progs: [&str; 4],
-    scale: f64,
-    rpki: f64,
-    wpki: f64,
-) -> Workload {
+fn mix(name: &'static str, progs: [&str; 4], scale: f64, rpki: f64, wpki: f64) -> Workload {
     // Table 2's mixes report much lower aggregate intensity than the sum of
     // their components' solo rates (the mixed phases are less memory
     // bound), so each component is intensity-scaled toward the reported
@@ -330,11 +316,7 @@ mod tests {
     fn mixes_are_intensity_scaled() {
         let solo = program("C.mcf").unwrap();
         let mixed = workload("mix_2").unwrap();
-        let mcf_in_mix = mixed
-            .per_core
-            .iter()
-            .find(|p| p.name == "C.mcf")
-            .unwrap();
+        let mcf_in_mix = mixed.per_core.iter().find(|p| p.name == "C.mcf").unwrap();
         assert!(mcf_in_mix.total_pki() < solo.total_pki());
     }
 
@@ -343,9 +325,15 @@ mod tests {
         use crate::data_model::DataClass;
         assert_eq!(program("C.mcf").unwrap().data.class(), DataClass::Integer);
         assert_eq!(program("C.lbm").unwrap().data.class(), DataClass::Float);
-        assert_eq!(program("S.copy").unwrap().data.class(), DataClass::Streaming);
+        assert_eq!(
+            program("S.copy").unwrap().data.class(),
+            DataClass::Streaming
+        );
         // mummer writes dense index structures (see program comment).
-        assert_eq!(program("B.mummer").unwrap().data.class(), DataClass::Streaming);
+        assert_eq!(
+            program("B.mummer").unwrap().data.class(),
+            DataClass::Streaming
+        );
         assert_eq!(program("B.tigr").unwrap().data.class(), DataClass::Pointer);
     }
 

@@ -627,7 +627,10 @@ mod tests {
                 }
             }
         }
-        assert!(mantissa > 10 * sign_exp, "mantissa {mantissa}, se {sign_exp}");
+        assert!(
+            mantissa > 10 * sign_exp,
+            "mantissa {mantissa}, se {sign_exp}"
+        );
     }
 
     #[test]
@@ -733,7 +736,9 @@ mod tests {
             let mut a = SimRng::seed_from(91);
             let mut b = SimRng::seed_from(92);
             let scalar: u64 = (0..n)
-                .map(|_| DataProfile::decide_lanes(&p.flip_digits, !0u64, &mut a).count_ones() as u64)
+                .map(|_| {
+                    DataProfile::decide_lanes(&p.flip_digits, !0u64, &mut a).count_ones() as u64
+                })
                 .sum();
             let batched: u64 = (0..n / 4)
                 .map(|_| {
@@ -761,8 +766,8 @@ mod tests {
 
     #[test]
     fn level_weights_respected() {
-        let p = DataProfile::new(DataClass::Streaming, 1.0)
-            .with_level_weights([0.0, 0.0, 0.0, 1.0]);
+        let p =
+            DataProfile::new(DataClass::Streaming, 1.0).with_level_weights([0.0, 0.0, 0.0, 1.0]);
         let mut rng = SimRng::seed_from(12);
         let cs = p.sample_change_set(256, &mut rng);
         assert!(cs.iter().all(|&(_, l)| l == MlcLevel::L11));

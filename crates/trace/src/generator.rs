@@ -173,8 +173,7 @@ impl CoreTraceGenerator {
         } else {
             self.rng.u64_below(tier.units)
         };
-        let addr = self.base_addr
-            + (tier.offset + unit * ACCESS_BYTES) % CORE_REGION_BYTES;
+        let addr = self.base_addr + (tier.offset + unit * ACCESS_BYTES) % CORE_REGION_BYTES;
         let is_write = !self.rng.bernoulli(tier.read_fraction);
         TraceOp {
             gap_instructions: gap,

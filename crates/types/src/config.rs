@@ -86,7 +86,11 @@ impl SystemConfig {
             ));
         }
         // u8 → u32 widens, it cannot truncate. fpb-lint: allow(truncating_cast)
-        if !self.pcm.cells_per_line().is_multiple_of(self.pcm.chips as u32) {
+        if !self
+            .pcm
+            .cells_per_line()
+            .is_multiple_of(self.pcm.chips as u32)
+        {
             return Err(ConfigError::new(
                 "pcm.chips",
                 "cells per line must divide evenly across chips",
@@ -226,8 +230,18 @@ impl CacheHierarchyConfig {
         }
         // Each level's capacity must divide into whole sets.
         for (field, capacity, line, ways) in [
-            ("cache.l1_kib", u64::from(self.l1_kib) << 10, self.l12_line_bytes, self.l1_ways),
-            ("cache.l2_kib", u64::from(self.l2_kib) << 10, self.l12_line_bytes, self.l2_ways),
+            (
+                "cache.l1_kib",
+                u64::from(self.l1_kib) << 10,
+                self.l12_line_bytes,
+                self.l1_ways,
+            ),
+            (
+                "cache.l2_kib",
+                u64::from(self.l2_kib) << 10,
+                self.l12_line_bytes,
+                self.l2_ways,
+            ),
             (
                 "cache.l3_mib_per_core",
                 u64::from(self.l3_mib_per_core) << 20,
@@ -666,9 +680,7 @@ impl FaultConfig {
     /// (retries, watchdog) do not count: with nothing injected they are
     /// unreachable.
     pub fn any_injection_enabled(&self) -> bool {
-        self.verify_fail_prob > 0.0
-            || self.stuck_cell_prob > 0.0
-            || self.brownouts_enabled()
+        self.verify_fail_prob > 0.0 || self.stuck_cell_prob > 0.0 || self.brownouts_enabled()
     }
 
     /// True when periodic brownout windows are configured.
@@ -838,7 +850,9 @@ mod tests {
         c.cache.l2_ways = 3; // 2048 KiB is not a multiple of 192 B
         assert_eq!(c.validate().unwrap_err().field(), "cache.l2_kib");
 
-        let c = SystemConfig::default().with_llc_mib(1).with_line_bytes(262_144);
+        let c = SystemConfig::default()
+            .with_llc_mib(1)
+            .with_line_bytes(262_144);
         assert_eq!(c.validate().unwrap_err().field(), "cache.l3_mib_per_core");
         let c = SystemConfig::default().with_llc_mib(3);
         assert!(c.validate().is_ok(), "set counts need not be powers of two");
@@ -859,10 +873,7 @@ mod tests {
         c.validate().unwrap();
 
         c.faults.verify_fail_prob = 1.5;
-        assert_eq!(
-            c.validate().unwrap_err().field(),
-            "faults.verify_fail_prob"
-        );
+        assert_eq!(c.validate().unwrap_err().field(), "faults.verify_fail_prob");
 
         let mut c = SystemConfig::default();
         c.faults.brownout_period = 100;

@@ -221,7 +221,9 @@ mod tests {
                 // Converting raw->usable->raw must need at least the original.
                 assert!(t.scale_down(eff).scale_up(eff) <= t + Tokens::from_millis(1));
                 // usable->raw->usable must deliver at least the original.
-                assert!(t.scale_up(eff).scale_down(eff) >= t.saturating_sub(Tokens::from_millis(1)));
+                assert!(
+                    t.scale_up(eff).scale_down(eff) >= t.saturating_sub(Tokens::from_millis(1))
+                );
             }
         }
     }

@@ -251,9 +251,7 @@ mod tests {
     fn geometric_clamped_mean_and_bounds() {
         let mut rng = SimRng::seed_from(17);
         let n = 50_000;
-        let sum: u64 = (0..n)
-            .map(|_| rng.geometric_clamped(0.5, 100) as u64)
-            .sum();
+        let sum: u64 = (0..n).map(|_| rng.geometric_clamped(0.5, 100) as u64).sum();
         let mean = sum as f64 / n as f64;
         assert!((1.9..2.1).contains(&mean), "mean = {mean}");
         for _ in 0..1000 {

@@ -23,7 +23,10 @@ fn main() {
 
     // Per-chip demand of the RESET under each mapping.
     println!("\nper-chip RESET demand (cells):");
-    println!("{:<6} {:>5} {:>5} {:>5} {:>5} {:>5} {:>5} {:>5} {:>5}", "map", "c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7");
+    println!(
+        "{:<6} {:>5} {:>5} {:>5} {:>5} {:>5} {:>5} {:>5} {:>5}",
+        "map", "c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7"
+    );
     for mapping in CellMapping::ALL {
         let counts = mapping.distribute(changes.iter().map(|&(c, _)| c), 8);
         print!("{:<6}", mapping.label());
@@ -42,11 +45,18 @@ fn main() {
     assert!(pm.try_admit(id, &mut write), "empty ledger must admit");
 
     println!("\niteration-by-iteration (BIM mapping, FPB-IPM budgeting):");
-    println!("{:<6} {:>8} {:>12} {:>14}", "iter", "kind", "active cells", "free chip0 tok");
+    println!(
+        "{:<6} {:>8} {:>12} {:>14}",
+        "iter", "kind", "active cells", "free chip0 tok"
+    );
     let mut i = 1;
     loop {
         let demand = write.next_demand().expect("incomplete");
-        let kind = if demand.kind.is_reset() { "RESET" } else { "SET" };
+        let kind = if demand.kind.is_reset() {
+            "RESET"
+        } else {
+            "SET"
+        };
         println!(
             "{:<6} {:>8} {:>12} {:>14}",
             i,

@@ -36,8 +36,8 @@ fn main() {
 
     // Record: the sink observes every stage transition, power decision,
     // scheme hook, and fault without perturbing the run.
-    let (metrics, sink) = run_workload_recorded(&wl, &cfg, &setup, &opts, MemorySink::new())
-        .expect("recorded run");
+    let (metrics, sink) =
+        run_workload_recorded(&wl, &cfg, &setup, &opts, MemorySink::new()).expect("recorded run");
     println!(
         "recorded {} event(s) over {} cycles ({} brownout window(s))\n",
         sink.events().len(),
@@ -48,11 +48,16 @@ fn main() {
     // Break: scan the stream for the first degraded write.
     let mut bp = Breakpoint::parse("degraded").expect("breakpoint grammar");
     let mut cursor = Cursor::new(sink.events().to_vec());
-    let hit = cursor.run_until(&mut bp).expect("a write degrades under this fault mix");
+    let hit = cursor
+        .run_until(&mut bp)
+        .expect("a write degrades under this fault mix");
     println!("{hit}\n");
 
     // Lineage: that write's complete story, from creation to Done.
-    let id = hit.event.write_id().expect("degraded hits carry a write id");
+    let id = hit
+        .event
+        .write_id()
+        .expect("degraded hits carry a write id");
     let lineage = Lineage::of(cursor.events(), id);
     println!("{lineage}");
     for (idx, ev) in lineage.events.iter().take(6) {
@@ -67,7 +72,11 @@ fn main() {
 
     // Replay: the stream alone reconstructs the run, byte for byte.
     let replayed = Timeline::from_events(cursor.events());
-    assert_eq!(replayed.metrics(), &metrics, "replay must fold to the run's metrics");
+    assert_eq!(
+        replayed.metrics(),
+        &metrics,
+        "replay must fold to the run's metrics"
+    );
     println!(
         "replay check: {} events -> the run's metrics and {} timeline samples",
         cursor.len(),

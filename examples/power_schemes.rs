@@ -18,9 +18,18 @@ fn main() {
 
     // Warm the private LLCs once; replay every scheme from identical state.
     let cores = warm_cores(&workload, &cfg, &opts);
-    let baseline = run_workload_warmed(&workload, &cfg, &SchemeSetup::dimm_chip(&cfg), &opts, &cores);
+    let baseline = run_workload_warmed(
+        &workload,
+        &cfg,
+        &SchemeSetup::dimm_chip(&cfg),
+        &opts,
+        &cores,
+    );
 
-    println!("workload: {} (2x S.add, 2x C.lbm, 2x C.xalancbmk, 2x B.mummer)", workload.name);
+    println!(
+        "workload: {} (2x S.add, 2x C.lbm, 2x C.xalancbmk, 2x B.mummer)",
+        workload.name
+    );
     println!(
         "{:<14} {:>8} {:>9} {:>11} {:>10} {:>10} {:>9}",
         "scheme", "speedup", "burst%", "gcp tokens", "gcp peak", "mr splits", "stalls"

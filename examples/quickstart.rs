@@ -19,8 +19,14 @@ fn main() {
     let workload = catalog::workload("mcf_m").expect("catalog workload");
     let opts = SimOptions::with_instructions(200_000);
 
-    println!("workload: {} (RPKI {}, WPKI {})", workload.name, workload.table2_rpki, workload.table2_wpki);
-    println!("{:<14} {:>8} {:>10} {:>10} {:>9} {:>8}", "scheme", "CPI", "reads", "writes", "burst%", "speedup");
+    println!(
+        "workload: {} (RPKI {}, WPKI {})",
+        workload.name, workload.table2_rpki, workload.table2_wpki
+    );
+    println!(
+        "{:<14} {:>8} {:>10} {:>10} {:>9} {:>8}",
+        "scheme", "CPI", "reads", "writes", "burst%", "speedup"
+    );
 
     let baseline = run_workload(&workload, &cfg, &SchemeSetup::dimm_chip(&cfg), &opts);
     for setup in [

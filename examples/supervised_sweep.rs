@@ -45,9 +45,16 @@ fn main() {
     req.inject_panic = Some(2);
     let run = run_sweep_supervised(req).expect("quarantine sweep");
     for q in run.quarantined() {
-        println!("quarantined:        point {} ({}) — {}", q.index, q.label, q.outcome);
+        println!(
+            "quarantined:        point {} ({}) — {}",
+            q.index, q.label, q.outcome
+        );
     }
-    println!("despite the panic:  {} ok, {} panicked", run.count("ok"), run.count("panicked"));
+    println!(
+        "despite the panic:  {} ok, {} panicked",
+        run.count("ok"),
+        run.count("panicked")
+    );
 
     // 2. Checkpoint/resume: journal a run cancelled after two points,
     //    then resume it; the final JSON is byte-identical to a clean run.
@@ -60,12 +67,22 @@ fn main() {
     req.cancel_after = Some(2);
     req.policy.jobs = 1;
     let partial = run_sweep_supervised(req).expect("interrupted run");
-    println!("interrupted run:    {} ok, {} skipped", partial.count("ok"), partial.count("skipped"));
+    println!(
+        "interrupted run:    {} ok, {} skipped",
+        partial.count("ok"),
+        partial.count("skipped")
+    );
 
     let mut req = request(&wl, &axes);
     req.journal = Some(JournalMode::Resume(journal.clone()));
     let resumed = run_sweep_supervised(req).expect("resumed run");
-    println!("resumed run:        restored {} points from the journal", resumed.restored);
-    println!("byte-identical:     {}", resumed.to_json() == clean.to_json());
+    println!(
+        "resumed run:        restored {} points from the journal",
+        resumed.restored
+    );
+    println!(
+        "byte-identical:     {}",
+        resumed.to_json() == clean.to_json()
+    );
     std::fs::remove_file(&journal).ok();
 }

@@ -49,8 +49,14 @@ fn main() {
     let misread = drift.time_to_misread(MlcLevel::L01);
     let interval = drift.scrub_interval_secs(0.5);
     let lines = cfg.pcm.total_lines();
-    println!("time to first misread ('01' level): {:.1} hours", misread / 3600.0);
-    println!("scrub interval at 50% margin:       {:.1} hours", interval / 3600.0);
+    println!(
+        "time to first misread ('01' level): {:.1} hours",
+        misread / 3600.0
+    );
+    println!(
+        "scrub interval at 50% margin:       {:.1} hours",
+        interval / 3600.0
+    );
     println!(
         "scrub read bandwidth for {} GiB:      {:.0} reads/s ({:.4}% of one bank)",
         cfg.pcm.capacity_gib,

@@ -120,8 +120,8 @@ fn run_inspect(ia: &cli::InspectArgs) -> Result<ExitCode, String> {
         lineage_lines, read_event_log, Breakpoint, Cursor, FileSink, LifecycleEvent, MemorySink,
         StallReport,
     };
-    use fpb::sim::Timeline;
     use fpb::sim::run_workload_recorded;
+    use fpb::sim::Timeline;
 
     // Verbs that read a log share one loader; the corrupt-tail policy
     // (replay the valid prefix) is the reader's, `--require-complete`
@@ -143,7 +143,11 @@ fn run_inspect(ia: &cli::InspectArgs) -> Result<ExitCode, String> {
                 log.dropped_lines
             );
         } else {
-            println!("log {path}: {} event(s), meta: {}", log.events.len(), log.meta);
+            println!(
+                "log {path}: {} event(s), meta: {}",
+                log.events.len(),
+                log.meta
+            );
         }
         Ok(log.events)
     };
@@ -196,14 +200,16 @@ fn run_inspect(ia: &cli::InspectArgs) -> Result<ExitCode, String> {
                 println!("{}", m.to_json());
             }
             if let Some(path) = &ia.metrics_out {
-                std::fs::write(path, m.to_json())
-                    .map_err(|e| format!("write {path}: {e}"))?;
+                std::fs::write(path, m.to_json()).map_err(|e| format!("write {path}: {e}"))?;
                 println!("wrote {path}");
             }
             Ok(ExitCode::SUCCESS)
         }
         InspectVerb::Break => {
-            let expr = ia.break_expr.as_deref().ok_or("inspect break requires --break")?;
+            let expr = ia
+                .break_expr
+                .as_deref()
+                .ok_or("inspect break requires --break")?;
             let mut bp = Breakpoint::parse(expr)?;
             let events = match ia.log.as_deref() {
                 Some(log) => load(log)?,
@@ -319,7 +325,10 @@ fn run_sweep(
         );
     }
 
-    println!("{:<40} {:>9} {:>9} {:>9}  status", "point", "speedup", "CPI", "burst%");
+    println!(
+        "{:<40} {:>9} {:>9} {:>9}  status",
+        "point", "speedup", "CPI", "burst%"
+    );
     for rec in &run.points {
         match rec.stats() {
             Some(s) => println!(

@@ -358,9 +358,9 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 match flag.as_str() {
                     "--axis" if sub == "sweep" => {
                         let spec = value("--axis")?;
-                        let (name, vals) = spec.split_once('=').ok_or_else(|| {
-                            CliError("--axis expects name=v1,v2,...".into())
-                        })?;
+                        let (name, vals) = spec
+                            .split_once('=')
+                            .ok_or_else(|| CliError("--axis expects name=v1,v2,...".into()))?;
                         axes.push((name.to_string(), vals.to_string()));
                     }
                     "--csv" if sub == "sweep" => csv = Some(value("--csv")?),
@@ -475,7 +475,11 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 InspectVerb::Replay | InspectVerb::Stalls if ia.log.is_none() => {
                     return Err(CliError(format!(
                         "inspect {} requires --log <file>",
-                        if ia.verb == InspectVerb::Replay { "replay" } else { "stalls" }
+                        if ia.verb == InspectVerb::Replay {
+                            "replay"
+                        } else {
+                            "stalls"
+                        }
                     )))
                 }
                 InspectVerb::Break if ia.break_expr.is_none() => {
@@ -558,12 +562,16 @@ where
                 parse_float(&value("--fault-stuck-rate")?, "--fault-stuck-rate")?
         }
         "--fault-stuck-threshold" => {
-            ra.cfg.faults.stuck_wear_threshold =
-                parse_num(&value("--fault-stuck-threshold")?, "--fault-stuck-threshold")?
+            ra.cfg.faults.stuck_wear_threshold = parse_num(
+                &value("--fault-stuck-threshold")?,
+                "--fault-stuck-threshold",
+            )?
         }
         "--fault-brownout-period" => {
-            ra.cfg.faults.brownout_period =
-                parse_num(&value("--fault-brownout-period")?, "--fault-brownout-period")?
+            ra.cfg.faults.brownout_period = parse_num(
+                &value("--fault-brownout-period")?,
+                "--fault-brownout-period",
+            )?
         }
         "--fault-brownout-duration" => {
             ra.cfg.faults.brownout_duration = parse_num(
@@ -577,9 +585,8 @@ where
         }
         "--fault-max-retries" => {
             let n = parse_num(&value("--fault-max-retries")?, "--fault-max-retries")?;
-            ra.cfg.faults.max_retries = u8::try_from(n).map_err(|_| {
-                CliError(format!("--fault-max-retries must fit in u8, got `{n}`"))
-            })?;
+            ra.cfg.faults.max_retries = u8::try_from(n)
+                .map_err(|_| CliError(format!("--fault-max-retries must fit in u8, got `{n}`")))?;
         }
         "--fault-backoff" => {
             ra.cfg.faults.retry_backoff_cycles =
@@ -833,7 +840,10 @@ mod tests {
             assert!(err.0.contains(flag), "{flag} {value}: {}", err.0);
         }
         assert!(parse(&v(&["run", "--instructions"])).is_err());
-        assert!(parse(&v(&["run", "--line-bytes", "100"])).is_err(), "invalid config");
+        assert!(
+            parse(&v(&["run", "--line-bytes", "100"])).is_err(),
+            "invalid config"
+        );
     }
 
     #[test]
@@ -1083,12 +1093,25 @@ mod tests {
         // Sweeps do not retry a panicking point, so there are no retry
         // flags.
         assert!(parse(&v(&["sweep", "--axis", "pt-dimm=466", "--retries", "1"])).is_err());
-        assert!(parse(&v(&["sweep", "--axis", "pt-dimm=466", "--backoff-ms", "10"])).is_err());
+        assert!(parse(&v(&[
+            "sweep",
+            "--axis",
+            "pt-dimm=466",
+            "--backoff-ms",
+            "10"
+        ]))
+        .is_err());
         // Bad inject-panic specs name the flag; the old `:N` suffix is
         // no longer accepted.
         for bad in ["x", "1:2"] {
-            let e = parse(&v(&["sweep", "--axis", "pt-dimm=466", "--inject-panic", bad]))
-                .unwrap_err();
+            let e = parse(&v(&[
+                "sweep",
+                "--axis",
+                "pt-dimm=466",
+                "--inject-panic",
+                bad,
+            ]))
+            .unwrap_err();
             assert!(e.0.contains("--inject-panic"), "{e}");
         }
     }
@@ -1125,7 +1148,10 @@ mod tests {
         assert_eq!(s.label, "FPB+WC+WT");
         let s = build_scheme("gcp:vim:0.5", &ra).unwrap();
         assert_eq!(s.mapping, CellMapping::Vim);
-        assert!(build_scheme("dimm-chip+reg", &ra).is_err(), "+reg needs a GCP");
+        assert!(
+            build_scheme("dimm-chip+reg", &ra).is_err(),
+            "+reg needs a GCP"
+        );
     }
 
     #[test]
@@ -1150,7 +1176,10 @@ mod tests {
             panic!("expected Run")
         };
         assert!(ra.quiet);
-        assert!(!RunArgs::default().quiet, "default stderr contract must not change");
+        assert!(
+            !RunArgs::default().quiet,
+            "default stderr contract must not change"
+        );
         let Command::Sweep { args, .. } =
             parse(&v(&["sweep", "--axis", "pt-dimm=466", "--quiet"])).unwrap()
         else {
@@ -1162,7 +1191,14 @@ mod tests {
     #[test]
     fn inspect_verbs_parse() {
         let Command::Inspect(ia) = parse(&v(&[
-            "inspect", "record", "--log", "a.fpbi", "--workload", "lbm_m", "--seed", "7",
+            "inspect",
+            "record",
+            "--log",
+            "a.fpbi",
+            "--workload",
+            "lbm_m",
+            "--seed",
+            "7",
         ]))
         .unwrap() else {
             panic!("expected Inspect")
@@ -1189,9 +1225,10 @@ mod tests {
         assert_eq!(ia.metrics_out.as_deref(), Some("m.json"));
         assert!(ia.json && ia.require_complete);
 
-        let Command::Inspect(ia) =
-            parse(&v(&["inspect", "lineage", "--log", "a.fpbi", "--write", "42"])).unwrap()
-        else {
+        let Command::Inspect(ia) = parse(&v(&[
+            "inspect", "lineage", "--log", "a.fpbi", "--write", "42",
+        ]))
+        .unwrap() else {
             panic!("expected Inspect")
         };
         assert_eq!(ia.verb, InspectVerb::Lineage);
@@ -1236,14 +1273,26 @@ mod tests {
     #[test]
     fn inspect_rejects_incomplete_and_unknown_forms() {
         assert!(parse(&v(&["inspect", "rewind"])).is_err(), "unknown verb");
-        assert!(parse(&v(&["inspect", "record"])).is_err(), "record needs --log");
-        assert!(parse(&v(&["inspect", "replay"])).is_err(), "replay needs --log");
-        assert!(parse(&v(&["inspect", "break"])).is_err(), "break needs --break");
+        assert!(
+            parse(&v(&["inspect", "record"])).is_err(),
+            "record needs --log"
+        );
+        assert!(
+            parse(&v(&["inspect", "replay"])).is_err(),
+            "replay needs --log"
+        );
+        assert!(
+            parse(&v(&["inspect", "break"])).is_err(),
+            "break needs --break"
+        );
         assert!(
             parse(&v(&["inspect", "lineage", "--log", "a.fpbi"])).is_err(),
             "lineage needs --write"
         );
-        assert!(parse(&v(&["inspect", "stalls"])).is_err(), "stalls needs --log");
+        assert!(
+            parse(&v(&["inspect", "stalls"])).is_err(),
+            "stalls needs --log"
+        );
         assert!(parse(&v(&["inspect", "--bogus"])).is_err());
         assert!(parse(&v(&["inspect", "replay", "--write", "nope"])).is_err());
     }
@@ -1252,7 +1301,9 @@ mod tests {
     fn lint_defaults() {
         let cmd = parse(&v(&["lint"])).unwrap();
         assert_eq!(cmd, Command::Lint(LintArgs::default()));
-        let Command::Lint(la) = cmd else { unreachable!() };
+        let Command::Lint(la) = cmd else {
+            unreachable!()
+        };
         assert_eq!(la.root, ".");
         assert_eq!(la.format, LintFormat::Text);
         assert!(!la.rules);

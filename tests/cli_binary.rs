@@ -40,7 +40,11 @@ fn run_produces_metrics_table() {
         ])
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("CPI"));
     assert!(text.contains("FPB"));
@@ -49,12 +53,18 @@ fn run_produces_metrics_table() {
 
 #[test]
 fn bad_arguments_fail_with_diagnostics() {
-    let out = fpb().args(["run", "--scheme", "warp-drive"]).output().expect("spawn");
+    let out = fpb()
+        .args(["run", "--scheme", "warp-drive"])
+        .output()
+        .expect("spawn");
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown scheme"), "stderr: {err}");
 
-    let out = fpb().args(["run", "--workload", "nope_m"]).output().expect("spawn");
+    let out = fpb()
+        .args(["run", "--workload", "nope_m"])
+        .output()
+        .expect("spawn");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown workload"));
 
@@ -147,7 +157,11 @@ fn injected_panic_quarantines_then_resume_restores_byte_identity() {
     let out = sweep_cmd("2", &["--json-out", clean_json.to_str().expect("utf8")])
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // Inject a deterministic panic at point 1: the grid still finishes,
     // the point is quarantined, and the exit code flags the incomplete run.
@@ -190,7 +204,11 @@ fn injected_panic_quarantines_then_resume_restores_byte_identity() {
     )
     .output()
     .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("restored 1 points"), "stdout: {text}");
     let clean = std::fs::read(&clean_json).expect("clean json");
@@ -204,20 +222,42 @@ fn injected_panic_quarantines_then_resume_restores_byte_identity() {
 #[test]
 fn resumed_sweep_writes_the_same_csv_as_an_uninterrupted_one() {
     let clean_csv = tmp("cli_csv_clean.csv");
-    let out = sweep_cmd("1", &["--no-result-cache", "--csv", clean_csv.to_str().expect("utf8")])
-        .output()
-        .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = sweep_cmd(
+        "1",
+        &[
+            "--no-result-cache",
+            "--csv",
+            clean_csv.to_str().expect("utf8"),
+        ],
+    )
+    .output()
+    .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // Journal one point, then cancel: the other point is left to resume.
     let journal = tmp("cli_csv.fpbj");
     let out = sweep_cmd(
         "1",
-        &["--no-result-cache", "--cancel-after", "1", "--journal", journal.to_str().expect("utf8")],
+        &[
+            "--no-result-cache",
+            "--cancel-after",
+            "1",
+            "--journal",
+            journal.to_str().expect("utf8"),
+        ],
     )
     .output()
     .expect("spawn");
-    assert_eq!(out.status.code(), Some(3), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // The restored point carries its exact metrics, so its CSV row is
     // the one the uninterrupted run wrote.
@@ -234,7 +274,11 @@ fn resumed_sweep_writes_the_same_csv_as_an_uninterrupted_one() {
     )
     .output()
     .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("restored 1 points"), "stdout: {text}");
     assert!(text.contains("wrote 2 rows"), "stdout: {text}");
@@ -253,9 +297,17 @@ fn out_of_range_inject_panic_is_an_error() {
     let out = sweep_cmd("1", &["--no-result-cache", "--inject-panic", "7"])
         .output()
         .expect("spawn");
-    assert_eq!(out.status.code(), Some(1), "stdout: {}", String::from_utf8_lossy(&out.stdout));
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "stdout: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("inject-panic point 7 is outside the 2-point grid"), "stderr: {err}");
+    assert!(
+        err.contains("inject-panic point 7 is outside the 2-point grid"),
+        "stderr: {err}"
+    );
 }
 
 #[test]
@@ -267,7 +319,11 @@ fn killed_mid_sweep_then_resume_matches_a_clean_run() {
     let out = sweep_cmd("1", &["--json-out", clean_json.to_str().expect("utf8")])
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // Start a journaled sweep with a longer run, wait until the journal
     // holds at least one durable record, then kill the process outright
@@ -349,7 +405,11 @@ fn killed_mid_sweep_then_resume_matches_a_clean_run() {
         .args(["--json-out", resumed_json.to_str().expect("utf8")])
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("restored"), "stdout: {text}");
     let resumed = std::fs::read_to_string(&resumed_json).expect("resumed json");
@@ -366,11 +426,19 @@ fn result_reuse_is_byte_invisible_and_warm_cache_splices() {
     let off_json = tmp("cli_reuse_off.json");
     let out = sweep_cmd(
         "2",
-        &["--no-result-cache", "--json-out", off_json.to_str().expect("utf8")],
+        &[
+            "--no-result-cache",
+            "--json-out",
+            off_json.to_str().expect("utf8"),
+        ],
     )
     .output()
     .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(
         !String::from_utf8_lossy(&out.stderr).contains("result reuse"),
         "--no-result-cache must silence the reuse stats line"
@@ -391,10 +459,17 @@ fn result_reuse_is_byte_invisible_and_warm_cache_splices() {
     )
     .output()
     .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("result reuse"), "stderr: {err}");
-    assert!(err.contains("0 cache hit(s)"), "cold pass claimed hits: {err}");
+    assert!(
+        err.contains("0 cache hit(s)"),
+        "cold pass claimed hits: {err}"
+    );
     assert!(cache.exists(), "cold pass must persist the cache");
 
     // Warm pass: every unit splices from the cache, bytes still equal.
@@ -410,7 +485,11 @@ fn result_reuse_is_byte_invisible_and_warm_cache_splices() {
     )
     .output()
     .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("0 simulated"), "warm pass re-simulated: {err}");
 
@@ -436,9 +515,16 @@ fn result_reuse_is_byte_invisible_and_warm_cache_splices() {
     )
     .output()
     .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("0 cache hit(s)"), "corrupt cache must read empty: {err}");
+    assert!(
+        err.contains("0 cache hit(s)"),
+        "corrupt cache must read empty: {err}"
+    );
     let after = std::fs::read(&after_json).expect("post-corruption json");
     assert_eq!(off, after, "post-corruption run diverged");
 
@@ -459,10 +545,16 @@ fn lint_fails_on_an_unsuppressed_finding_and_passes_once_fixed() {
     let root_arg = root.to_str().expect("utf8 path");
 
     std::fs::write(&src, "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n").expect("write");
-    let out = fpb().args(["lint", "--root", root_arg]).output().expect("spawn");
+    let out = fpb()
+        .args(["lint", "--root", root_arg])
+        .output()
+        .expect("spawn");
     assert_eq!(out.status.code(), Some(1));
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("crates/core/src/x.rs:1: panic_freedom"), "{text}");
+    assert!(
+        text.contains("crates/core/src/x.rs:1: panic_freedom"),
+        "{text}"
+    );
     assert!(text.ends_with("— FAILED\n"), "{text}");
 
     let out = fpb()
@@ -476,8 +568,15 @@ fn lint_fails_on_an_unsuppressed_finding_and_passes_once_fixed() {
     assert!(json.contains("\"ok\": false"), "{json}");
 
     std::fs::write(&src, "pub fn f(x: Option<u8>) -> u8 { x.unwrap_or(0) }\n").expect("write");
-    let out = fpb().args(["lint", "--root", root_arg]).output().expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = fpb()
+        .args(["lint", "--root", root_arg])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("0 violation(s) — OK"), "{text}");
 

@@ -42,7 +42,11 @@ fn break_halts_on_first_degraded_write() {
         .args(DEGRADING_RUN)
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("break at event"), "no hit reported: {text}");
     assert!(
@@ -82,24 +86,44 @@ fn record_then_replay_derives_identical_metrics() {
         .args(DEGRADING_RUN)
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("recorded"));
 
     let out = fpb()
-        .args(["inspect", "replay", "--require-complete", "--json", "--metrics-out"])
+        .args([
+            "inspect",
+            "replay",
+            "--require-complete",
+            "--json",
+            "--metrics-out",
+        ])
         .arg(&metrics)
         .arg("--log")
         .arg(&log)
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("derived metrics"), "{text}");
 
     // The derived JSON equals what the same run derives in process.
     let written = std::fs::read_to_string(&metrics).expect("metrics json");
-    assert!(written.contains("\"schema\": \"fpb-metrics/v1\""), "{written}");
-    assert!(text.contains(&written), "--json stdout must match --metrics-out");
+    assert!(
+        written.contains("\"schema\": \"fpb-metrics/v1\""),
+        "{written}"
+    );
+    assert!(
+        text.contains(&written),
+        "--json stdout must match --metrics-out"
+    );
 
     // Recording refuses to clobber an existing log.
     let out = fpb()
@@ -123,7 +147,11 @@ fn torn_log_replays_prefix_unless_complete_required() {
         .args(DEGRADING_RUN)
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // Tear off the trailer and the last few events.
     let bytes = std::fs::read(&log).expect("read log");
@@ -134,7 +162,10 @@ fn torn_log_replays_prefix_unless_complete_required() {
         .arg(&log)
         .output()
         .expect("spawn");
-    assert!(!out.status.success(), "--require-complete must reject a torn log");
+    assert!(
+        !out.status.success(),
+        "--require-complete must reject a torn log"
+    );
     assert!(String::from_utf8_lossy(&out.stderr).contains("incomplete"));
 
     let out = fpb()
@@ -142,7 +173,11 @@ fn torn_log_replays_prefix_unless_complete_required() {
         .arg(&log)
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stderr).contains("truncated"));
     assert!(String::from_utf8_lossy(&out.stdout).contains("derived metrics"));
 
@@ -160,7 +195,11 @@ fn quiet_suppresses_reuse_stats_line_only_when_asked() {
         .arg(&cache)
         .output()
         .expect("spawn");
-    assert!(loud.status.success(), "{}", String::from_utf8_lossy(&loud.stderr));
+    assert!(
+        loud.status.success(),
+        "{}",
+        String::from_utf8_lossy(&loud.stderr)
+    );
     assert!(
         String::from_utf8_lossy(&loud.stderr).contains("result reuse"),
         "default stderr must keep the reuse line (CI greps it): {}",
@@ -173,7 +212,11 @@ fn quiet_suppresses_reuse_stats_line_only_when_asked() {
         .arg(&cache)
         .output()
         .expect("spawn");
-    assert!(quiet.status.success(), "{}", String::from_utf8_lossy(&quiet.stderr));
+    assert!(
+        quiet.status.success(),
+        "{}",
+        String::from_utf8_lossy(&quiet.stderr)
+    );
     assert!(
         !String::from_utf8_lossy(&quiet.stderr).contains("result reuse"),
         "--quiet must drop the reuse line: {}",
@@ -184,10 +227,21 @@ fn quiet_suppresses_reuse_stats_line_only_when_asked() {
 
     // `fpb run --quiet` is accepted too.
     let out = fpb()
-        .args(["run", "--workload", "cop_m", "--instructions", "5000", "--quiet"])
+        .args([
+            "run",
+            "--workload",
+            "cop_m",
+            "--instructions",
+            "5000",
+            "--quiet",
+        ])
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     std::fs::remove_file(&cache).ok();
 }

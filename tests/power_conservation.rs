@@ -147,10 +147,7 @@ fn multi_reset_splits_are_bounded_and_complete() {
         pm.stats().multi_reset_splits() > 0,
         "the tight budget must trigger Multi-RESET"
     );
-    assert_eq!(
-        pm.ledger().dimm_available(),
-        Some(Tokens::from_cells(120))
-    );
+    assert_eq!(pm.ledger().dimm_available(), Some(Tokens::from_cells(120)));
 }
 
 #[test]
@@ -200,8 +197,5 @@ fn write_cancellation_path_releases_tokens() {
         assert!(!pm.holds_tokens(id));
         assert_eq!(w.iterations_done(), 0);
     }
-    assert_eq!(
-        pm.ledger().dimm_available(),
-        Some(Tokens::from_cells(560))
-    );
+    assert_eq!(pm.ledger().dimm_available(), Some(Tokens::from_cells(560)));
 }

@@ -23,16 +23,8 @@ fn arb_level() -> impl Strategy<Value = MlcLevel> {
 fn arb_changes(max: usize) -> impl Strategy<Value = ChangeSet> {
     prop::collection::btree_set(0u32..1024, 0..max).prop_flat_map(|cells| {
         let n = cells.len();
-        (
-            Just(cells),
-            prop::collection::vec(arb_level(), n..=n),
-        )
-            .prop_map(|(cells, levels)| {
-                cells
-                    .into_iter()
-                    .zip(levels)
-                    .collect::<ChangeSet>()
-            })
+        (Just(cells), prop::collection::vec(arb_level(), n..=n))
+            .prop_map(|(cells, levels)| cells.into_iter().zip(levels).collect::<ChangeSet>())
     })
 }
 
