@@ -37,8 +37,8 @@
 //! assert!(render_text(&violations, 1).ends_with("— FAILED\n"));
 //! ```
 //!
-//! The CLI entry point is `fpb lint`; CI runs it as a blocking job with
-//! `--format json` and uploads the report artifact.
+//! The CLI entry point is `fpb lint`; CI runs it as a blocking job and
+//! uploads its `--format json` report as an artifact.
 
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 

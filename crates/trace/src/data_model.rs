@@ -440,8 +440,7 @@ impl DataProfile {
     ///
     /// One Bernoulli draw per word plus one per bit of each changed word —
     /// the pre-optimization behaviour, kept compiled-in so equivalence
-    /// tests and the change-sampling micro-benchmark can compare the
-    /// word-level path against it.
+    /// tests can compare the word-level path against it.
     pub fn sample_changed_bits_reference(&self, line_bytes: u32, rng: &mut SimRng) -> Vec<u32> {
         let words = line_bytes / 4;
         let mut bits = Vec::new();
