@@ -12,12 +12,15 @@
 //!
 //! Parallelism: [`run_matrix`] fans workloads across worker threads
 //! (results are deterministic and identical to a serial run). Set
-//! `FPB_JOBS` to pin the worker count; it defaults to the machine's
-//! available parallelism.
+//! `FPB_JOBS` to pin the workload fan-out's worker count; it defaults to
+//! the machine's available parallelism. Pools never nest, so each
+//! workload's warm-up runs inline on its fan-out worker; only a fan-out
+//! with one worker (`FPB_JOBS=1` or one workload) warms its cores on up to
+//! `FPB_JOBS` threads.
 
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-use fpb_sim::engine::{run_workload_warmed, warm_cores};
+use fpb_sim::engine::{run_workload_warmed, warm_cores_jobs};
 use fpb_sim::exec::{default_jobs, parallel_map_indexed};
 use fpb_sim::metrics::gmean;
 use fpb_sim::{Metrics, SchemeRegistry, SchemeSetup, SimOptions};
@@ -116,10 +119,11 @@ pub fn run_matrix_setups(
     setups: &[SchemeSetup],
     opts: &SimOptions,
 ) -> Vec<Vec<Metrics>> {
-    parallel_map_indexed(workloads, bench_jobs(), |_, wl| {
+    let jobs = bench_jobs();
+    parallel_map_indexed(workloads, jobs, |_, wl| {
         // Warm once per workload; every scheme replays from identical
         // initial cache state.
-        let cores = warm_cores(wl, cfg, opts);
+        let cores = warm_cores_jobs(wl, cfg, opts, jobs);
         setups
             .iter()
             .map(|s| run_workload_warmed(wl, cfg, s, opts, &cores))

@@ -47,10 +47,11 @@ use fpb_core::PowerManager;
 use fpb_pcm::{
     DimmGeometry, FaultInjector, IntraLineWearLeveler, IterationSampler, WriteBufferPool,
 };
-use fpb_trace::Workload;
+use fpb_trace::{CoreTraceGenerator, Workload};
 use fpb_types::{CoreId, Cycles, LineAddr, SimError, SimRng, SystemConfig};
 
 use crate::bank::BankState;
+use crate::exec::{default_jobs, parallel_map_indexed};
 use crate::frontend::CoreState;
 use crate::inspect::{EventSink, LifecycleEvent, NullSink};
 use crate::metrics::Metrics;
@@ -253,10 +254,32 @@ pub fn try_run_workload<S: Scheme + Clone>(
 /// system config — sweeping many schemes over one workload should warm
 /// once and pass clones to [`run_workload_warmed`].
 ///
+/// Warms on up to [`default_jobs`] threads; see [`warm_cores_jobs`].
+///
 /// # Panics
 ///
 /// Panics if the configuration is invalid.
 pub fn warm_cores(workload: &Workload, cfg: &SystemConfig, opts: &SimOptions) -> Vec<CoreState> {
+    warm_cores_jobs(workload, cfg, opts, default_jobs())
+}
+
+/// Like [`warm_cores`], building and warming the cores on up to `jobs`
+/// threads of the [`parallel_map_indexed`] pool (inline on one of its
+/// workers, since pools never nest). Every draw from the root RNG happens
+/// on the caller in core order: each core's generator fork, then its
+/// warm-up fork. A pool item then allocates one core's caches and warms
+/// them from its own fork, touching nothing shared, so the warmed cores
+/// are bit-identical for any `jobs`.
+///
+/// # Panics
+///
+/// Panics if the configuration is invalid.
+pub fn warm_cores_jobs(
+    workload: &Workload,
+    cfg: &SystemConfig,
+    opts: &SimOptions,
+    jobs: usize,
+) -> Vec<CoreState> {
     // Construction-time validation with a documented `# Panics` contract;
     // panic_reachability confirms this is unreachable from run/step.
     // fpb-lint: allow(panic_freedom)
@@ -269,24 +292,29 @@ pub fn warm_cores(workload: &Workload, cfg: &SystemConfig, opts: &SimOptions) ->
     );
     let mut root = SimRng::seed_from(cfg.seed);
     let warmup = opts.warmup_accesses.unwrap_or(60_000);
-    (0..cfg.cores)
+    let forks: Vec<(CoreTraceGenerator, SimRng)> = (0..cfg.cores)
         .map(|i| {
-            let mut core = CoreState::with_mode(
+            let gen = CoreTraceGenerator::for_core(
                 workload.per_core[i as usize].clone(),
                 CoreId::new(i),
-                &cfg.cache,
                 &mut root,
-                opts.full_hierarchy,
-            )
+            );
+            (gen, root.fork(0xF111 + u64::from(i)))
+        })
+        .collect();
+    // Each item allocates its core's caches on the thread that warms
+    // them, while the fresh pages are still in that CPU's cache: building
+    // every core before warming any is measurably slower when the items
+    // run inline (`--jobs 1`, a 1-vCPU host, or on a pool worker).
+    parallel_map_indexed(&forks, jobs, |_, (gen, rng)| {
+        let mut core = CoreState::with_generator(gen.clone(), &cfg.cache, opts.full_hierarchy)
             // Construction-time validation (see `# Panics` above);
             // unreachable from run/step per panic_reachability.
             // fpb-lint: allow(panic_freedom)
             .expect("invalid cache config");
-            let mut wrng = root.fork(0xF111 + i as u64);
-            core.warm_up(warmup, &mut wrng);
-            core
-        })
-        .collect()
+        core.warm_up(warmup, &mut rng.clone());
+        core
+    })
 }
 
 /// Like [`run_workload`] but reusing pre-warmed cores (see

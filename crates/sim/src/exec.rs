@@ -1,11 +1,12 @@
 //! A minimal worker pool for short, embarrassingly parallel maps.
 //!
-//! Independent, deterministic computations (per-workload runs, warm-up
-//! sets) need only one guarantee from a parallel map: results come back
-//! *in input order* regardless of which worker finished first. This
-//! module provides exactly that on scoped threads — no dependencies, no
-//! channels, no unsafe. Workers claim one index per `fetch_add` on a
-//! shared cursor and store each result in that index's slot.
+//! Independent, deterministic computations (per-workload runs, the
+//! per-core warm-ups of one warm set) need only one guarantee from a
+//! parallel map: results come back *in input order* regardless of which
+//! worker finished first. This module provides exactly that on scoped
+//! threads — no dependencies, no channels, no unsafe. Workers claim one
+//! index per `fetch_add` on a shared cursor and store each result in
+//! that index's slot.
 //!
 //! Worker counts are clamped to the machine's available parallelism:
 //! requesting `--jobs 4` on a 1-core container would otherwise
@@ -13,16 +14,30 @@
 //! (measured 0.612x before the clamp; see DESIGN.md's threading-model
 //! section).
 //!
+//! Pools never nest. The workers a map spawns mark their thread, and
+//! [`effective_workers`] is 1 on a marked thread, so a map started from
+//! inside another map runs inline on that worker (nested parallelism
+//! off, OpenMP's default). The sweep warms several warm sets at once
+//! and each set's cores inline; a single set warms its cores on the
+//! pool. A map that runs inline does not mark its caller.
+//!
 //! Panic handling: every item runs under `catch_unwind`, and the panic
 //! re-raised on the caller's thread names the lowest failing slot and
 //! its payload. Sweeps, which must outlive a panicking point, run on
 //! [`crate::supervise`] instead: panic isolation, deadlines, and
 //! cancellation.
 
+use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+thread_local! {
+    /// Set on the worker threads [`parallel_map_indexed`] spawns, for
+    /// their whole (scoped) life.
+    static ON_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// The default worker count: the machine's available parallelism, or 1
 /// when that cannot be determined (e.g. restricted sandboxes).
@@ -36,8 +51,12 @@ pub fn default_jobs() -> usize {
 /// over `items` items: never more threads than items (idle from birth)
 /// and never more than the machine's logical cores (oversubscription —
 /// timeslicing simulation threads over too few cores is strictly slower
-/// than not spawning them).
+/// than not spawning them). On a [`parallel_map_indexed`] worker it is 1,
+/// so pools never nest.
 pub fn effective_workers(jobs: usize, items: usize) -> usize {
+    if ON_POOL_WORKER.with(Cell::get) {
+        return 1;
+    }
     jobs.max(1).min(items.max(1)).min(default_jobs())
 }
 
@@ -65,8 +84,9 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Maps `f` over `items` on up to `jobs` worker threads, returning the
-/// results in input order. With one effective worker the map runs inline
-/// on the caller's thread.
+/// results in input order. With one effective worker (always the case on
+/// one of this pool's own workers) the map runs inline on the caller's
+/// thread.
 ///
 /// # Panics
 ///
@@ -100,17 +120,20 @@ where
             (0..n).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| loop {
-                    // ORDER: the cursor is a pure claim counter — no data
-                    // is published through it; results flow through the
-                    // per-slot Mutexes and the scope join.
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let r = run(i);
-                    if let Ok(mut slot) = slots[i].lock() {
-                        *slot = Some(r);
+                scope.spawn(|| {
+                    ON_POOL_WORKER.with(|w| w.set(true));
+                    loop {
+                        // ORDER: the cursor is a pure claim counter — no
+                        // data is published through it; results flow
+                        // through the per-slot Mutexes and the scope join.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let r = run(i);
+                        if let Ok(mut slot) = slots[i].lock() {
+                            *slot = Some(r);
+                        }
                     }
                 });
             }
@@ -197,6 +220,25 @@ mod tests {
             effective_workers(usize::MAX, 2).min(2),
             effective_workers(usize::MAX, 2)
         );
+    }
+
+    #[test]
+    fn maps_never_nest() {
+        let before = effective_workers(4, 100);
+        let items: Vec<u64> = (0..8).collect();
+        let inner: Vec<u64> = (0..50).collect();
+        let out = parallel_map_indexed(&items, 4, |_, &x| {
+            // On a pool worker (or inline on a 1-core host) a nested map
+            // gets one worker, and still keeps input order.
+            assert_eq!(effective_workers(4, 100), 1);
+            parallel_map_indexed(&inner, 4, |_, &y| x * 100 + y)
+        });
+        for (x, nested) in items.iter().zip(&out) {
+            let expect: Vec<u64> = inner.iter().map(|&y| x * 100 + y).collect();
+            assert_eq!(nested, &expect, "x={x}");
+        }
+        // The caller thread was never marked.
+        assert_eq!(effective_workers(4, 100), before);
     }
 
     #[test]

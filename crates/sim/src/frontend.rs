@@ -128,6 +128,22 @@ impl CoreState {
         rng: &mut SimRng,
         full_hierarchy: bool,
     ) -> Result<Self, ConfigError> {
+        let gen = CoreTraceGenerator::for_core(profile, core, rng);
+        Self::with_generator(gen, cache, full_hierarchy)
+    }
+
+    /// Builds the core around a trace generator already forked for it
+    /// (see [`Self::with_mode`]). It draws nothing from an RNG, so warm-up
+    /// can build each core on the thread that warms it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError`] if any cache geometry is invalid.
+    pub(crate) fn with_generator(
+        mut gen: CoreTraceGenerator,
+        cache: &CacheHierarchyConfig,
+        full_hierarchy: bool,
+    ) -> Result<Self, ConfigError> {
         let front = if full_hierarchy {
             CacheFrontEnd::Full(CoreCaches::new(cache)?)
         } else {
@@ -137,7 +153,6 @@ impl CoreState {
                 cache.l3_ways as usize,
             )?)
         };
-        let mut gen = CoreTraceGenerator::for_core(profile, core, rng);
         let first = gen.next_op();
         let llc_lines = cache.l3_mib_per_core as u64 * 1024 * 1024 / cache.l3_line_bytes as u64;
         Ok(CoreState {

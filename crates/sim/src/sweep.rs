@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex};
 use fpb_core::effective_config_desc;
 use fpb_types::SystemConfig;
 
-use crate::engine::{run_workload_warmed, warm_cores, SimOptions};
+use crate::engine::{run_workload_warmed, warm_cores_jobs, SimOptions};
 use crate::exec::parallel_map_indexed;
 use crate::frontend::CoreState;
 use crate::journal::{
@@ -495,8 +495,10 @@ struct WarmSets {
 }
 
 /// Builds the deduplicated warm sets, warming distinct keys in parallel
-/// (warming is deterministic — see [`warm_cores`] — so sharing a set
-/// across points is bit-for-bit identical to warming per point).
+/// (warming is deterministic — see [`warm_cores_jobs`] — so sharing a set
+/// across points is bit-for-bit identical to warming per point). Several
+/// sets warm on up to `jobs` workers with each set's cores inline, since
+/// pools never nest; a single set warms its cores on up to `jobs`.
 fn warm_shared(
     workload: &Workload,
     grid: &[(String, SystemConfig)],
@@ -522,7 +524,7 @@ fn warm_shared(
     }
     let sets = parallel_map_indexed(&distinct, jobs, |_, &(_, rep, need)| {
         if need {
-            Arc::new(warm_cores(workload, &grid[rep].1, opts))
+            Arc::new(warm_cores_jobs(workload, &grid[rep].1, opts, jobs))
         } else {
             Arc::new(Vec::new())
         }

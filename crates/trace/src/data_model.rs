@@ -24,8 +24,8 @@
 //! time so the comparator resolves 256 lanes per batch in straight-line
 //! code (a manual `u64x4`-style pass). Cells are then extracted from the
 //! packed masks with `trailing_zeros`/`leading_zeros`/`count_ones`. The
-//! original per-bit path is kept as `*_reference` for
-//! distributional-equivalence tests and pre-optimization benchmarking.
+//! original per-bit path survives in test builds only, as `*_reference`:
+//! the oracle of the distributional-equivalence tests.
 
 use fpb_pcm::{ChangeSet, MlcLevel};
 use fpb_types::SimRng;
@@ -436,11 +436,30 @@ impl DataProfile {
         (mlc, slc)
     }
 
+    fn sample_level(&self, rng: &mut SimRng) -> MlcLevel {
+        // Branchless form of the subtract-and-compare walk, one comparison
+        // per weight on exactly the values the loop form would compute —
+        // bit-identical level choices, but no data-dependent branches.
+        // This runs once per changed cell of every write.
+        let [w0, w1, w2, w3] = self.level_weights;
+        let x0 = rng.f64() * (w0 + w1 + w2 + w3);
+        let x1 = x0 - w0;
+        let x2 = x1 - w1;
+        let b0 = (x0 >= w0) as u8;
+        let b1 = (x1 >= w1) as u8;
+        let b2 = (x2 >= w2) as u8;
+        MlcLevel::from_bits(b0 * (1 + b1 * (1 + b2)))
+    }
+}
+
+/// The per-bit reference twins of the samplers (DESIGN §8.1).
+#[cfg(test)]
+impl DataProfile {
     /// Per-bit reference implementation of [`Self::sample_changed_bits`].
     ///
     /// One Bernoulli draw per word plus one per bit of each changed word —
-    /// the pre-optimization behaviour, kept compiled-in so equivalence
-    /// tests can compare the word-level path against it.
+    /// the pre-optimization behaviour, compiled for tests only: it is the
+    /// oracle the distributional tests compare the word-level path with.
     pub fn sample_changed_bits_reference(&self, line_bytes: u32, rng: &mut SimRng) -> Vec<u32> {
         let words = line_bytes / 4;
         let mut bits = Vec::new();
@@ -493,21 +512,6 @@ impl DataProfile {
         let bit = g % 32;
         // Cell 0 covers bits 31..30 (MSB), cell 15 covers bits 1..0 (LSB).
         word * 16 + (31 - bit) / 2
-    }
-
-    fn sample_level(&self, rng: &mut SimRng) -> MlcLevel {
-        // Branchless form of the subtract-and-compare walk, one comparison
-        // per weight on exactly the values the loop form would compute —
-        // bit-identical level choices, but no data-dependent branches.
-        // This runs once per changed cell of every write.
-        let [w0, w1, w2, w3] = self.level_weights;
-        let x0 = rng.f64() * (w0 + w1 + w2 + w3);
-        let x1 = x0 - w0;
-        let x2 = x1 - w1;
-        let b0 = (x0 >= w0) as u8;
-        let b1 = (x1 >= w1) as u8;
-        let b2 = (x2 >= w2) as u8;
-        MlcLevel::from_bits(b0 * (1 + b1 * (1 + b2)))
     }
 }
 

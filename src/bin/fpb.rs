@@ -11,11 +11,11 @@ use std::process::ExitCode;
 
 use fpb::analyze::{report, scan_root};
 use fpb::cli::{self, Command, LintArgs, LintFormat, RunArgs, SweepControl};
-use fpb::sim::engine::{run_workload_warmed, warm_cores};
+use fpb::sim::engine::{run_workload_warmed, warm_cores_jobs};
 use fpb::sim::journal::JournalMode;
 use fpb::sim::sweep::{run_sweep_supervised, ReuseOptions, SupervisedSweepRequest};
-use fpb::sim::{CancelToken, Metrics, SupervisePolicy};
-use fpb::trace::catalog;
+use fpb::sim::{CancelToken, EventSink, Metrics, SchemeSetup, SimOptions, SupervisePolicy, System};
+use fpb::trace::{catalog, Workload};
 
 /// Exit code when a sweep finished but left quarantined or skipped
 /// points — distinct from plain failure (1) and CLI misuse (2-ish
@@ -65,7 +65,7 @@ fn dispatch(cmd: Command) -> Result<ExitCode, String> {
             }
             let (wl, opts) = resolve(&ra)?;
             let setup = cli::build_scheme(&ra.scheme, &ra).map_err(|e| e.to_string())?;
-            let cores = warm_cores(&wl, &ra.cfg, &opts);
+            let cores = warm_cores_jobs(&wl, &ra.cfg, &opts, cli::effective_jobs(ra.jobs));
             let m = run_workload_warmed(&wl, &ra.cfg, &setup, &opts, &cores);
             print_header();
             print_metrics(&setup.label, &m, None);
@@ -81,7 +81,8 @@ fn dispatch(cmd: Command) -> Result<ExitCode, String> {
         } => run_sweep(&args, &axes, csv.as_deref(), &control),
         Command::Compare(ra) => {
             let (wl, opts) = resolve(&ra)?;
-            let cores = warm_cores(&wl, &ra.cfg, &opts);
+            let jobs = cli::effective_jobs(ra.jobs);
+            let cores = warm_cores_jobs(&wl, &ra.cfg, &opts, jobs);
             // Scheme runs share the warmed cores and are independent, so
             // they fan across workers. Every registered family runs, with
             // the paper's baseline (DIMM+chip) moved first — the first
@@ -94,11 +95,9 @@ fn dispatch(cmd: Command) -> Result<ExitCode, String> {
                 .map(|name| cli::build_scheme(name, &ra))
                 .collect::<Result<_, _>>()
                 .map_err(|e| e.to_string())?;
-            let results = fpb::sim::parallel_map_indexed(
-                &setups,
-                cli::effective_jobs(ra.jobs),
-                |_, setup| run_workload_warmed(&wl, &ra.cfg, setup, &opts, &cores),
-            );
+            let results = fpb::sim::parallel_map_indexed(&setups, jobs, |_, setup| {
+                run_workload_warmed(&wl, &ra.cfg, setup, &opts, &cores)
+            });
             print_header();
             for (i, (setup, m)) in setups.iter().zip(&results).enumerate() {
                 let baseline: Option<&Metrics> = if i == 0 { None } else { Some(&results[0]) };
@@ -120,7 +119,6 @@ fn run_inspect(ia: &cli::InspectArgs) -> Result<ExitCode, String> {
         lineage_lines, read_event_log, Breakpoint, Cursor, FileSink, LifecycleEvent, MemorySink,
         StallReport,
     };
-    use fpb::sim::run_workload_recorded;
     use fpb::sim::Timeline;
 
     // Verbs that read a log share one loader; the corrupt-tail policy
@@ -155,8 +153,7 @@ fn run_inspect(ia: &cli::InspectArgs) -> Result<ExitCode, String> {
     let record_in_memory = || -> Result<(Metrics, Vec<LifecycleEvent>), String> {
         let (wl, opts) = resolve(&ia.run)?;
         let setup = cli::build_scheme(&ia.run.scheme, &ia.run).map_err(|e| e.to_string())?;
-        let (m, sink) = run_workload_recorded(&wl, &ia.run.cfg, &setup, &opts, MemorySink::new())
-            .map_err(|e| e.to_string())?;
+        let (m, sink) = run_recorded(&ia.run, &wl, &opts, &setup, MemorySink::new())?;
         Ok((m, sink.into_events()))
     };
 
@@ -172,8 +169,7 @@ fn run_inspect(ia: &cli::InspectArgs) -> Result<ExitCode, String> {
             );
             let sink =
                 FileSink::create(std::path::Path::new(log), &meta).map_err(|e| e.to_string())?;
-            let (m, sink) = run_workload_recorded(&wl, &ia.run.cfg, &setup, &opts, sink)
-                .map_err(|e| e.to_string())?;
+            let (m, sink) = run_recorded(&ia.run, &wl, &opts, &setup, sink)?;
             let events = sink.finish().map_err(|e| e.to_string())?;
             println!("recorded {events} event(s) to {log}");
             print_header();
@@ -419,7 +415,23 @@ fn run_lint(la: &LintArgs) -> Result<(), String> {
     }
 }
 
-fn resolve(ra: &RunArgs) -> Result<(fpb::trace::Workload, fpb::sim::SimOptions), String> {
+/// Runs `ra`'s workload with its lifecycle events recorded into `sink`,
+/// as `run_workload_recorded` does, but warming on at most `--jobs`
+/// threads. The parser has already validated the configuration.
+fn run_recorded<E: EventSink>(
+    ra: &RunArgs,
+    wl: &Workload,
+    opts: &SimOptions,
+    setup: &SchemeSetup,
+    sink: E,
+) -> Result<(Metrics, E), String> {
+    let cores = warm_cores_jobs(wl, &ra.cfg, opts, cli::effective_jobs(ra.jobs));
+    let mut sys = System::with_cores_and_sink(wl, &ra.cfg, setup, opts, cores, sink);
+    while sys.try_step().map_err(|e| e.to_string())? {}
+    Ok(sys.finish_with_sink())
+}
+
+fn resolve(ra: &RunArgs) -> Result<(Workload, SimOptions), String> {
     let wl = catalog::workload(&ra.workload)
         .ok_or_else(|| format!("unknown workload `{}` (try `fpb list`)", ra.workload))?;
     Ok((wl, cli::sim_options(ra)))

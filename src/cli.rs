@@ -192,8 +192,8 @@ pub struct RunArgs {
     pub wt: Option<u32>,
     /// Run the opt-in token-conservation auditor (`--audit-ledger`).
     pub audit_ledger: bool,
-    /// Worker threads for sweep/compare fan-out (`--jobs`; `None` = use
-    /// the machine's available parallelism).
+    /// Worker threads for warm-up and sweep/compare fan-out (`--jobs`;
+    /// `None` = use the machine's available parallelism).
     pub jobs: Option<usize>,
     /// Suppress informational stderr chatter (`--quiet`) — currently the
     /// sweep's result-reuse summary line. Off by default: CI greps that
@@ -694,9 +694,9 @@ SWEEP AXES: line-bytes, llc-mib, pt-dimm, e-gcp (--scheme vs DIMM+chip
   per point)
 
 PARALLELISM:
-  --jobs <n>           worker threads for sweep points / compare schemes
-                       [machine parallelism]; results are bit-for-bit
-                       identical to --jobs 1, in the same order
+  --jobs <n>           worker threads for warm-up, sweep points and compare
+                       schemes [machine parallelism]; results are bit-for-
+                       bit identical to --jobs 1, in the same order
   --quiet              suppress informational stderr (the sweep's result-
                        reuse summary line); simulation output is unchanged
 

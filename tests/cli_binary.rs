@@ -52,6 +52,37 @@ fn run_produces_metrics_table() {
 }
 
 #[test]
+fn run_output_does_not_depend_on_jobs() {
+    // `--jobs` bounds the warm-up threads: one job warms on the calling
+    // thread, two warm the cores on the pool, and the run must not tell.
+    let run = |jobs: &str| {
+        let out = fpb()
+            .args([
+                "run",
+                "--workload",
+                "mix_2",
+                "--scheme",
+                "fpb",
+                "--instructions",
+                "20000",
+                "--jobs",
+                jobs,
+            ])
+            .output()
+            .expect("spawn");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let serial = run("1");
+    assert!(String::from_utf8_lossy(&serial).contains("FPB"));
+    assert_eq!(serial, run("2"), "stdout differs between --jobs 1 and 2");
+}
+
+#[test]
 fn bad_arguments_fail_with_diagnostics() {
     let out = fpb()
         .args(["run", "--scheme", "warp-drive"])
