@@ -181,9 +181,9 @@ pub struct LineWrite {
     chips: u8,
     reset_groups: u8,
     total_changed: u32,
-    /// `(cell index, chip, sampled iteration count)` per changed cell,
-    /// kept so Multi-RESET can re-split the RESET before the write starts.
-    cell_chips: Vec<(u16, u8, u32)>,
+    /// `(cell index, chip)` per changed cell, in change-set order, kept so
+    /// Multi-RESET can re-split the RESET before the write starts.
+    cell_chips: Vec<(u16, u8)>,
     /// `[group]` → total changed cells in that RESET group.
     reset_totals: Vec<u32>,
     /// `[group * chips + chip]` → changed cells of that group on that chip.
@@ -236,6 +236,7 @@ impl LineWrite {
     ) -> Self {
         Self::build_with(
             WriteBuffers::default(),
+            &mut Vec::new(),
             cells,
             geom,
             mapping,
@@ -247,8 +248,19 @@ impl LineWrite {
 
     /// Shared construction core: fills `bufs` (cleared first, so recycled
     /// storage is safe) with the per-iteration demand tables for `cells`.
+    /// `sampled` is scratch for the list of cells whose count is sampled;
+    /// what it holds on entry does not matter.
+    ///
+    /// Two passes draw `rng` exactly as one pass calling `sampler.sample`
+    /// on every cell in order does (`build_reference`, in the tests, is
+    /// that pass). A level with a fixed count draws nothing, so pass 1 maps
+    /// every cell to its chip and RESET group, tallies the fixed-count
+    /// cells and lists the others, and pass 2 samples the listed cells in
+    /// cell order.
+    #[allow(clippy::too_many_arguments)] // the six build inputs plus the two storages
     fn build_with(
         bufs: WriteBuffers,
+        sampled: &mut Vec<u32>,
         cells: &[(u32, MlcLevel)],
         geom: &DimmGeometry,
         mapping: CellMapping,
@@ -270,45 +282,63 @@ impl LineWrite {
         } = bufs;
         cell_chips.clear();
         cell_chips.reserve(cells.len());
-        reset_totals.clear();
-        reset_totals.resize(m, 0u32);
         reset_per_chip.clear();
         reset_per_chip.resize(m * n_chips, 0u32);
-
-        let mut max_iters = 1u32;
-        for &(cell, level) in cells {
-            let chip = mapping.chip_of(cell, chips).index();
-            let group = geom.reset_group_of(cell, reset_groups) as usize;
-            let iters = sampler.sample(level, rng);
-            reset_totals[group] += 1;
-            reset_per_chip[group * n_chips + chip] += 1;
-            max_iters = max_iters.max(iters);
-            cell_chips.push((cell as u16, chip as u8, iters));
-        }
 
         // SET iteration j (1-based) pulses cells whose total iteration count
         // is at least j + 1 — i.e. a cell with `iters` total participates in
         // SET rows 0..iters-1. Rather than incrementing every row a cell
-        // touches (O(cells × iters)), mark each cell only at its *last* row
-        // and suffix-sum downward (O(cells + rows × chips)).
-        let set_iters = (max_iters - 1) as usize;
-        set_totals.clear();
-        set_totals.resize(set_iters, 0u32);
+        // touches (O(cells × iters)), tally each cell only at its *last*
+        // row and suffix-sum downward (O(cells + rows × chips)). The rows
+        // cover the slowest count any level can take; a cell with fewer than
+        // two iterations is in no SET row and goes to the spill row after
+        // them, which is dropped.
+        let spill = sampler.worst_case_iterations().saturating_sub(1) as usize;
+        let row_of = |iters: u32| (iters as usize).wrapping_sub(2).min(spill);
         set_per_chip.clear();
-        set_per_chip.resize(set_iters * n_chips, 0u32);
-        for &(_, chip, iters) in &cell_chips {
-            if iters >= 2 {
-                let last = (iters - 2) as usize;
-                set_totals[last] += 1;
-                set_per_chip[last * n_chips + chip as usize] += 1;
-            }
+        set_per_chip.resize((spill + 1) * n_chips, 0u32);
+
+        // Per level, indexed by `MlcLevel as usize`: the row pass 1 tallies
+        // (the spill row for a sampled level) and 1 if pass 2 samples it.
+        let plan = MlcLevel::ALL.map(|level| match sampler.fixed_iterations(level) {
+            Some(iters) => (row_of(iters), 0usize),
+            None => (spill, 1usize),
+        });
+        // Listing is branch-free: every cell writes its index, and only a
+        // sampled one advances the cursor past it.
+        if sampled.len() < cells.len() {
+            sampled.resize(cells.len(), 0);
         }
+        let mut listed = 0usize;
+        for (i, &(cell, level)) in cells.iter().enumerate() {
+            let chip = mapping.chip_of(cell, chips).index();
+            let group = geom.reset_group_of(cell, reset_groups) as usize;
+            reset_per_chip[group * n_chips + chip] += 1;
+            let (row, is_sampled) = plan[level as usize];
+            set_per_chip[row * n_chips + chip] += 1;
+            cell_chips.push((cell as u16, chip as u8));
+            sampled[listed] = i as u32;
+            listed += is_sampled;
+        }
+        for &i in &sampled[..listed] {
+            let i = i as usize;
+            let row = row_of(sampler.sample(cells[i].1, rng));
+            set_per_chip[row * n_chips + cell_chips[i].1 as usize] += 1;
+        }
+
+        // Drop the spill row and every row past the slowest cell's last.
+        set_per_chip.truncate(spill * n_chips);
+        row_sums_into(&set_per_chip, n_chips, &mut set_totals);
+        let set_iters = set_totals.iter().rposition(|&t| t > 0).map_or(0, |r| r + 1);
+        set_totals.truncate(set_iters);
+        set_per_chip.truncate(set_iters * n_chips);
         for idx in (0..set_iters.saturating_sub(1)).rev() {
             set_totals[idx] += set_totals[idx + 1];
             for c in 0..n_chips {
                 set_per_chip[idx * n_chips + c] += set_per_chip[(idx + 1) * n_chips + c];
             }
         }
+        row_sums_into(&reset_per_chip, n_chips, &mut reset_totals);
 
         LineWrite {
             chips,
@@ -537,23 +567,27 @@ impl LineWrite {
         let m = groups as usize;
         // Refilled in place: the buffers may be pooled, and the write path
         // allocates nothing in steady state.
-        self.reset_totals.clear();
-        self.reset_totals.resize(m, 0);
         self.reset_per_chip.clear();
         self.reset_per_chip.resize(m * n, 0);
-        for &(cell, chip, _) in &self.cell_chips {
+        for &(cell, chip) in &self.cell_chips {
             let g = geom.reset_group_of(cell as u32, groups) as usize;
-            self.reset_totals[g] += 1;
             self.reset_per_chip[g * n + chip as usize] += 1;
         }
+        row_sums_into(&self.reset_per_chip, n, &mut self.reset_totals);
         self.reset_groups = groups;
     }
+}
+
+/// `totals[r]` = the sum of row `r` of `per_chip`, a table `n` wide.
+fn row_sums_into(per_chip: &[u32], n: usize, totals: &mut Vec<u32>) {
+    totals.clear();
+    totals.extend(per_chip.chunks_exact(n).map(|row| row.iter().sum::<u32>()));
 }
 
 /// The recyclable backing storage of one [`LineWrite`].
 #[derive(Debug, Default)]
 struct WriteBuffers {
-    cell_chips: Vec<(u16, u8, u32)>,
+    cell_chips: Vec<(u16, u8)>,
     reset_totals: Vec<u32>,
     reset_per_chip: Vec<u32>,
     set_totals: Vec<u32>,
@@ -594,6 +628,9 @@ const MAX_POOLED: usize = 4096;
 #[derive(Debug, Default)]
 pub struct WriteBufferPool {
     bufs: Vec<WriteBuffers>,
+    /// Scratch for a build's list of sampled cells. It lives here rather
+    /// than in each write's buffers, so recycled writes stay small.
+    sampled: Vec<u32>,
     change_sets: Vec<ChangeSet>,
     round_vecs: Vec<Vec<LineWrite>>,
     reuses: u64,
@@ -628,7 +665,16 @@ impl WriteBufferPool {
                 WriteBuffers::default()
             }
         };
-        LineWrite::build_with(bufs, cells, geom, mapping, sampler, rng, reset_groups)
+        LineWrite::build_with(
+            bufs,
+            &mut self.sampled,
+            cells,
+            geom,
+            mapping,
+            sampler,
+            rng,
+            reset_groups,
+        )
     }
 
     /// Returns a completed write's backing storage to the free-list.
@@ -705,8 +751,93 @@ impl WriteBufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpb_types::MlcWriteModel;
+    use fpb_types::{MlcLevelModel, MlcWriteModel};
     use proptest::prelude::*;
+
+    /// The one-pass build, the oracle of [`LineWrite::build_with`]: one
+    /// loop maps each cell, samples its count (every cell, in order) and
+    /// keeps it, and a second loop tallies each cell at its last SET row.
+    fn build_reference(
+        cells: &[(u32, MlcLevel)],
+        geom: &DimmGeometry,
+        mapping: CellMapping,
+        sampler: &IterationSampler,
+        rng: &mut SimRng,
+        reset_groups: u8,
+    ) -> LineWrite {
+        let chips = geom.chips();
+        let n_chips = chips as usize;
+        let m = reset_groups as usize;
+        let mut cell_chips = Vec::new();
+        let mut cell_iters = Vec::new();
+        let mut reset_totals = vec![0u32; m];
+        let mut reset_per_chip = vec![0u32; m * n_chips];
+        let mut max_iters = 1u32;
+        for &(cell, level) in cells {
+            let chip = mapping.chip_of(cell, chips).index();
+            let group = geom.reset_group_of(cell, reset_groups) as usize;
+            let iters = sampler.sample(level, rng);
+            reset_totals[group] += 1;
+            reset_per_chip[group * n_chips + chip] += 1;
+            max_iters = max_iters.max(iters);
+            cell_chips.push((cell as u16, chip as u8));
+            cell_iters.push(iters);
+        }
+        let set_iters = (max_iters - 1) as usize;
+        let mut set_totals = vec![0u32; set_iters];
+        let mut set_per_chip = vec![0u32; set_iters * n_chips];
+        for (&(_, chip), &iters) in cell_chips.iter().zip(&cell_iters) {
+            if iters >= 2 {
+                let last = (iters - 2) as usize;
+                set_totals[last] += 1;
+                set_per_chip[last * n_chips + chip as usize] += 1;
+            }
+        }
+        for idx in (0..set_iters.saturating_sub(1)).rev() {
+            set_totals[idx] += set_totals[idx + 1];
+            for c in 0..n_chips {
+                set_per_chip[idx * n_chips + c] += set_per_chip[(idx + 1) * n_chips + c];
+            }
+        }
+        LineWrite {
+            chips,
+            reset_groups,
+            total_changed: cells.len() as u32,
+            cell_chips,
+            reset_totals,
+            reset_per_chip,
+            set_totals,
+            set_per_chip,
+            iters_done: 0,
+            truncate_at: None,
+            truncated: false,
+        }
+    }
+
+    /// A level model: `Fixed(1..=4)`, or `TwoPhase` with a fast fraction of
+    /// 0, 1 or in between, `min` 1..=3 and `max` up to 16.
+    fn level_model() -> impl Strategy<Value = MlcLevelModel> {
+        prop_oneof![
+            (1u32..=4).prop_map(MlcLevelModel::Fixed),
+            (
+                prop_oneof![Just(0.0), Just(1.0), 0.0f64..1.0],
+                (0.0f64..12.0, 0.0f64..3.0),
+                (0.0f64..18.0, 0.0f64..4.0),
+                (1u32..=3, 0u32..=13),
+            )
+                .prop_map(|(fast_fraction, fast, slow, (min, extra))| {
+                    MlcLevelModel::TwoPhase {
+                        fast_fraction,
+                        fast_mean: fast.0,
+                        fast_std: fast.1,
+                        slow_mean: slow.0,
+                        slow_std: slow.1,
+                        min,
+                        max: min + extra,
+                    }
+                }),
+        ]
+    }
 
     fn fixture() -> (DimmGeometry, IterationSampler) {
         (
@@ -1010,6 +1141,52 @@ mod tests {
                     }
                 }
                 pool.recycle_rounds(built);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The two-pass build equals the one-pass reference, and leaves the
+        /// RNG where it does, for arbitrary cells (any order, duplicates
+        /// allowed), write models, mappings, chip counts and RESET groups,
+        /// including an RNG that holds a Box–Muller spare on entry. Builds
+        /// go through one pool, so its scratch list carries over.
+        #[test]
+        fn two_pass_build_matches_one_pass_reference(
+            seed in any::<u64>(),
+            spare in any::<bool>(),
+            levels in (level_model(), level_model(), level_model(), level_model()),
+            chips in prop_oneof![Just(4u8), Just(8u8), Just(16u8)],
+            writes in prop::collection::vec(
+                (
+                    prop::collection::vec((0u32..1024, 0usize..4), 0..400),
+                    0usize..3,
+                    1u8..=3,
+                ),
+                1..4,
+            ),
+        ) {
+            let (l00, l01, l10, l11) = levels;
+            let sampler = IterationSampler::new(MlcWriteModel { l00, l01, l10, l11 });
+            let geom = DimmGeometry::new(chips, 1024);
+            let mut pool = WriteBufferPool::new();
+            let mut rng = SimRng::seed_from(seed);
+            if spare {
+                rng.gaussian();
+            }
+            for (cells, mapping, groups) in writes {
+                let cells: Vec<(u32, MlcLevel)> =
+                    cells.into_iter().map(|(c, l)| (c, MlcLevel::ALL[l])).collect();
+                let mapping = CellMapping::ALL[mapping];
+                let mut ref_rng = rng.clone();
+                let w = pool.build(&cells, &geom, mapping, &sampler, &mut rng, groups);
+                let reference =
+                    build_reference(&cells, &geom, mapping, &sampler, &mut ref_rng, groups);
+                prop_assert_eq!(&w, &reference);
+                prop_assert_eq!(&rng, &ref_rng, "the builds must draw the same numbers");
+                pool.recycle(w);
             }
         }
     }

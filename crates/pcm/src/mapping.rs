@@ -82,7 +82,7 @@ impl CellMapping {
         let chips32 = chips as u32;
         let within = cell % CELLS_PER_CHUNK;
         let chip = match self {
-            CellMapping::Naive => (within / CELLS_PER_CHUNK.div_ceil(chips32)).min(chips32 - 1),
+            CellMapping::Naive => naive_chip(within, chips32),
             CellMapping::Vim => fast_mod(within, chips32),
             CellMapping::Bim => fast_mod(within - within / CELLS_PER_WORD, chips32),
         };
@@ -122,14 +122,31 @@ impl CellMapping {
 }
 
 /// `x % m`, with the division avoided for power-of-two `m` — the common
-/// 4/8/16-chip configurations. `chip_of` runs once per changed cell on
-/// the write hot path, where a hardware divide is the dominant cost.
+/// 4/8/16-chip configurations. `chip_of` runs twice per changed cell on
+/// the write hot path (once when `RoundSplitter::split_in` groups a write's
+/// cells by chip, again when the line write is built), where a hardware
+/// divide is the dominant cost.
 #[inline]
 fn fast_mod(x: u32, m: u32) -> u32 {
     if m.is_power_of_two() {
         x & (m - 1)
     } else {
         x % m
+    }
+}
+
+/// NE's chip for offset `within` of a chunk: blocks of
+/// `ceil(CELLS_PER_CHUNK / chips)` consecutive cells per chip. For a
+/// power-of-two chip count the block size is a power of two too, so the
+/// division is a shift (every validated config: line sizes are powers of
+/// two and the chip count must divide the cell count); other counts keep
+/// the division.
+#[inline]
+fn naive_chip(within: u32, chips: u32) -> u32 {
+    if chips.is_power_of_two() {
+        within >> (CELLS_PER_CHUNK.trailing_zeros() - chips.trailing_zeros())
+    } else {
+        (within / CELLS_PER_CHUNK.div_ceil(chips)).min(chips - 1)
     }
 }
 
@@ -246,6 +263,29 @@ mod tests {
         assert!("xyz".parse::<CellMapping>().is_err());
         for m in CellMapping::ALL {
             assert_eq!(m.label().parse::<CellMapping>().unwrap(), m);
+        }
+    }
+
+    #[test]
+    fn every_chip_count_matches_the_formulas() {
+        // Powers of two take the shift and mask paths, the rest divide.
+        for chips in 1..=16u32 {
+            let block = CELLS_PER_CHUNK.div_ceil(chips);
+            for cell in 0..1024 {
+                let within = cell % CELLS_PER_CHUNK;
+                let expect = [
+                    (CellMapping::Naive, (within / block).min(chips - 1)),
+                    (CellMapping::Vim, within % chips),
+                    (CellMapping::Bim, (within - within / 16) % chips),
+                ];
+                for (m, want) in expect {
+                    assert_eq!(
+                        m.chip_of(cell, chips as u8).get() as u32,
+                        want,
+                        "{m} cell {cell} chips {chips}"
+                    );
+                }
+            }
         }
     }
 

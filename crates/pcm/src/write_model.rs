@@ -28,45 +28,39 @@ use fpb_types::{MlcLevelModel, MlcWriteModel, SimRng};
 /// ```
 #[derive(Debug, Clone)]
 pub struct IterationSampler {
-    model: MlcWriteModel,
+    /// The per-level models, indexed by `MlcLevel as usize`.
+    levels: [MlcLevelModel; 4],
 }
 
 impl IterationSampler {
     /// Creates a sampler for the given per-level model.
     pub fn new(model: MlcWriteModel) -> Self {
-        IterationSampler { model }
-    }
-
-    /// The model this sampler draws from.
-    pub fn model(&self) -> &MlcWriteModel {
-        &self.model
+        let MlcWriteModel { l00, l01, l10, l11 } = model;
+        IterationSampler {
+            levels: [l00, l01, l10, l11],
+        }
     }
 
     /// Samples the total number of iterations (including the RESET) needed
     /// to program one cell to `target`.
     pub fn sample(&self, target: MlcLevel, rng: &mut SimRng) -> u32 {
-        let m = match target {
-            MlcLevel::L00 => &self.model.l00,
-            MlcLevel::L01 => &self.model.l01,
-            MlcLevel::L10 => &self.model.l10,
-            MlcLevel::L11 => &self.model.l11,
-        };
-        sample_level(m, rng)
+        sample_level(&self.levels[target as usize], rng)
+    }
+
+    /// `target`'s iteration count when its model fixes it, or `None` when
+    /// the count is sampled. [`IterationSampler::sample`] draws from the
+    /// RNG exactly for the levels that return `None`.
+    pub(crate) fn fixed_iterations(&self, target: MlcLevel) -> Option<u32> {
+        match self.levels[target as usize] {
+            MlcLevelModel::Fixed(n) => Some(n),
+            MlcLevelModel::TwoPhase { .. } => None,
+        }
     }
 
     /// Upper bound on iterations across all levels (the worst-case P&V
     /// bound a controller without device feedback would have to assume).
     pub fn worst_case_iterations(&self) -> u32 {
-        [
-            &self.model.l00,
-            &self.model.l01,
-            &self.model.l10,
-            &self.model.l11,
-        ]
-        .into_iter()
-        .map(level_max)
-        .max()
-        .unwrap_or(1)
+        self.levels.iter().map(level_max).max().unwrap_or(1)
     }
 }
 
@@ -164,6 +158,15 @@ mod tests {
             "early fraction = {}",
             early as f64 / n as f64
         );
+    }
+
+    #[test]
+    fn only_fixed_levels_report_a_fixed_count() {
+        let s = sampler();
+        assert_eq!(s.fixed_iterations(MlcLevel::L00), Some(1));
+        assert_eq!(s.fixed_iterations(MlcLevel::L01), None);
+        assert_eq!(s.fixed_iterations(MlcLevel::L10), None);
+        assert_eq!(s.fixed_iterations(MlcLevel::L11), Some(2));
     }
 
     #[test]
