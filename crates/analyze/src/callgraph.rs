@@ -12,9 +12,9 @@
 //!   functions named `name`.
 //!
 //! A call can therefore fan out to several candidate definitions; for
-//! reachability analyses an over-approximation errs on the side of
-//! reporting, which is the right polarity for panic propagation and
-//! taint. Unresolvable names (std/external methods) produce no edge.
+//! reachability an over-approximation errs on the side of reporting,
+//! which is the right polarity for panic propagation. Unresolvable names
+//! (std/external methods) produce no edge.
 
 use std::collections::BTreeSet;
 
@@ -115,33 +115,6 @@ impl CallGraph {
         names.reverse();
         names.join(" → ")
     }
-
-    /// The set of nodes that can transitively *reach* any node in `to`
-    /// (reverse reachability — used by taint: which functions can call
-    /// into a source?).
-    pub fn reaches(&self, to: &[FnId]) -> Vec<bool> {
-        // Reverse adjacency.
-        let mut rev: Vec<Vec<FnId>> = vec![Vec::new(); self.edges.len()];
-        for (caller, outs) in self.edges.iter().enumerate() {
-            for &(callee, _) in outs {
-                rev[callee].push(caller);
-            }
-        }
-        let mut hit = vec![false; self.edges.len()];
-        let mut queue: std::collections::VecDeque<FnId> = to.iter().copied().collect();
-        for &t in to {
-            hit[t] = true;
-        }
-        while let Some(n) = queue.pop_front() {
-            for &p in &rev[n] {
-                if !hit[p] {
-                    hit[p] = true;
-                    queue.push_back(p);
-                }
-            }
-        }
-        hit
-    }
 }
 
 #[cfg(test)]
@@ -203,15 +176,5 @@ mod tests {
             chain, "S::run → S::a → S::c",
             "BFS must take the first-seeded shortest path"
         );
-    }
-
-    #[test]
-    fn reverse_reachability() {
-        let src = "fn src_fn() {}\nfn mid() { src_fn() }\nfn sink() { mid() }\nfn other() {}";
-        let (_, t, g) = graph(src);
-        let hit = g.reaches(&[id(&t, "src_fn")]);
-        assert!(hit[id(&t, "sink")]);
-        assert!(hit[id(&t, "mid")]);
-        assert!(!hit[id(&t, "other")]);
     }
 }

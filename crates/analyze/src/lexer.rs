@@ -1,10 +1,9 @@
 //! A minimal, zero-dependency Rust lexer.
 //!
-//! The lint rules need exactly four things the raw source cannot give
-//! them directly: identifiers with line numbers, punctuation with
-//! adjacency (to tell `.unwrap(` from the word "unwrap" in a string),
-//! numeric literals tagged int-vs-float, and comments (for `ORDER:`
-//! checks and `fpb-lint:` directives). Everything else — strings, char
+//! The lint rules need three things the raw source cannot give them
+//! directly: identifiers with line numbers, punctuation with adjacency
+//! (to tell `.unwrap(` from the word "unwrap" in a string), and comments
+//! (for `ORDER:` checks). Everything else — numbers, strings, char
 //! literals, lifetimes — is recognized only so its *contents* cannot be
 //! mistaken for code. No `syn`, no registry dependencies: the scanner
 //! must build in the same zero-network environment as the rest of the
@@ -15,11 +14,8 @@
 pub enum TokKind {
     /// An identifier or keyword (`unwrap`, `unsafe`, `as`, `HashMap`).
     Ident,
-    /// A numeric literal. `float` is true for `1.5`, `2e9`, `1f64`.
-    Num {
-        /// True when the literal is a floating-point literal.
-        float: bool,
-    },
+    /// A numeric literal (`1`, `0xE5`, `1.5`, `2e-9`, `3f64`).
+    Num,
     /// A single punctuation character (`.`, `(`, `=`, `!`, ...).
     /// Multi-character operators appear as adjacent tokens.
     Punct(char),
@@ -362,26 +358,16 @@ impl<'a> Lexer<'a> {
     fn number(&mut self) {
         let line = self.line;
         let mut text = String::new();
-        let mut float = false;
-        // Integer part (covers 0x/0o/0b prefixes: hex digits are consumed
-        // as alphanumerics below).
+        // Digits, suffixes and 0x/0o/0b prefixes are all alphanumeric.
         while let Some(c) = self.peek() {
             if c.is_alphanumeric() || c == '_' {
-                if c == 'e' || c == 'E' {
-                    // Exponent only counts as float in a decimal literal
-                    // (`1e9`), not hex (`0xE`).
-                    if !text.starts_with("0x") && !text.starts_with("0X") {
-                        float = true;
-                    }
-                }
                 text.push(c);
                 self.bump();
             } else if c == '.' {
-                // `1.5` is a float; `1..` is a range and `1.max()` is a
-                // method call.
+                // `1.5` is one literal; `1..` is a range and `1.max()` is
+                // a method call.
                 match self.peek2() {
                     Some(d) if d.is_ascii_digit() => {
-                        float = true;
                         text.push('.');
                         self.bump();
                     }
@@ -395,10 +381,7 @@ impl<'a> Lexer<'a> {
                 break;
             }
         }
-        if text.ends_with("f32") || text.ends_with("f64") {
-            float = true;
-        }
-        self.push(TokKind::Num { float }, text, line);
+        self.push(TokKind::Num, text, line);
     }
 }
 
@@ -472,31 +455,17 @@ mod tests {
     }
 
     #[test]
-    fn numbers_int_vs_float() {
-        let l = lex("1 2.5 1e9 0xE5 1_000 3f64 0.5 1..2 1.max(2)");
-        let nums: Vec<(String, bool)> = l
+    fn numbers_are_single_tokens() {
+        let l = lex("1 2.5 1e-9 0xE5 1_000 3f64 0.5 1..2 1.max(2)");
+        let nums: Vec<&str> = l
             .tokens
             .iter()
-            .filter_map(|t| match t.kind {
-                TokKind::Num { float } => Some((t.text.clone(), float)),
-                _ => None,
-            })
+            .filter(|t| t.kind == TokKind::Num)
+            .map(|t| t.text.as_str())
             .collect();
         assert_eq!(
             nums,
-            vec![
-                ("1".into(), false),
-                ("2.5".into(), true),
-                ("1e9".into(), true),
-                ("0xE5".into(), false),
-                ("1_000".into(), false),
-                ("3f64".into(), true),
-                ("0.5".into(), true),
-                ("1".into(), false),
-                ("2".into(), false),
-                ("1".into(), false),
-                ("2".into(), false),
-            ]
+            vec!["1", "2.5", "1e-9", "0xE5", "1_000", "3f64", "0.5", "1", "2", "1", "2"]
         );
         // `1.max(2)` keeps the method name.
         assert!(l.tokens.iter().any(|t| t.is_ident("max")));
@@ -523,7 +492,7 @@ mod tests {
         assert!(l.tokens.iter().any(|t| t.is_ident("match")));
         assert!(l.tokens.iter().any(|t| t.is_ident("unwrap")));
         assert!(l.tokens.iter().any(|t| t.is_ident("trailing")));
-        // The `.unwrap(` shape survives for the panic_freedom detector.
+        // The `.unwrap(` shape survives for the panic-site detector.
         let pos = l.tokens.iter().position(|t| t.is_ident("unwrap")).unwrap();
         assert!(l.tokens[pos - 1].is_punct('.'));
         assert!(l.tokens[pos + 1].is_punct('('));

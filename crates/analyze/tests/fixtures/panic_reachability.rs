@@ -1,20 +1,26 @@
 //! Seeded `panic_reachability` violations: panic sites on call chains
-//! from the engine's public stepping entry points (`System::run` /
-//! `System::step`). The lexical `panic_freedom` hits are suppressed with
-//! directives so each marked line pins the reachability rule alone.
+//! from the engine's fallible entry points (`System::try_run` /
+//! `System::try_step`). Never compiled — the `fixtures/` directory is
+//! excluded from cargo targets and from the workspace scan. Lines
+//! expected to violate carry a trailing tilde marker naming the rule.
 
 pub struct System {
     depth: u32,
 }
 
+pub enum SimError {
+    Deadlock,
+}
+
 impl System {
-    pub fn run(&mut self) {
+    pub fn try_run(&mut self) -> Result<(), SimError> {
         self.advance();
+        Ok(())
     }
 
-    pub fn step(&mut self) -> bool {
+    pub fn try_step(&mut self) -> Result<bool, SimError> {
         self.depth = self.checked_step();
-        self.depth > 0
+        Ok(self.depth > 0)
     }
 
     fn advance(&mut self) {
@@ -23,22 +29,19 @@ impl System {
 
     fn commit_round(&mut self) {
         if self.depth == 0 {
-            // fpb-lint: allow(panic_freedom)
             panic!("scheduling deadlock"); //~ panic_reachability
         }
         self.depth -= 1;
     }
 
     fn checked_step(&mut self) -> u32 {
-        // fpb-lint: allow(panic_freedom)
         self.depth.checked_sub(1).expect("depth underflow") //~ panic_reachability
     }
 }
 
 fn orphan_helper() {
-    // Not reachable from run/step, so panic_reachability stays silent
-    // even though the site is recorded.
-    // fpb-lint: allow(panic_freedom)
+    // Not reachable from try_run/try_step, so panic_reachability stays
+    // silent even though the site is recorded.
     unreachable!("never called from the engine");
 }
 
@@ -49,6 +52,6 @@ mod tests {
     #[test]
     fn panics_in_tests_never_count() {
         let mut s = System { depth: 1 };
-        assert!(!s.step());
+        assert!(!s.try_step().unwrap());
     }
 }

@@ -25,7 +25,7 @@ use fpb_types::Tokens;
 pub fn pt_lcp(pt_dimm: u64, e_lcp: f64, chips: u8) -> Tokens {
     assert!(chips > 0, "chips must be nonzero");
     assert!(e_lcp > 0.0 && e_lcp <= 1.0, "e_lcp must be in (0, 1]");
-    Tokens::from_millis(((pt_dimm * 1000) as f64 * e_lcp / chips as f64).floor() as u64)
+    Tokens::pt_lcp(pt_dimm, e_lcp, 1.0, chips)
 }
 
 /// Eq. 5 — usable GCP output from per-chip borrowed budgets:
@@ -99,13 +99,16 @@ pub fn eq6_relative_error(
 /// // Table 3: GCP-NE-0.95 delivers 66 usable → 70 raw tokens.
 /// assert_eq!(raw_pump_tokens(66, 0.95), 70);
 /// ```
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "rounded up to whole tokens; a pump size is far below 2^53"
+)]
 pub fn raw_pump_tokens(usable: u64, eff: f64) -> u64 {
     assert!(eff > 0.0 && eff <= 1.0, "efficiency must be in (0, 1]");
     (usable as f64 / eff).ceil() as u64
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -1,6 +1,6 @@
 //! Power-policy configuration and the named schemes of the evaluation.
 
-use fpb_types::PowerConfig;
+use fpb_types::{PowerConfig, Tokens};
 
 /// Global-charge-pump parameters (§4).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -169,8 +169,7 @@ impl PowerPolicyConfig {
     pub fn chip_budget_millis(&self) -> u64 {
         match self.pt_dimm {
             Some(pt) if self.enforce_chip_budget => {
-                ((pt * 1000) as f64 * self.e_lcp * self.chip_budget_scale / self.chips as f64)
-                    .floor() as u64
+                Tokens::pt_lcp(pt, self.e_lcp, self.chip_budget_scale, self.chips).millis()
             }
             _ => 0,
         }
@@ -270,7 +269,6 @@ impl std::fmt::Display for SchemeKind {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -18,7 +18,12 @@ use fpb_types::{LedgerDomain, LedgerError, Tokens};
 /// the result is an obligation (borrowed power) that must not be
 /// understated.
 fn mul_eff_ceil(t: Tokens, eff: f64) -> Tokens {
-    Tokens::from_millis((t.millis() as f64 * eff).ceil() as u64)
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "rounded up to whole millitokens; `eff <= 1` keeps it within `t`"
+    )]
+    let millis = (t.millis() as f64 * eff).ceil() as u64;
+    Tokens::from_millis(millis)
 }
 
 /// A committed allocation returned by [`Ledger::try_grant_chips`] or [`Ledger::try_grant_flat`].
@@ -246,6 +251,7 @@ impl Ledger {
     /// Grants a flat (no chip accounting) allocation of `usable` tokens.
     /// Used for DIMM-only and Ideal policies. Returns `None` (and changes
     /// nothing) if the budget is insufficient.
+    #[must_use = "a grant holds its tokens until it is released"]
     pub fn try_grant_flat(&mut self, usable: Tokens) -> Option<Grant> {
         match self.dimm_avail {
             None => Some(Grant {
@@ -275,6 +281,7 @@ impl Ledger {
     ///
     /// Panics if `per_chip` length differs from the chip count, or chip
     /// budgets are not enforced.
+    #[must_use = "a grant holds its tokens until it is released"]
     pub fn try_grant_chips(&mut self, per_chip: &[Tokens]) -> Option<Grant> {
         assert!(
             self.has_chip_budgets(),
@@ -489,6 +496,10 @@ impl Ledger {
             return;
         }
         let shed = 1.0 - keep_fraction;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "rounded to whole millitokens; `shed <= 1` keeps it within `cap`"
+        )]
         let target = |cap: Tokens| Tokens::from_millis((cap.millis() as f64 * shed).round() as u64);
         let mut hold = BrownoutHold {
             chips: vec![Tokens::ZERO; self.chips_avail.len()],
@@ -609,7 +620,6 @@ impl Ledger {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

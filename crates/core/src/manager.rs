@@ -101,10 +101,11 @@ impl PowerManager {
     ///
     /// Panics if the configuration is invalid ([`PowerPolicyConfig::validate`]).
     pub fn new(cfg: PowerPolicyConfig, geom: &DimmGeometry) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "construction-time validation with a documented `# Panics` contract"
+        )]
         if let Err(e) = cfg.validate() {
-            // Construction-time validation with a documented `# Panics`
-            // contract; unreachable from run/step per panic_reachability.
-            // fpb-lint: allow(panic_freedom)
             panic!("invalid power policy config: {e}");
         }
         let ledger = match cfg.pt_dimm {
@@ -112,8 +113,11 @@ impl PowerManager {
             Some(pt) if !cfg.enforce_chip_budget => Ledger::flat(pt),
             Some(pt) => {
                 let gcp = cfg.gcp.as_ref().map(|g| {
-                    let lcp_millis =
-                        ((pt * 1000) as f64 * cfg.e_lcp / cfg.chips as f64).floor() as u64;
+                    let lcp_millis = Tokens::pt_lcp(pt, cfg.e_lcp, 1.0, cfg.chips).millis();
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "floored to whole millitokens; a capacity is far below 2^53"
+                    )]
                     let cap = (lcp_millis as f64 * g.capacity_lcps).floor() as u64;
                     (g.e_gcp, cap)
                 });
@@ -487,7 +491,6 @@ impl PowerManager {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use fpb_pcm::{CellMapping, ChangeSet, IterationSampler, MlcLevel};

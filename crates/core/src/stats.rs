@@ -133,7 +133,6 @@ impl PowerStats {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

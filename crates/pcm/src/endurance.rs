@@ -72,7 +72,7 @@ impl EnduranceTracker {
     pub fn record_write(&mut self, line: LineAddr, per_chip_cells: &[u32]) {
         assert_eq!(per_chip_cells.len(), self.per_chip.len(), "chip count");
         let total: u64 = per_chip_cells.iter().map(|&c| c as u64).sum();
-        let region = (line.get() / self.lines_per_region) as usize % self.per_region.len();
+        let region = self.region_of(line);
         self.per_region[region] += total;
         for (acc, &c) in self.per_chip.iter_mut().zip(per_chip_cells) {
             *acc += c as u64;
@@ -96,8 +96,16 @@ impl EnduranceTracker {
     /// Cells written so far in the wear region containing `line` (the wear
     /// signal endurance-triggered fault models key off).
     pub fn region_cells_written(&self, line: LineAddr) -> u64 {
-        let region = (line.get() / self.lines_per_region) as usize % self.per_region.len();
-        self.per_region[region]
+        self.per_region[self.region_of(line)]
+    }
+
+    /// Index of the wear region containing `line`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the remainder is below `per_region.len()`"
+    )]
+    fn region_of(&self, line: LineAddr) -> usize {
+        (line.get() / self.lines_per_region % self.per_region.len() as u64) as usize
     }
 
     /// `(region index, cells written)` of the most-worn region, or
@@ -121,7 +129,6 @@ impl EnduranceTracker {
         let mean = self.total_cells_written() as f64 / self.per_chip.len() as f64;
         // `mean` is an integer sum over a nonzero count: it is exactly 0.0
         // iff no cells were written, so exact equality is the right guard.
-        // fpb-lint: allow(float_eq)
         if mean == 0.0 {
             0.0
         } else {

@@ -37,8 +37,7 @@ impl DimmGeometry {
         assert!(chips > 0, "chip count must be nonzero");
         assert!(cells_per_line > 0, "cells per line must be nonzero");
         assert_eq!(
-            // u8 → u32 widens, it cannot truncate. fpb-lint: allow(truncating_cast)
-            cells_per_line % chips as u32,
+            cells_per_line % u32::from(chips),
             0,
             "cells per line must divide evenly across chips"
         );
@@ -60,8 +59,7 @@ impl DimmGeometry {
 
     /// Cells of each line held by a single chip.
     pub fn cells_per_chip(&self) -> u32 {
-        // u8 → u32 widens, it cannot truncate. fpb-lint: allow(truncating_cast)
-        self.cells_per_line / self.chips as u32
+        self.cells_per_line / u32::from(self.chips)
     }
 
     /// Static Multi-RESET group of a logical cell when the RESET is split
@@ -72,6 +70,10 @@ impl DimmGeometry {
     /// # Panics
     ///
     /// Panics if `groups` is zero.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "`within` is below `CELLS_PER_CHUNK` (256), so the quotient fits u8"
+    )]
     pub fn reset_group_of(&self, cell: u32, groups: u8) -> u8 {
         assert!(groups > 0, "group count must be nonzero");
         if groups == 1 {
@@ -81,8 +83,7 @@ impl DimmGeometry {
             return 0;
         }
         let within = cell % CELLS_PER_CHUNK;
-        // u8 → u32 widens, it cannot truncate. fpb-lint: allow(truncating_cast)
-        let per_group = CELLS_PER_CHUNK.div_ceil(groups as u32);
+        let per_group = CELLS_PER_CHUNK.div_ceil(u32::from(groups));
         ((within / per_group) as u8).min(groups - 1)
     }
 }

@@ -257,7 +257,10 @@ impl LineWrite {
     /// every cell to its chip and RESET group, tallies the fixed-count
     /// cells and lists the others, and pass 2 samples the listed cells in
     /// cell order.
-    #[allow(clippy::too_many_arguments)] // the six build inputs plus the two storages
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the six build inputs plus the two storages"
+    )]
     fn build_with(
         bufs: WriteBuffers,
         sampled: &mut Vec<u32>,
@@ -310,6 +313,11 @@ impl LineWrite {
             sampled.resize(cells.len(), 0);
         }
         let mut listed = 0usize;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a line's cells are numbered in u32 and its chips in u8; \
+                      `cell_chips` keeps `cell` mod 2^16, and only `cell % CELLS_PER_CHUNK` is read back"
+        )]
         for (i, &(cell, level)) in cells.iter().enumerate() {
             let chip = mapping.chip_of(cell, chips).index();
             let group = geom.reset_group_of(cell, reset_groups) as usize;
@@ -343,8 +351,10 @@ impl LineWrite {
         LineWrite {
             chips,
             reset_groups,
-            // A line holds at most a few thousand cells, far below u32.
-            // fpb-lint: allow(truncating_cast)
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a line's cells are numbered in u32"
+            )]
             total_changed: cells.len() as u32,
             cell_chips,
             reset_totals,
@@ -387,6 +397,10 @@ impl LineWrite {
 
     /// Total iterations this write takes if not truncated: all RESET groups
     /// plus the slowest cell's SET pulses.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "there are at most `worst_case_iterations(): u32` SET rows"
+    )]
     pub fn total_iterations(&self) -> u32 {
         self.reset_groups as u32 + self.set_totals.len() as u32
     }
@@ -422,6 +436,10 @@ impl LineWrite {
     /// Multi-RESET) still appear — the pulse slot is occupied even if no
     /// cell in this line uses it — so callers can rely on the iteration
     /// sequence being dense.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "`g` is below `reset_groups: u8` and `j` below `iters_done: u32`"
+    )]
     pub fn next_demand(&self) -> Option<IterationDemand<'_>> {
         if self.is_complete() {
             return None;

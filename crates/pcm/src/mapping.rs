@@ -77,6 +77,10 @@ impl CellMapping {
     /// # Panics
     ///
     /// Panics if `chips` is zero.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "every mapping yields a chip below `chips: u8`"
+    )]
     pub fn chip_of(self, cell: u32, chips: u8) -> ChipId {
         assert!(chips > 0, "chip count must be nonzero");
         let chips32 = chips as u32;

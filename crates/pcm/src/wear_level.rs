@@ -76,9 +76,12 @@ impl IntraLineWearLeveler {
         });
         state.writes_since_shift += 1;
         if state.writes_since_shift > period {
-            // The draw is below `cells: u32`, so the narrowing is lossless.
-            // fpb-lint: allow(truncating_cast)
-            state.offset = rng.u64_below(cells as u64) as u32;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the draw is below `cells: u32`"
+            )]
+            let offset = rng.u64_below(u64::from(cells)) as u32;
+            state.offset = offset;
             state.writes_since_shift = 1;
         }
         state.offset

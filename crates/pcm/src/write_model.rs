@@ -67,6 +67,10 @@ impl IterationSampler {
 fn sample_level(m: &MlcLevelModel, rng: &mut SimRng) -> u32 {
     match *m {
         MlcLevelModel::Fixed(n) => n,
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "`as` saturates, and the count is clamped to `[min, max]`"
+        )]
         MlcLevelModel::TwoPhase {
             fast_fraction,
             fast_mean,

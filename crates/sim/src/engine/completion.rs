@@ -9,7 +9,7 @@ use crate::inspect::{EventSink, LifecycleEvent, PowerOp, SchemeHook};
 use crate::request::WriteTask;
 use crate::scheme::{ReleaseAction, ReleaseCtx, Scheme, WriteStage};
 
-use super::System;
+use super::{bank_id, System};
 
 impl<S: Scheme, E: EventSink> System<S, E> {
     /// Closes the round that just completed its final iteration. The
@@ -26,7 +26,7 @@ impl<S: Scheme, E: EventSink> System<S, E> {
             hook: SchemeHook::Release,
             action: hold as u8,
             id: task.id.get(),
-            bank: bank as u8,
+            bank: bank_id(bank),
             at: self.now.get(),
         });
         if hold {
@@ -68,7 +68,7 @@ impl<S: Scheme, E: EventSink> System<S, E> {
         self.emit(LifecycleEvent::RoundClosed {
             id: task.id.get(),
             line: task.line.get(),
-            bank: bank as u8,
+            bank: bank_id(bank),
             at: self.now.get(),
             cells: task.round().total_changed() as u64,
             truncated: task.round().was_truncated(),

@@ -10,7 +10,7 @@ use fpb_types::Cycles;
 use crate::inspect::{EventSink, LifecycleEvent, PowerOp};
 use crate::scheme::{Scheme, WriteLifecycle, WriteStage};
 
-use super::{BankState, System};
+use super::{bank_id, heap_src, BankState, System};
 
 impl<S: Scheme, E: EventSink> System<S, E> {
     // ---- lifecycle-event emission ----
@@ -41,7 +41,7 @@ impl<S: Scheme, E: EventSink> System<S, E> {
         WriteLifecycle::debug_check(from, to);
         self.emit(LifecycleEvent::Stage {
             id: id.get(),
-            bank: bank as u8,
+            bank: bank_id(bank),
             at: self.now.get(),
             from,
             to,
@@ -83,7 +83,7 @@ impl<S: Scheme, E: EventSink> System<S, E> {
     /// state unchanged (its event is already registered).
     pub(super) fn set_bank_state(&mut self, bank: usize, state: BankState) {
         if let Some(t) = state.next_event() {
-            self.events.push(Reverse((t, bank as u32)));
+            self.events.push(Reverse((t, heap_src(bank))));
         }
         self.banks[bank].state = state;
     }
@@ -93,7 +93,7 @@ impl<S: Scheme, E: EventSink> System<S, E> {
     pub(super) fn push_core_event(&mut self, ci: usize) {
         let c = &self.cores[ci];
         if !c.done && !c.blocked && c.next_op.is_some() {
-            let src = (self.banks.len() + ci) as u32;
+            let src = heap_src(self.banks.len() + ci);
             self.events.push(Reverse((c.ready_at, src)));
         }
     }
@@ -108,7 +108,7 @@ impl<S: Scheme, E: EventSink> System<S, E> {
     /// exactly `now` during processing are deferred to the next step,
     /// again matching the scan.
     pub(super) fn process_due_events(&mut self) {
-        let nbanks = self.banks.len() as u32;
+        let nbanks = heap_src(self.banks.len());
         let mut due = std::mem::take(&mut self.due_scratch);
         let mut deferred = std::mem::take(&mut self.deferred_scratch);
         due.clear();
@@ -193,7 +193,7 @@ impl<S: Scheme, E: EventSink> System<S, E> {
     /// way; every live event always has an entry at its exact time, so
     /// after cleanup the heap minimum equals the scan minimum.
     pub(super) fn next_event_time_heap(&mut self) -> Option<Cycles> {
-        let nbanks = self.banks.len() as u32;
+        let nbanks = heap_src(self.banks.len());
         let mut next = None;
         while let Some(&Reverse((t, src))) = self.events.peek() {
             let live = if src < nbanks {

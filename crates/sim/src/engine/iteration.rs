@@ -13,7 +13,7 @@ use crate::inspect::{EventSink, LifecycleEvent, PowerOp, SchemeHook};
 use crate::request::{ReadTask, WriteTask};
 use crate::scheme::{AdmitAction, AdmitCtx, IterationAction, IterationCtx, Scheme, WriteStage};
 
-use super::{System, SCRUB_CORE};
+use super::{bank_id, System, SCRUB_CORE};
 
 impl<S: Scheme, E: EventSink> System<S, E> {
     /// Handles the due event on bank `b` (caller checked due-ness).
@@ -22,7 +22,7 @@ impl<S: Scheme, E: EventSink> System<S, E> {
         match state {
             BankState::Reading { core, .. } => {
                 self.emit(LifecycleEvent::ReadDone {
-                    bank: b as u8,
+                    bank: bank_id(b),
                     at: self.now.get(),
                     scrub: core == SCRUB_CORE,
                 });
@@ -62,7 +62,7 @@ impl<S: Scheme, E: EventSink> System<S, E> {
                     task.watchdog_tripped = true;
                     self.emit(LifecycleEvent::WatchdogTripped {
                         id: task.id.get(),
-                        bank: b as u8,
+                        bank: bank_id(b),
                         at: self.now.get(),
                     });
                     self.finish_round(b, task);
@@ -79,7 +79,7 @@ impl<S: Scheme, E: EventSink> System<S, E> {
                         hook: SchemeHook::Iteration,
                         action: pause as u8,
                         id: task.id.get(),
-                        bank: b as u8,
+                        bank: bank_id(b),
                         at: self.now.get(),
                     });
                     if pause {
@@ -249,7 +249,7 @@ impl<S: Scheme, E: EventSink> System<S, E> {
             hook: SchemeHook::Admit,
             action: (admit == AdmitAction::PreRead) as u8,
             id: task.id.get(),
-            bank: bank as u8,
+            bank: bank_id(bank),
             at: self.now.get(),
         });
         if admit == AdmitAction::PreRead {

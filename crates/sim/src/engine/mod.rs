@@ -192,6 +192,26 @@ pub struct System<S: Scheme = SchemeSetup, E: EventSink = NullSink> {
 /// wake on completion).
 const SCRUB_CORE: usize = usize::MAX;
 
+/// Bank `b` as lifecycle events record it.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "`SystemConfig::validate` caps banks at 64"
+)]
+#[inline]
+fn bank_id(b: usize) -> u8 {
+    b as u8
+}
+
+/// Event-heap source `i`: the banks first, then the cores.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "there are at most 64 banks and 255 cores"
+)]
+#[inline]
+fn heap_src(i: usize) -> u32 {
+    i as u32
+}
+
 /// Simulates `workload` on `cfg` under `setup` and returns the metrics.
 ///
 /// Deterministic: the same arguments always produce the same result.
@@ -280,9 +300,10 @@ pub fn warm_cores_jobs(
     opts: &SimOptions,
     jobs: usize,
 ) -> Vec<CoreState> {
-    // Construction-time validation with a documented `# Panics` contract;
-    // panic_reachability confirms this is unreachable from run/step.
-    // fpb-lint: allow(panic_freedom)
+    #[expect(
+        clippy::expect_used,
+        reason = "construction-time validation with a documented `# Panics` contract"
+    )]
     cfg.validate().expect("invalid system config");
     assert!(
         workload.per_core.len() >= cfg.cores as usize,
@@ -307,10 +328,11 @@ pub fn warm_cores_jobs(
     // every core before warming any is measurably slower when the items
     // run inline (`--jobs 1`, a 1-vCPU host, or on a pool worker).
     parallel_map_indexed(&forks, jobs, |_, (gen, rng)| {
+        #[expect(
+            clippy::expect_used,
+            reason = "construction-time validation (see `# Panics` above)"
+        )]
         let mut core = CoreState::with_generator(gen.clone(), &cfg.cache, opts.full_hierarchy)
-            // Construction-time validation (see `# Panics` above);
-            // unreachable from run/step per panic_reachability.
-            // fpb-lint: allow(panic_freedom)
             .expect("invalid cache config");
         core.warm_up(warmup, &mut rng.clone());
         core
@@ -415,9 +437,10 @@ impl<S: Scheme + Clone, E: EventSink> System<S, E> {
         cores: Vec<CoreState>,
         sink: E,
     ) -> Self {
-        // Construction-time validation with a documented `# Panics`
-        // contract; unreachable from run/step per panic_reachability.
-        // fpb-lint: allow(panic_freedom)
+        #[expect(
+            clippy::expect_used,
+            reason = "construction-time validation with a documented `# Panics` contract"
+        )]
         cfg.validate().expect("invalid system config");
         let _ = workload;
         let geom = DimmGeometry::new(cfg.pcm.chips, cfg.pcm.cells_per_line());
@@ -507,10 +530,10 @@ impl<S: Scheme, E: EventSink> System<S, E> {
     pub fn run(self) -> Metrics {
         match self.try_run() {
             Ok(m) => m,
-            // Documented contract of this wrapper: re-raise the typed
-            // failure from `try_run` for callers that treat a deadlock
-            // as a bug (same shape as exec::parallel_map_indexed).
-            // fpb-lint: allow(panic_freedom, panic_reachability)
+            #[expect(
+                clippy::panic,
+                reason = "documented contract of this wrapper: re-raise `try_run`'s typed failure"
+            )]
             Err(e) => panic!("{e}"),
         }
     }
@@ -535,10 +558,10 @@ impl<S: Scheme, E: EventSink> System<S, E> {
     pub fn step(&mut self) -> bool {
         match self.try_step() {
             Ok(more) => more,
-            // Documented contract of this wrapper: re-raise the typed
-            // failure from `try_step` for callers that treat a deadlock
-            // as a bug (same shape as exec::parallel_map_indexed).
-            // fpb-lint: allow(panic_freedom, panic_reachability)
+            #[expect(
+                clippy::panic,
+                reason = "documented contract of this wrapper: re-raise `try_step`'s typed failure"
+            )]
             Err(e) => panic!("{e}"),
         }
     }

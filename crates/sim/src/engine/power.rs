@@ -17,6 +17,10 @@ use super::System;
 /// budget only yields `pt_dimm * e_lcp` usable tokens through the local
 /// pumps. Returns `(cap_total, cap_chip)`.
 pub(super) fn round_caps(policy: &PowerPolicyConfig) -> (Option<u64>, Option<u64>) {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "floored to whole tokens; `e_lcp <= 1` keeps it within `pt`"
+    )]
     let cap_total = policy.pt_dimm.map(|pt| {
         if policy.enforce_chip_budget {
             ((pt as f64) * policy.e_lcp).floor().max(1.0) as u64

@@ -1,8 +1,6 @@
 //! End-to-end engine tests over the trace catalog: determinism, the
 //! paper's headline scheme orderings, and optional-feature behavior.
 
-#![allow(clippy::unwrap_used)]
-
 use fpb_pcm::CellMapping;
 use fpb_trace::catalog;
 use fpb_types::SystemConfig;

@@ -156,14 +156,15 @@ where
     };
     match results {
         Ok(out) => out,
-        // Documented contract: re-raise with the slot attached.
-        // fpb-lint: allow(panic_freedom)
+        #[expect(
+            clippy::panic,
+            reason = "documented contract: re-raise with the slot attached"
+        )]
         Err(msg) => panic!("{msg}"),
     }
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

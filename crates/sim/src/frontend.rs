@@ -289,7 +289,6 @@ impl CoreState {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use fpb_trace::catalog;

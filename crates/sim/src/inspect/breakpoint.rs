@@ -221,7 +221,6 @@ impl Breakpoint {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

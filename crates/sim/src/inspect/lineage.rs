@@ -109,7 +109,6 @@ pub fn lineage_lines(events: &[LifecycleEvent], id: u64) -> Vec<String> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::scheme::WriteStage;

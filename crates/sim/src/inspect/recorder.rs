@@ -241,13 +241,14 @@ impl EventSink for FileSink {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use std::path::PathBuf;
 
-    // Scratch files for the test; the path never reaches a result.
-    #[allow(clippy::disallowed_methods)]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "scratch files for the test; the path never reaches a result"
+    )]
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("fpb-inspect-recorder-tests");
         std::fs::create_dir_all(&dir).unwrap();

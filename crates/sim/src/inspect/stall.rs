@@ -156,7 +156,6 @@ impl StallReport {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -281,14 +281,15 @@ impl JournalWriter {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use std::fs::OpenOptions;
     use std::io::Write;
 
-    // Scratch files for the test; the path never reaches a result.
-    #[allow(clippy::disallowed_methods)]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "scratch files for the test; the path never reaches a result"
+    )]
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("fpb-journal-tests");
         std::fs::create_dir_all(&dir).unwrap();

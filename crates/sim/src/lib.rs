@@ -45,9 +45,31 @@
 //! assert!(m.cycles > 0);
 //! ```
 
-// clippy::unwrap_used comes from [workspace.lints]; unwraps in tests are
-// fine, only hot-path code must justify them.
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+// Panic-freedom, narrowing casts and float equality are clippy's to check
+// (`unwrap_used` comes from [workspace.lints]). CI's `clippy -D warnings`
+// makes these errors; each exception is an `#[expect(..., reason = "...")]`
+// at the site, which fails once its lint stops firing. Tests are exempt.
+#![warn(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::cast_possible_truncation,
+    clippy::float_cmp,
+    clippy::allow_attributes_without_reason
+)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::cast_possible_truncation,
+        clippy::float_cmp,
+        reason = "tests unwrap their own fixtures and assert exact values"
+    )
+)]
 
 pub mod bank;
 pub mod engine;

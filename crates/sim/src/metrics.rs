@@ -128,8 +128,9 @@ impl Metrics {
     }
 
     /// Write throughput: completed line writes per kilocycle of
-    /// write-active time. Schemes that overlap writes better finish the
-    /// same write volume in less active time.
+    /// write-active time. Only completed writes count: writes still
+    /// queued or on a bank at `RunEnd` are not counted, and how many a
+    /// run leaves unfinished differs between schemes.
     pub fn write_throughput(&self) -> f64 {
         if self.write_active_cycles == 0 {
             0.0
@@ -176,7 +177,6 @@ impl Metrics {
             self.per_chip_cells.iter().sum::<u64>() as f64 / self.per_chip_cells.len() as f64;
         // `mean` is an integer sum over a nonzero count: it is exactly 0.0
         // iff no cells were written, so exact equality is the right guard.
-        // fpb-lint: allow(float_eq)
         if mean == 0.0 {
             0.0
         } else {
@@ -632,7 +632,6 @@ pub fn gmean(xs: &[f64]) -> f64 {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -104,7 +104,6 @@ pub fn summary(label: &str, m: &Metrics) -> String {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -218,6 +218,10 @@ impl RoundSplitter {
             k = k.max(max_chip.div_ceil(cap));
         }
         loop {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "`k` never exceeds the change set's length"
+            )]
             let kk = k as usize;
             self.deal(kk);
             // The chip cap never needs rechecking: dealing hands each round
@@ -260,7 +264,6 @@ impl RoundSplitter {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use fpb_pcm::MlcLevel;

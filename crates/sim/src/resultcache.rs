@@ -188,13 +188,14 @@ fn unesc(s: &str) -> Option<String> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use std::fs;
 
-    // Scratch files for the test; the path never reaches a result.
-    #[allow(clippy::disallowed_methods)]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "scratch files for the test; the path never reaches a result"
+    )]
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("fpb-resultcache-tests");
         fs::create_dir_all(&dir).unwrap();

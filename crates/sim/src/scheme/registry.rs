@@ -240,7 +240,6 @@ impl SchemeRegistry {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -118,7 +118,9 @@ pub struct WearLeveling {
 
 /// A complete scheme under test: power policy, cell mapping, and the
 /// composable components above. Implements [`Scheme`], which is how the
-/// engine consumes it — the engine never reads these flags directly.
+/// engine consumes it — the engine never reads these flags directly. The
+/// read-boost, termination and controller components are private: only
+/// the `with_*` modifiers below compose them.
 ///
 /// # Examples
 ///
@@ -145,11 +147,11 @@ pub struct SchemeSetup {
     /// Intra-line wear leveling.
     pub wear: WearLeveling,
     /// Read-latency add-ons (WC/WP).
-    pub boosts: ReadBoosts,
+    boosts: ReadBoosts,
     /// Write-shortening techniques (WT/PreSET).
-    pub termination: WriteTermination,
+    termination: WriteTermination,
     /// Controller feedback model (IPM pre-read, worst-case hold).
-    pub controller: ControllerModel,
+    controller: ControllerModel,
 }
 
 impl SchemeSetup {
@@ -377,7 +379,6 @@ impl Scheme for SchemeSetup {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -285,7 +285,6 @@ impl FromStr for SchemeSpec {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

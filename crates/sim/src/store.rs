@@ -26,6 +26,7 @@ const CRC_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut i = 0;
     while i < 256 {
+        #[expect(clippy::cast_possible_truncation, reason = "`i` is below 256")]
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
@@ -328,12 +329,13 @@ pub(crate) fn replace<'a>(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
-    // Scratch files for the test; the path never reaches a result.
-    #[allow(clippy::disallowed_methods)]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "scratch files for the test; the path never reaches a result"
+    )]
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("fpb-store-tests");
         fs::create_dir_all(&dir).unwrap();

@@ -21,13 +21,16 @@
 // results: a job's output is produced by the deterministic engine, and
 // the wall clock only decides whether a job is declared hung — an opt-in
 // knob that is off by default and off in every determinism gate. Each
-// `Instant` site below allows `clippy::disallowed_types` for this reason.
+// `Instant` site below allows `clippy::disallowed_types` with this reason.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
-#[allow(clippy::disallowed_types)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "deadlines are wall-clock; the clock never feeds a result"
+)]
 use std::time::{Duration, Instant};
 
 use crate::exec::panic_message;
@@ -177,7 +180,10 @@ impl<R> SuperviseReport<R> {
 
 /// Per-slot supervision state, shared between workers and the watchdog.
 #[derive(Debug)]
-#[allow(clippy::disallowed_types)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "deadlines are wall-clock; the clock never feeds a result"
+)]
 enum Slot {
     /// Not yet claimed by a worker.
     Idle,
@@ -438,7 +444,10 @@ where
 /// Runs job `i` once and resolves its slot with the result or the
 /// panic — unless a watchdog timeout resolved the slot while the job ran,
 /// in which case the late outcome is discarded.
-#[allow(clippy::disallowed_types)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "deadlines are wall-clock; the clock never feeds a result"
+)]
 fn run_one<T, R, F>(ctx: &WorkerCtx<T, R, F>, i: usize)
 where
     T: Send + Sync + 'static,
@@ -477,7 +486,6 @@ where
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

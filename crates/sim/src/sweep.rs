@@ -278,7 +278,10 @@ fn intern_unit(
 /// must *execute* — a cache or dedup hit would satisfy the point
 /// without ever reaching the injected panic, silently disarming the
 /// crash-recovery hook — and the salt keys can never be cached.
-#[allow(clippy::too_many_arguments)] // internal planner; the inputs are one sweep's full identity
+#[allow(
+    clippy::too_many_arguments,
+    reason = "internal planner; the inputs are one sweep's full identity"
+)]
 fn plan_units(
     workload: &Workload,
     opts: &SimOptions,
@@ -416,7 +419,10 @@ pub fn run_sweep_jobs(
 /// # Panics
 ///
 /// Same contract as [`run_sweep_jobs`].
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "`run_sweep_jobs`'s arguments plus the reuse options"
+)]
 pub fn run_sweep_jobs_reuse(
     workload: &Workload,
     base_cfg: SystemConfig,
@@ -446,7 +452,7 @@ pub fn run_sweep_jobs_reuse(
     });
     let run = match run {
         Ok(run) => run,
-        // fpb-lint: allow(panic_freedom) — documented `# Panics` contract.
+        #[expect(clippy::panic, reason = "documented `# Panics` contract")]
         Err(e) => panic!("{e}"),
     };
     let points = run
@@ -456,7 +462,7 @@ pub fn run_sweep_jobs_reuse(
             PointState::Done(point) => *point,
             // Nothing restores, cancels or times out here, so any other
             // state is a point whose simulation panicked.
-            // fpb-lint: allow(panic_freedom) — documented `# Panics` contract.
+            #[expect(clippy::panic, reason = "documented `# Panics` contract")]
             _ => panic!("sweep point {} ({}) {}", rec.index, rec.label, rec.outcome),
         })
         .collect();
@@ -539,7 +545,7 @@ fn warm_shared(
 fn build_spec(registry: &SchemeRegistry, spec: &SchemeSpec, cfg: &SystemConfig) -> SchemeSetup {
     match registry.build_spec(spec, cfg) {
         Ok(setup) => setup,
-        // fpb-lint: allow(panic_freedom) — documented `# Panics` contract.
+        #[expect(clippy::panic, reason = "a call-site bug, documented above")]
         Err(e) => panic!("sweep scheme spec `{}`: {e}", spec.render()),
     }
 }
@@ -1150,11 +1156,13 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
     let job_warm = Arc::clone(&warm);
     let job_members = Arc::clone(&track_members);
     let job = move |_slot: usize, j: &SimJob| -> (usize, Metrics) {
+        // Only the poisoned point's own (salted, private) units can reach
+        // here — no shared unit has it as rep.
+        #[expect(
+            clippy::panic,
+            reason = "the documented `--inject-panic` crash-recovery hook"
+        )]
         if inject == Some(j.rep) {
-            // The documented `--inject-panic` crash-recovery hook. Only
-            // the poisoned point's own (salted, private) units can reach
-            // here — no shared unit has it as rep.
-            // fpb-lint: allow(panic_freedom)
             panic!("injected panic at point {} ({})", j.rep, j.label);
         }
         let cores = &job_warm.sets[job_warm.of_point[j.rep]];
@@ -1339,7 +1347,6 @@ fn merge_outcomes(a: JobOutcome, b: JobOutcome) -> JobOutcome {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use fpb_trace::catalog;
@@ -1583,8 +1590,10 @@ mod tests {
     }
 
     #[test]
-    // Scratch files for the test; the path never reaches a result.
-    #[allow(clippy::disallowed_methods)]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "scratch files for the test; the path never reaches a result"
+    )]
     fn persistent_cache_round_trips_points() {
         let wl = catalog::workload("cop_m").expect("workload");
         let path = std::env::temp_dir().join("fpb-sweep-unit-cache.v1");

@@ -95,6 +95,10 @@ impl Timeline {
                     wrq,
                     rdq,
                 } => {
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "queue depths count entries of in-memory queues"
+                    )]
                     samples.push(Sample {
                         at: Cycles::new(*at),
                         bank_writes: (0..u32::from(banks))
@@ -197,7 +201,6 @@ impl Timeline {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::inspect::MemorySink;

@@ -69,8 +69,10 @@ fn recording_leaves_metrics_unchanged() {
 }
 
 #[test]
-// Scratch files for the test; the path never reaches a result.
-#[allow(clippy::disallowed_methods)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "scratch files for the test; the path never reaches a result"
+)]
 fn on_disk_log_replays_to_the_live_run() {
     let cfg = faulty_cfg();
     let wl = catalog::workload("mcf_m").expect("workload");

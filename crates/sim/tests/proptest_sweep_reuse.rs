@@ -20,8 +20,10 @@ use fpb_types::SystemConfig;
 
 static CASE: AtomicU64 = AtomicU64::new(0);
 
-// Scratch files for the test; the path never reaches a result.
-#[allow(clippy::disallowed_methods)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "scratch files for the test; the path never reaches a result"
+)]
 fn tmp_cache() -> PathBuf {
     let dir = std::env::temp_dir().join("fpb-sweep-reuse-proptests");
     std::fs::create_dir_all(&dir).expect("mkdir");

@@ -22,8 +22,10 @@ const MAGICS: [&str; 3] = ["fpbj2", EVENT_LOG_MAGIC, CACHE_SCHEMA];
 
 static CASE: AtomicU64 = AtomicU64::new(0);
 
-// Scratch files for the test; the path never reaches a result.
-#[allow(clippy::disallowed_methods)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "scratch files for the test; the path never reaches a result"
+)]
 fn tmp(ext: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("fpb-store-proptests");
     std::fs::create_dir_all(&dir).expect("mkdir");

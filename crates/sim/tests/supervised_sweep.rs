@@ -41,8 +41,10 @@ fn request<'a>(wl: &'a Workload, axes: &'a [Axis]) -> SupervisedSweepRequest<'a>
     }
 }
 
-// Scratch files for the test; the path never reaches a result.
-#[allow(clippy::disallowed_methods)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "scratch files for the test; the path never reaches a result"
+)]
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("fpb-supervised-sweep-tests");
     std::fs::create_dir_all(&dir).expect("mkdir");

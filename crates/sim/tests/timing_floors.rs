@@ -9,9 +9,10 @@
 //! anything: a floor measured next to other busy tests only measures the
 //! neighbours. Neither floor may be loosened to make a run pass.
 
-// Timing the host is this file's purpose; no clock reading reaches a
-// simulation result.
-#![allow(clippy::disallowed_types)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "timing the host is this file's purpose; no clock reading reaches a simulation result"
+)]
 
 use std::time::Instant;
 

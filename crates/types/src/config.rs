@@ -2,6 +2,7 @@
 //! design-space exploration (§6.4) turns.
 
 use crate::error::ConfigError;
+use crate::power::Tokens;
 
 /// Complete configuration of the simulated system.
 ///
@@ -85,11 +86,10 @@ impl SystemConfig {
                 ),
             ));
         }
-        // u8 → u32 widens, it cannot truncate. fpb-lint: allow(truncating_cast)
         if !self
             .pcm
             .cells_per_line()
-            .is_multiple_of(self.pcm.chips as u32)
+            .is_multiple_of(u32::from(self.pcm.chips))
         {
             return Err(ConfigError::new(
                 "pcm.chips",
@@ -355,8 +355,7 @@ impl PcmConfig {
 
     /// Number of cells of one line held by each chip.
     pub fn cells_per_chip_per_line(&self) -> u32 {
-        // u8 → u32 widens, it cannot truncate. fpb-lint: allow(truncating_cast)
-        self.cells_per_line() / self.chips as u32
+        self.cells_per_line() / u32::from(self.chips)
     }
 
     /// Total number of lines in main memory.
@@ -553,7 +552,7 @@ impl PowerConfig {
     /// Usable per-chip token budget `PT_LCP = PT_DIMM × E_LCP / chips`
     /// (Eq. 4), in millitokens for exactness.
     pub fn pt_lcp_millis(&self, chips: u8) -> u64 {
-        ((self.pt_dimm * 1000) as f64 * self.e_lcp / chips as f64).floor() as u64
+        Tokens::pt_lcp(self.pt_dimm, self.e_lcp, 1.0, chips).millis()
     }
 
     fn validate(&self) -> Result<(), ConfigError> {

@@ -39,7 +39,12 @@ impl LineAddr {
     /// Panics if `banks` is zero.
     pub fn bank_of(self, banks: u8) -> BankId {
         assert!(banks > 0, "bank count must be nonzero");
-        BankId((self.0 % banks as u64) as u8)
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the remainder is below `banks: u8`"
+        )]
+        let bank = (self.0 % u64::from(banks)) as u8;
+        BankId(bank)
     }
 }
 

@@ -28,7 +28,25 @@
 //! assert_eq!(set_cost, Tokens::from_cells(25));
 //! ```
 
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+// Narrowing casts and float equality are clippy's to check; CI's `clippy
+// -D warnings` makes these errors, and each exception is an
+// `#[expect(..., reason = "...")]` at the site. Tests are exempt.
+#![warn(
+    clippy::cast_possible_truncation,
+    clippy::float_cmp,
+    clippy::allow_attributes_without_reason
+)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::cast_possible_truncation,
+        clippy::float_cmp,
+        reason = "tests unwrap their own fixtures and assert exact values"
+    )
+)]
 
 pub mod config;
 pub mod error;

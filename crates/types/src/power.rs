@@ -55,6 +55,28 @@ impl Tokens {
         self.0
     }
 
+    /// Eq. 4 — the usable per-chip budget `PT_LCP = PT_DIMM × E_LCP /
+    /// chips`, times `scale` (1.0 in the paper; larger values model the
+    /// enlarged local pumps of §2.2), floored to whole millitokens. Every
+    /// Eq. 4 figure in the workspace is computed here.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use fpb_types::Tokens;
+    ///
+    /// // The paper's baseline: 560 × 0.95 / 8 = 66.5 tokens per chip.
+    /// assert_eq!(Tokens::pt_lcp(560, 0.95, 1.0, 8).millis(), 66_500);
+    /// ```
+    pub fn pt_lcp(pt_dimm: u64, e_lcp: f64, scale: f64, chips: u8) -> Tokens {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "floored to whole millitokens; a budget is far below 2^53, where `as` is exact"
+        )]
+        let millis = ((pt_dimm * SCALE) as f64 * e_lcp * scale / f64::from(chips)).floor() as u64;
+        Tokens(millis)
+    }
+
     /// Value as whole tokens, rounded toward zero.
     pub const fn whole(self) -> u64 {
         self.0 / SCALE
@@ -92,7 +114,12 @@ impl Tokens {
     /// Panics if `eff` is not in `(0.0, 1.0]`.
     pub fn scale_down(self, eff: f64) -> Tokens {
         assert!(eff > 0.0 && eff <= 1.0, "efficiency must be in (0, 1]");
-        Tokens((self.0 as f64 * eff).floor() as u64)
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "floored to whole millitokens; `eff <= 1` keeps it within `self`"
+        )]
+        let millis = (self.0 as f64 * eff).floor() as u64;
+        Tokens(millis)
     }
 
     /// Divides by an efficiency factor in `(0, 1]`, rounding up — computing
@@ -104,7 +131,12 @@ impl Tokens {
     /// Panics if `eff` is not in `(0.0, 1.0]`.
     pub fn scale_up(self, eff: f64) -> Tokens {
         assert!(eff > 0.0 && eff <= 1.0, "efficiency must be in (0, 1]");
-        Tokens((self.0 as f64 / eff).ceil() as u64)
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "rounded up to whole millitokens; a token count is far below 2^53"
+        )]
+        let millis = (self.0 as f64 / eff).ceil() as u64;
+        Tokens(millis)
     }
 
     /// `self - other`, or `None` if it would underflow. Ledgers use this to

@@ -91,6 +91,10 @@ impl SimRng {
         loop {
             let x = self.next_u64();
             let m = (x as u128) * (bound as u128);
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "Lemire's method keeps the low 64 bits of the product"
+            )]
             let low = m as u64;
             if low >= bound || low >= low.wrapping_neg() % bound {
                 return (m >> 64) as u64;
@@ -103,6 +107,10 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `bound` is zero.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the draw is below `bound: usize`"
+    )]
     pub fn usize_below(&mut self, bound: usize) -> usize {
         self.u64_below(bound as u64) as usize
     }

@@ -9,8 +9,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fpb::analyze::{report, scan_root};
-use fpb::cli::{self, Command, LintArgs, LintFormat, RunArgs, SweepControl};
+use fpb::cli::{self, Command, RunArgs, SweepControl};
 use fpb::sim::engine::{run_workload_warmed, warm_cores_jobs};
 use fpb::sim::journal::JournalMode;
 use fpb::sim::sweep::{run_sweep_supervised, ReuseOptions, SupervisedSweepRequest};
@@ -105,7 +104,6 @@ fn dispatch(cmd: Command) -> Result<ExitCode, String> {
             }
             Ok(ExitCode::SUCCESS)
         }
-        Command::Lint(la) => run_lint(&la).map(|()| ExitCode::SUCCESS),
         Command::Inspect(ia) => run_inspect(&ia),
     }
 }
@@ -390,28 +388,6 @@ fn run_sweep(
         Ok(ExitCode::from(EXIT_INCOMPLETE_SWEEP))
     } else {
         Ok(ExitCode::SUCCESS)
-    }
-}
-
-fn run_lint(la: &LintArgs) -> Result<(), String> {
-    if la.rules {
-        print!("{}", report::render_rule_catalog());
-        return Ok(());
-    }
-    let root = std::path::Path::new(&la.root);
-    let scan = scan_root(root).map_err(|e| format!("scan {}: {e}", root.display()))?;
-    let rendered = match la.format {
-        LintFormat::Text => report::render_text(&scan.violations, scan.files_scanned),
-        LintFormat::Json => report::render_json(&scan.violations, scan.files_scanned),
-    };
-    print!("{rendered}");
-    if let Some(out) = &la.out {
-        std::fs::write(out, &rendered).map_err(|e| format!("write {out}: {e}"))?;
-    }
-    if scan.violations.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("lint found {} violation(s)", scan.violations.len()))
     }
 }
 

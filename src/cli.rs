@@ -6,8 +6,6 @@
 //! * `run` — simulate a workload under a scheme and print metrics.
 //! * `compare` — run every major scheme on one workload.
 //! * `list` — list catalog workloads, programs, and scheme names.
-//! * `lint` — run the project's static-analysis rules (`fpb-analyze`)
-//!   and fail on any finding not suppressed in place.
 
 use std::fmt;
 
@@ -41,8 +39,6 @@ pub enum Command {
     },
     /// `fpb list`
     List,
-    /// `fpb lint [options]`
-    Lint(LintArgs),
     /// `fpb inspect [verb] [options]` — the event-log time-travel
     /// debugger.
     Inspect(InspectArgs),
@@ -135,40 +131,6 @@ pub struct SweepControl {
     /// Persistent point-result cache file override (`--result-cache`);
     /// `None` = `target/fpb-sweep-cache.v1`.
     pub result_cache: Option<String>,
-}
-
-/// Report format for `fpb lint` (`--format`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LintFormat {
-    /// Human-readable diagnostics (the default).
-    #[default]
-    Text,
-    /// The machine-readable `fpb-lint/v2` JSON report.
-    Json,
-}
-
-/// Options for `fpb lint`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LintArgs {
-    /// Workspace root to scan.
-    pub root: String,
-    /// Report format printed to stdout (and written to `--out`).
-    pub format: LintFormat,
-    /// Also write the report to this file.
-    pub out: Option<String>,
-    /// Print the rule catalog and exit.
-    pub rules: bool,
-}
-
-impl Default for LintArgs {
-    fn default() -> Self {
-        LintArgs {
-            root: ".".into(),
-            format: LintFormat::Text,
-            out: None,
-            rules: false,
-        }
-    }
 }
 
 /// Options shared by `run` and `compare`.
@@ -313,34 +275,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     match sub {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "list" => Ok(Command::List),
-        "lint" => {
-            let mut la = LintArgs::default();
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| -> Result<String, CliError> {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| CliError(format!("{name} needs a value")))
-                };
-                match flag.as_str() {
-                    "--root" => la.root = value("--root")?,
-                    "--format" => {
-                        la.format = match value("--format")?.as_str() {
-                            "text" => LintFormat::Text,
-                            "json" => LintFormat::Json,
-                            other => {
-                                return Err(CliError(format!(
-                                    "--format must be `text` or `json`, got `{other}`"
-                                )))
-                            }
-                        }
-                    }
-                    "--out" => la.out = Some(value("--out")?),
-                    "--rules" => la.rules = true,
-                    other => return Err(CliError(format!("unknown flag `{other}`"))),
-                }
-            }
-            Ok(Command::Lint(la))
-        }
         "run" | "compare" | "sweep" => {
             let mut ra = RunArgs::default();
             let mut axes = Vec::new();
@@ -678,7 +612,6 @@ USAGE:
               [--journal <file> | --resume <file>] [--json-out <file>]
               [--deadline-ms <n>] [--cancel-after <n>] [options]
   fpb list
-  fpb lint    [--format text|json] [--out <file>] [--rules] [--root <dir>]
   fpb inspect record  --log <file.fpbi> [run options]
   fpb inspect replay  --log <file.fpbi> [--metrics-out <file>] [--json]
               [--require-complete]
@@ -768,11 +701,6 @@ FAULT INJECTION (run/compare; all off by default):
   --fault-degraded-after <n>     browned-out cycles before SLC  [0 = never]
   --audit-ledger                 check token conservation after every
                                  grant/release (reports violations)
-
-LINT: scans the workspace sources for panic-freedom, power-accounting,
-  token-leak, and nondeterminism-taint violations (see `fpb lint --rules`)
-  and exits nonzero on any finding not suppressed by an inline
-  `fpb-lint: allow` directive.
 ";
 
 #[cfg(test)]
@@ -828,6 +756,14 @@ mod tests {
     #[test]
     fn rejects_unknowns_and_bad_values() {
         assert!(parse(&v(&["frobnicate"])).is_err());
+        // Retired subcommands are unknown like any other word.
+        for retired in ["record", "lint"] {
+            let err = parse(&v(&[retired, "--format", "json"])).unwrap_err();
+            assert!(
+                err.0.contains(&format!("unknown subcommand `{retired}`")),
+                "{err}"
+            );
+        }
         assert!(parse(&v(&["run", "--bogus"])).is_err());
         assert!(parse(&v(&["run", "--instructions", "many"])).is_err());
         for (flag, value) in [
@@ -1135,10 +1071,12 @@ mod tests {
             mapping: Some(CellMapping::Naive),
             ..RunArgs::default()
         };
-        let s = build_scheme("fpb", &ra).unwrap();
-        assert!(s.boosts.cancellation && s.boosts.pausing);
-        assert_eq!(s.termination.truncation_ecc, Some(8));
-        assert_eq!(s.mapping, CellMapping::Naive);
+        let expected = SchemeSetup::fpb(&ra.cfg)
+            .with_wc()
+            .with_wp()
+            .with_wt(8)
+            .with_mapping(CellMapping::Naive);
+        assert_eq!(build_scheme("fpb", &ra).unwrap(), expected);
     }
 
     #[test]
@@ -1295,60 +1233,5 @@ mod tests {
         );
         assert!(parse(&v(&["inspect", "--bogus"])).is_err());
         assert!(parse(&v(&["inspect", "replay", "--write", "nope"])).is_err());
-    }
-
-    #[test]
-    fn lint_defaults() {
-        let cmd = parse(&v(&["lint"])).unwrap();
-        assert_eq!(cmd, Command::Lint(LintArgs::default()));
-        let Command::Lint(la) = cmd else {
-            unreachable!()
-        };
-        assert_eq!(la.root, ".");
-        assert_eq!(la.format, LintFormat::Text);
-        assert!(!la.rules);
-        assert!(la.out.is_none());
-    }
-
-    #[test]
-    fn lint_with_options() {
-        let cmd = parse(&v(&[
-            "lint",
-            "--format",
-            "json",
-            "--out",
-            "lint.json",
-            "--root",
-            "/repo",
-            "--rules",
-        ]))
-        .unwrap();
-        let Command::Lint(la) = cmd else {
-            panic!("expected lint")
-        };
-        assert_eq!(la.format, LintFormat::Json);
-        assert!(la.rules);
-        assert_eq!(la.out.as_deref(), Some("lint.json"));
-        assert_eq!(la.root, "/repo");
-    }
-
-    #[test]
-    fn lint_rejects_bad_flags() {
-        assert!(parse(&v(&["lint", "--format"])).is_err());
-        for (args, named) in [
-            (&["--format", "xml"][..], "xml"),
-            (&["--format", "sarif"], "sarif"),
-            (&["--sarif-out", "x"], "--sarif-out"),
-            (&["--baseline", "x"], "--baseline"),
-            (&["--update-baseline"], "--update-baseline"),
-            (&["--cache", "x"], "--cache"),
-            (&["--no-cache"], "--no-cache"),
-            (&["--workload", "x"], "--workload"),
-        ] {
-            let err = parse(&v(&[&["lint"][..], args].concat())).unwrap_err();
-            assert!(err.0.contains(named), "{args:?}: {err}");
-        }
-        let err = parse(&v(&["record", "--program", "C.mcf"])).unwrap_err();
-        assert!(err.0.contains("unknown subcommand `record`"), "{err}");
     }
 }

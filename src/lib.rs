@@ -53,7 +53,6 @@
 
 pub mod cli;
 
-pub use fpb_analyze as analyze;
 pub use fpb_cache as cache;
 pub use fpb_core as power;
 pub use fpb_pcm as pcm;

@@ -3,19 +3,82 @@
 //! fault-injected run — plus record → replay byte-identity through the
 //! on-disk log, torn-log handling, and the `--quiet` stderr contract.
 
-use std::path::PathBuf;
-use std::process::Command;
+use std::io::Read;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output, Stdio};
+use std::thread;
+use std::time::{Duration, Instant};
+
+/// How long one `fpb` child may run before the test kills it.
+const DEADLINE: Duration = Duration::from_secs(60);
 
 fn fpb() -> Command {
     Command::new(env!("CARGO_BIN_EXE_fpb"))
 }
 
+fn tmp_dir() -> PathBuf {
+    std::env::temp_dir().join("fpb-inspect-cli-tests")
+}
+
 fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("fpb-inspect-cli-tests");
+    let dir = tmp_dir();
     std::fs::create_dir_all(&dir).expect("mkdir");
     let p = dir.join(format!("{}-{name}", std::process::id()));
     std::fs::remove_file(&p).ok();
     p
+}
+
+/// Like `Command::output`, but a child still running after [`DEADLINE`]
+/// is killed, the scratch files it was given are deleted, and the test
+/// fails naming its arguments. A run whose writes can never be admitted
+/// does not end on its own (brownout edges keep an event pending), and
+/// `inspect record` would keep appending to its log until the disk is
+/// full.
+fn output(cmd: &mut Command) -> Output {
+    let args: Vec<String> = cmd
+        .get_args()
+        .map(|a| a.to_string_lossy().into_owned())
+        .collect();
+    let mut child = cmd
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    // Drain both pipes while the child runs, so a full pipe cannot stall it.
+    fn drain(mut pipe: impl Read + Send + 'static) -> thread::JoinHandle<Vec<u8>> {
+        thread::spawn(move || {
+            let mut bytes = Vec::new();
+            pipe.read_to_end(&mut bytes).ok();
+            bytes
+        })
+    }
+    let stdout = drain(child.stdout.take().expect("stdout"));
+    let stderr = drain(child.stderr.take().expect("stderr"));
+    let started = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait") {
+            break status;
+        }
+        if started.elapsed() > DEADLINE {
+            child.kill().ok();
+            child.wait().ok();
+            for arg in &args {
+                if Path::new(arg).starts_with(tmp_dir()) {
+                    std::fs::remove_file(arg).ok();
+                }
+            }
+            panic!(
+                "`fpb {}` still running after {DEADLINE:?}; killed",
+                args.join(" ")
+            );
+        }
+        thread::sleep(Duration::from_millis(20));
+    };
+    Output {
+        status,
+        stdout: stdout.join().expect("stdout reader"),
+        stderr: stderr.join().expect("stderr reader"),
+    }
 }
 
 /// Run flags for a fault-injected run where brownouts last long enough
@@ -37,11 +100,11 @@ const DEGRADING_RUN: [&str; 12] = [
 
 #[test]
 fn break_halts_on_first_degraded_write() {
-    let out = fpb()
-        .args(["inspect", "--break", "degraded"])
-        .args(DEGRADING_RUN)
-        .output()
-        .expect("spawn");
+    let out = output(
+        fpb()
+            .args(["inspect", "--break", "degraded"])
+            .args(DEGRADING_RUN),
+    );
     assert!(
         out.status.success(),
         "{}",
@@ -59,18 +122,15 @@ fn break_halts_on_first_degraded_write() {
 
 #[test]
 fn break_that_never_fires_exits_nonzero() {
-    let out = fpb()
-        .args([
-            "inspect",
-            "--break",
-            "watchdog",
-            "--workload",
-            "mcf_m",
-            "--instructions",
-            "5000",
-        ])
-        .output()
-        .expect("spawn");
+    let out = output(fpb().args([
+        "inspect",
+        "--break",
+        "watchdog",
+        "--workload",
+        "mcf_m",
+        "--instructions",
+        "5000",
+    ]));
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("never fired"), "stderr: {err}");
@@ -80,12 +140,12 @@ fn break_that_never_fires_exits_nonzero() {
 fn record_then_replay_derives_identical_metrics() {
     let log = tmp("roundtrip.fpbi");
     let metrics = tmp("roundtrip-metrics.json");
-    let out = fpb()
-        .args(["inspect", "record", "--log"])
-        .arg(&log)
-        .args(DEGRADING_RUN)
-        .output()
-        .expect("spawn");
+    let out = output(
+        fpb()
+            .args(["inspect", "record", "--log"])
+            .arg(&log)
+            .args(DEGRADING_RUN),
+    );
     assert!(
         out.status.success(),
         "{}",
@@ -93,19 +153,19 @@ fn record_then_replay_derives_identical_metrics() {
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("recorded"));
 
-    let out = fpb()
-        .args([
-            "inspect",
-            "replay",
-            "--require-complete",
-            "--json",
-            "--metrics-out",
-        ])
-        .arg(&metrics)
-        .arg("--log")
-        .arg(&log)
-        .output()
-        .expect("spawn");
+    let out = output(
+        fpb()
+            .args([
+                "inspect",
+                "replay",
+                "--require-complete",
+                "--json",
+                "--metrics-out",
+            ])
+            .arg(&metrics)
+            .arg("--log")
+            .arg(&log),
+    );
     assert!(
         out.status.success(),
         "{}",
@@ -126,12 +186,12 @@ fn record_then_replay_derives_identical_metrics() {
     );
 
     // Recording refuses to clobber an existing log.
-    let out = fpb()
-        .args(["inspect", "record", "--log"])
-        .arg(&log)
-        .args(DEGRADING_RUN)
-        .output()
-        .expect("spawn");
+    let out = output(
+        fpb()
+            .args(["inspect", "record", "--log"])
+            .arg(&log)
+            .args(DEGRADING_RUN),
+    );
     assert!(!out.status.success(), "clobbered {}", log.display());
 
     std::fs::remove_file(&log).ok();
@@ -141,12 +201,12 @@ fn record_then_replay_derives_identical_metrics() {
 #[test]
 fn torn_log_replays_prefix_unless_complete_required() {
     let log = tmp("torn.fpbi");
-    let out = fpb()
-        .args(["inspect", "record", "--log"])
-        .arg(&log)
-        .args(DEGRADING_RUN)
-        .output()
-        .expect("spawn");
+    let out = output(
+        fpb()
+            .args(["inspect", "record", "--log"])
+            .arg(&log)
+            .args(DEGRADING_RUN),
+    );
     assert!(
         out.status.success(),
         "{}",
@@ -157,22 +217,18 @@ fn torn_log_replays_prefix_unless_complete_required() {
     let bytes = std::fs::read(&log).expect("read log");
     std::fs::write(&log, &bytes[..bytes.len() - 200]).expect("truncate");
 
-    let out = fpb()
-        .args(["inspect", "replay", "--require-complete", "--log"])
-        .arg(&log)
-        .output()
-        .expect("spawn");
+    let out = output(
+        fpb()
+            .args(["inspect", "replay", "--require-complete", "--log"])
+            .arg(&log),
+    );
     assert!(
         !out.status.success(),
         "--require-complete must reject a torn log"
     );
     assert!(String::from_utf8_lossy(&out.stderr).contains("incomplete"));
 
-    let out = fpb()
-        .args(["inspect", "replay", "--log"])
-        .arg(&log)
-        .output()
-        .expect("spawn");
+    let out = output(fpb().args(["inspect", "replay", "--log"]).arg(&log));
     assert!(
         out.status.success(),
         "{}",
@@ -189,12 +245,12 @@ fn quiet_suppresses_reuse_stats_line_only_when_asked() {
     // The reuse line only prints on the reuse path, so give the sweep a
     // throwaway cache rather than `--no-result-cache`.
     let cache = tmp("quiet-cache.v1");
-    let loud = fpb()
-        .args(["sweep", "--workload", "cop_m", "--instructions", "5000"])
-        .args(["--axis", "pt-dimm=466,560", "--result-cache"])
-        .arg(&cache)
-        .output()
-        .expect("spawn");
+    let loud = output(
+        fpb()
+            .args(["sweep", "--workload", "cop_m", "--instructions", "5000"])
+            .args(["--axis", "pt-dimm=466,560", "--result-cache"])
+            .arg(&cache),
+    );
     assert!(
         loud.status.success(),
         "{}",
@@ -206,12 +262,12 @@ fn quiet_suppresses_reuse_stats_line_only_when_asked() {
         String::from_utf8_lossy(&loud.stderr)
     );
 
-    let quiet = fpb()
-        .args(["sweep", "--workload", "cop_m", "--instructions", "5000"])
-        .args(["--axis", "pt-dimm=466,560", "--quiet", "--result-cache"])
-        .arg(&cache)
-        .output()
-        .expect("spawn");
+    let quiet = output(
+        fpb()
+            .args(["sweep", "--workload", "cop_m", "--instructions", "5000"])
+            .args(["--axis", "pt-dimm=466,560", "--quiet", "--result-cache"])
+            .arg(&cache),
+    );
     assert!(
         quiet.status.success(),
         "{}",
@@ -226,17 +282,14 @@ fn quiet_suppresses_reuse_stats_line_only_when_asked() {
     assert_eq!(loud.stdout, quiet.stdout);
 
     // `fpb run --quiet` is accepted too.
-    let out = fpb()
-        .args([
-            "run",
-            "--workload",
-            "cop_m",
-            "--instructions",
-            "5000",
-            "--quiet",
-        ])
-        .output()
-        .expect("spawn");
+    let out = output(fpb().args([
+        "run",
+        "--workload",
+        "cop_m",
+        "--instructions",
+        "5000",
+        "--quiet",
+    ]));
     assert!(
         out.status.success(),
         "{}",
