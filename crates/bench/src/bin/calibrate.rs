@@ -6,8 +6,7 @@
 //! FPB_INSTRUCTIONS=400000 cargo run --release -p fpb-bench --bin calibrate
 //! ```
 
-use fpb_bench::{all_workloads, bench_options, print_table, run_matrix, speedup_rows};
-use fpb_sim::SchemeRegistry;
+use fpb_bench::{all_workloads, bench_options, print_table, run_matrix, setups, speedup_rows};
 use fpb_types::SystemConfig;
 
 fn main() {
@@ -21,14 +20,10 @@ fn main() {
         "fpb",
         "ideal",
     ];
-    let registry = SchemeRegistry::standard();
-    let labels: Vec<String> = specs
-        .iter()
-        .map(|spec| registry.build(spec, &cfg).expect("calibrate spec").label)
-        .collect();
-    let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
+    let setups = setups(&cfg, &specs);
+    let labels: Vec<&str> = setups.iter().map(|s| s.label.as_str()).collect();
     let wls = all_workloads();
-    let matrix = run_matrix(&cfg, &wls, &specs, &opts);
+    let matrix = run_matrix(&cfg, &wls, &setups, &opts);
     let rows = speedup_rows(&wls, &matrix, 0);
     print_table("Calibration: speedup vs DIMM+chip", &labels, &rows);
 

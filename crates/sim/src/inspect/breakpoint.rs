@@ -1,10 +1,10 @@
 //! Halt predicates over a replayed event stream (`fpb inspect break`).
 //!
 //! A breakpoint is parsed from a small expression grammar and checked
-//! against every event in replay order; the first match halts the
-//! cursor. Stateful predicates are supported — `token-stalled>N` has to
-//! remember when each write *entered* the stalled stage to measure how
-//! long it sat there.
+//! against every event in replay order; the first match halts the scan
+//! ([`Breakpoint::first_hit`]). Stateful predicates are supported —
+//! `token-stalled>N` has to remember when each write *entered* the
+//! stalled stage to measure how long it sat there.
 //!
 //! Grammar (case-insensitive):
 //!
@@ -136,6 +136,16 @@ impl Breakpoint {
             kind,
             stalled_since: BTreeMap::new(),
         })
+    }
+
+    /// Scans `events` in order and returns the first hit; `None` if the
+    /// predicate never fires. The stream is immutable, so a replay from
+    /// the start is always exact.
+    pub fn first_hit(&mut self, events: &[LifecycleEvent]) -> Option<BreakHit> {
+        events
+            .iter()
+            .enumerate()
+            .find_map(|(index, ev)| self.check(index, ev))
     }
 
     /// Checks one event (in stream order); returns the hit if the
@@ -297,6 +307,24 @@ mod tests {
         assert!(bp.check(2, &enter(2, 100)).is_none());
         let hit = bp.check(3, &leave(2, 300)).unwrap();
         assert!(hit.reason.contains("200 cycles"), "{}", hit.reason);
+    }
+
+    #[test]
+    fn first_hit_returns_the_first_match_or_none() {
+        let evs = [
+            LifecycleEvent::BrownoutEnd { at: 1 },
+            LifecycleEvent::BrownoutStart { at: 2 },
+            LifecycleEvent::BrownoutStart { at: 3 },
+        ];
+        let hit = Breakpoint::parse("brownout")
+            .unwrap()
+            .first_hit(&evs)
+            .unwrap();
+        assert_eq!(hit.index, 1);
+        assert_eq!(hit.event, LifecycleEvent::BrownoutStart { at: 2 });
+        let mut never = Breakpoint::parse("watchdog").unwrap();
+        assert_eq!(never.first_hit(&evs), None);
+        assert_eq!(never.first_hit(&[]), None);
     }
 
     #[test]

@@ -9,28 +9,26 @@
 //! [`NullSink`], whose `ENABLED = false` constant turns the forwarding
 //! off. With a live sink, the stream is a *complete* record: folding it
 //! again reproduces the run's metrics and [`crate::Timeline`] by
-//! construction, and the [`Cursor`] replays it step by step with
-//! breakpoints, stall attribution and per-write lineage.
+//! construction, and the recorded stream answers breakpoints, stall
+//! attribution and per-write lineage.
 //!
 //! * [`event`] — the event vocabulary and its exact ASCII wire codec.
 //! * [`recorder`] — the durable `fpbi1` event log (CRC-framed, fsync'd,
 //!   torn-tail tolerant — a [`crate::store`] format).
-//! * [`cursor`] — ReplayEngine-style step/seek/reset over a stream.
 //! * [`breakpoint`] — halt predicates ("first degraded write",
-//!   "token-stalled>N") for `fpb inspect break`.
+//!   "token-stalled>N") and the scan to their first hit, for `fpb
+//!   inspect break`.
 //! * [`stall`] — where writes waited: token stalls, pauses, backoffs.
 //! * [`lineage`] — one write's admission→iteration→power→completion
 //!   trace.
 
 pub mod breakpoint;
-pub mod cursor;
 pub mod event;
 pub mod lineage;
 pub mod recorder;
 pub mod stall;
 
 pub use breakpoint::{BreakHit, Breakpoint};
-pub use cursor::Cursor;
 pub use event::{stage_code, stage_from_code, LifecycleEvent, PowerOp, SchemeHook};
 pub use lineage::{lineage_lines, Lineage};
 pub use recorder::{read_event_log, EventLog, EventLogWriter, FileSink, EVENT_LOG_MAGIC};

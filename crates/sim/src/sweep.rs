@@ -1115,30 +1115,12 @@ pub fn run_sweep_supervised(req: SupervisedSweepRequest<'_>) -> Result<SweepRun,
         &needed,
     ));
 
-    // Execution costs: static estimate, refined by measured cycle counts
-    // from journal-restored points sharing the same warm key (same line
-    // geometry ⇒ comparable per-run work; the restored figure covers a
-    // scheme+baseline pair, a uniform 2× of a unit, so relative order
-    // survives). The schedule orders units descending by cost; it cannot
+    // Execution costs: the static estimate of each unit's representative
+    // point. The schedule orders units descending by cost; it cannot
     // change results or the report order, both keyed by grid index.
-    let mut cycles_sum = vec![0u64; warm.sets.len()];
-    let mut cycles_cnt = vec![0u64; warm.sets.len()];
-    for (i, point) in restored_points.iter().enumerate() {
-        let Some(p) = point else { continue };
-        let k = warm.of_point[i];
-        let cycles = p.metrics.cycles.saturating_add(p.baseline.cycles);
-        cycles_sum[k] = cycles_sum[k].saturating_add(cycles);
-        cycles_cnt[k] += 1;
-    }
     let unit_costs: Vec<u64> = sim_unit_ids
         .iter()
-        .map(|&u| {
-            let rep = plan.units[u].rep;
-            let k = warm.of_point[rep];
-            cycles_sum[k]
-                .checked_div(cycles_cnt[k])
-                .unwrap_or_else(|| point_cost(&grid[rep].1, &req.opts))
-        })
+        .map(|&u| point_cost(&grid[plan.units[u].rep].1, &req.opts))
         .collect();
     let schedule = crate::exec::schedule_by_cost(&unit_costs);
 

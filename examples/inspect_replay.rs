@@ -16,7 +16,7 @@
 //!     --fault-degraded-after 5000 --instructions 40000
 //! ```
 
-use fpb::sim::inspect::{Breakpoint, Cursor, Lineage, MemorySink, StallReport};
+use fpb::sim::inspect::{Breakpoint, Lineage, MemorySink, StallReport};
 use fpb::sim::{run_workload_recorded, SchemeSetup, SimOptions, Timeline};
 use fpb::trace::catalog;
 use fpb::types::{FaultConfig, SystemConfig};
@@ -46,10 +46,10 @@ fn main() {
     );
 
     // Break: scan the stream for the first degraded write.
-    let mut bp = Breakpoint::parse("degraded").expect("breakpoint grammar");
-    let mut cursor = Cursor::new(sink.events().to_vec());
-    let hit = cursor
-        .run_until(&mut bp)
+    let events = sink.events();
+    let hit = Breakpoint::parse("degraded")
+        .expect("breakpoint grammar")
+        .first_hit(events)
         .expect("a write degrades under this fault mix");
     println!("{hit}\n");
 
@@ -58,7 +58,7 @@ fn main() {
         .event
         .write_id()
         .expect("degraded hits carry a write id");
-    let lineage = Lineage::of(cursor.events(), id);
+    let lineage = Lineage::of(events, id);
     println!("{lineage}");
     for (idx, ev) in lineage.events.iter().take(6) {
         println!("  [{idx}] {ev}");
@@ -68,10 +68,10 @@ fn main() {
     }
 
     // Stalls: where all writes spent their waiting cycles.
-    println!("\n{}", StallReport::analyze(cursor.events()).render(3));
+    println!("\n{}", StallReport::analyze(events).render(3));
 
     // Replay: the stream alone reconstructs the run, byte for byte.
-    let replayed = Timeline::from_events(cursor.events());
+    let replayed = Timeline::from_events(events);
     assert_eq!(
         replayed.metrics(),
         &metrics,
@@ -79,7 +79,7 @@ fn main() {
     );
     println!(
         "replay check: {} events -> the run's metrics and {} timeline samples",
-        cursor.len(),
+        events.len(),
         replayed.samples().len()
     );
 }

@@ -114,7 +114,7 @@ fn dispatch(cmd: Command) -> Result<ExitCode, String> {
 fn run_inspect(ia: &cli::InspectArgs) -> Result<ExitCode, String> {
     use cli::InspectVerb;
     use fpb::sim::inspect::{
-        lineage_lines, read_event_log, Breakpoint, Cursor, FileSink, LifecycleEvent, MemorySink,
+        lineage_lines, read_event_log, Breakpoint, FileSink, LifecycleEvent, MemorySink,
         StallReport,
     };
     use fpb::sim::Timeline;
@@ -218,12 +218,11 @@ fn run_inspect(ia: &cli::InspectArgs) -> Result<ExitCode, String> {
                     events
                 }
             };
-            let mut cursor = Cursor::new(events);
-            match cursor.run_until(&mut bp) {
+            match bp.first_hit(&events) {
                 Some(hit) => {
                     println!("{hit}");
                     if let Some(id) = hit.event.write_id() {
-                        for line in lineage_lines(cursor.events(), id) {
+                        for line in lineage_lines(&events, id) {
                             println!("{line}");
                         }
                     }
@@ -231,7 +230,7 @@ fn run_inspect(ia: &cli::InspectArgs) -> Result<ExitCode, String> {
                 }
                 None => Err(format!(
                     "breakpoint {expr:?} never fired ({} event(s) scanned)",
-                    cursor.len()
+                    events.len()
                 )),
             }
         }
@@ -307,7 +306,7 @@ fn run_sweep(
         reuse,
     })
     .map_err(|e| e.to_string())?;
-    if !control.no_result_cache && run.reuse.runs_total > 0 && !args.quiet {
+    if !control.no_result_cache && run.reuse.runs_total > 0 {
         eprintln!(
             "fpb sweep: result reuse {} run(s) -> {} unique ({:.2}x), \
              {} cache hit(s), {} simulated",

@@ -157,10 +157,6 @@ pub struct RunArgs {
     /// Worker threads for warm-up and sweep/compare fan-out (`--jobs`;
     /// `None` = use the machine's available parallelism).
     pub jobs: Option<usize>,
-    /// Suppress informational stderr chatter (`--quiet`) — currently the
-    /// sweep's result-reuse summary line. Off by default: CI greps that
-    /// line, so the default stderr contract must not change.
-    pub quiet: bool,
 }
 
 impl Default for RunArgs {
@@ -176,7 +172,6 @@ impl Default for RunArgs {
             wt: None,
             audit_ledger: false,
             jobs: None,
-            quiet: false,
         }
     }
 }
@@ -536,7 +531,6 @@ where
         }
         "--audit-ledger" => ra.audit_ledger = true,
         "--jobs" => ra.jobs = Some(parse_jobs(&value("--jobs")?)?),
-        "--quiet" => ra.quiet = true,
         _ => return Ok(false),
     }
     Ok(true)
@@ -630,8 +624,6 @@ PARALLELISM:
   --jobs <n>           worker threads for warm-up, sweep points and compare
                        schemes [machine parallelism]; results are bit-for-
                        bit identical to --jobs 1, in the same order
-  --quiet              suppress informational stderr (the sweep's result-
-                       reuse summary line); simulation output is unchanged
 
 INSPECT (time-travel debugging): `record` runs a workload with the
   lifecycle event recorder on and writes a checksummed fpbi1 event log;
@@ -765,6 +757,9 @@ mod tests {
             );
         }
         assert!(parse(&v(&["run", "--bogus"])).is_err());
+        // No flag hides the sweep's reuse line.
+        let err = parse(&v(&["run", "--quiet"])).unwrap_err();
+        assert!(err.0.contains("unknown flag `--quiet`"), "{err}");
         assert!(parse(&v(&["run", "--instructions", "many"])).is_err());
         for (flag, value) in [
             ("--instructions", "0"),
@@ -1106,24 +1101,6 @@ mod tests {
         // An explicit base argument wins; the flag becomes an override.
         let s = build_scheme("gcp:vim", &ra).unwrap();
         assert_eq!(s.mapping, CellMapping::Naive);
-    }
-
-    #[test]
-    fn quiet_flag_parses_and_defaults_off() {
-        let Command::Run(ra) = parse(&v(&["run", "--quiet"])).unwrap() else {
-            panic!("expected Run")
-        };
-        assert!(ra.quiet);
-        assert!(
-            !RunArgs::default().quiet,
-            "default stderr contract must not change"
-        );
-        let Command::Sweep { args, .. } =
-            parse(&v(&["sweep", "--axis", "pt-dimm=466", "--quiet"])).unwrap()
-        else {
-            panic!("expected Sweep")
-        };
-        assert!(args.quiet);
     }
 
     #[test]

@@ -42,12 +42,12 @@
 //!
 //! ## Reproducing the paper
 //!
-//! Every table and figure has a bench target in `crates/bench` —
-//! `cargo bench -p fpb-bench --bench fig16_ipm` prints Figure 16's series,
-//! and `cargo bench --workspace` regenerates everything. See
-//! `EXPERIMENTS.md` for paper-vs-measured numbers and `DESIGN.md` for the
-//! system inventory and the documented substitutions (synthetic traces for
-//! PIN traces, the two-population write-iteration model, etc.).
+//! `cargo bench -p fpb-bench` regenerates every table and figure and
+//! checks the paper's claims about each; `cargo bench -p fpb-bench --
+//! fig16` prints only Figure 16. See `EXPERIMENTS.md` for paper-vs-measured
+//! numbers and `DESIGN.md` for the system inventory and the documented
+//! substitutions (synthetic traces for PIN traces, the two-population
+//! write-iteration model, etc.).
 
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 

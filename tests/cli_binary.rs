@@ -422,8 +422,7 @@ fn killed_mid_sweep_then_resume_matches_a_clean_run() {
 
     // ...while resuming with the matching parameters completes the grid.
     // The resume deliberately runs under --jobs 2: the worker count is an
-    // execution parameter, not sweep identity, and restored points feed
-    // the cost-aware scheduler its journal-refined estimates.
+    // execution parameter, not sweep identity.
     let resumed_json = tmp("cli_kill_resumed.json");
     let out = fpb()
         .args([

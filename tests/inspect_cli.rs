@@ -1,7 +1,8 @@
 //! End-to-end tests of `fpb inspect` (spawned as a real process): the
 //! acceptance path — break on the first brownout-degraded write of a
 //! fault-injected run — plus record → replay byte-identity through the
-//! on-disk log, torn-log handling, and the `--quiet` stderr contract.
+//! on-disk log, torn-log handling, and the sweep's reuse-line stderr
+//! contract.
 
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -241,57 +242,32 @@ fn torn_log_replays_prefix_unless_complete_required() {
 }
 
 #[test]
-fn quiet_suppresses_reuse_stats_line_only_when_asked() {
+fn reuse_stats_line_prints_on_default_stderr() {
     // The reuse line only prints on the reuse path, so give the sweep a
     // throwaway cache rather than `--no-result-cache`.
-    let cache = tmp("quiet-cache.v1");
-    let loud = output(
+    let cache = tmp("reuse-line-cache.v1");
+    let out = output(
         fpb()
             .args(["sweep", "--workload", "cop_m", "--instructions", "5000"])
             .args(["--axis", "pt-dimm=466,560", "--result-cache"])
             .arg(&cache),
     );
     assert!(
-        loud.status.success(),
-        "{}",
-        String::from_utf8_lossy(&loud.stderr)
-    );
-    assert!(
-        String::from_utf8_lossy(&loud.stderr).contains("result reuse"),
-        "default stderr must keep the reuse line (CI greps it): {}",
-        String::from_utf8_lossy(&loud.stderr)
-    );
-
-    let quiet = output(
-        fpb()
-            .args(["sweep", "--workload", "cop_m", "--instructions", "5000"])
-            .args(["--axis", "pt-dimm=466,560", "--quiet", "--result-cache"])
-            .arg(&cache),
-    );
-    assert!(
-        quiet.status.success(),
-        "{}",
-        String::from_utf8_lossy(&quiet.stderr)
-    );
-    assert!(
-        !String::from_utf8_lossy(&quiet.stderr).contains("result reuse"),
-        "--quiet must drop the reuse line: {}",
-        String::from_utf8_lossy(&quiet.stderr)
-    );
-    // Simulation output is unchanged.
-    assert_eq!(loud.stdout, quiet.stdout);
-
-    // `fpb run --quiet` is accepted too.
-    let out = output(fpb().args([
-        "run",
-        "--workload",
-        "cop_m",
-        "--instructions",
-        "5000",
-        "--quiet",
-    ]));
-    assert!(
         out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("result reuse"),
+        "stderr must keep the reuse line (CI greps it): {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    // No flag hides it: `--quiet` is an unknown flag.
+    let out = output(fpb().args(["sweep", "--axis", "pt-dimm=466", "--quiet"]));
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("unknown flag `--quiet`"),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
