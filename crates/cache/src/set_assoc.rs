@@ -56,6 +56,9 @@ const MIN_LINE_BYTES: u64 = 4;
 pub struct SetAssocCache {
     line_shift: u32,
     sets: u64,
+    /// `sets - 1` when `sets` is a power of two: the set index is then a
+    /// mask instead of a 64-bit `%`.
+    set_mask: Option<u64>,
     ways: usize,
     /// `sets × ways` way words, set by set.
     words: Vec<u64>,
@@ -91,6 +94,7 @@ impl SetAssocCache {
         Ok(SetAssocCache {
             line_shift: line_bytes.trailing_zeros(),
             sets,
+            set_mask: sets.is_power_of_two().then(|| sets - 1),
             ways,
             words: vec![0; (sets as usize) * ways],
             stats: CacheStats::new(),
@@ -124,7 +128,11 @@ impl SetAssocCache {
 
     /// Indices in `words` of the set `key`'s line maps to.
     fn set_range(&self, key: u64) -> std::ops::Range<usize> {
-        let set = ((key >> 2) % self.sets) as usize;
+        let line = key >> 2;
+        let set = match self.set_mask {
+            Some(mask) => line & mask,
+            None => line % self.sets,
+        } as usize;
         set * self.ways..(set + 1) * self.ways
     }
 
@@ -248,6 +256,20 @@ mod tests {
         let ways = c.sets() as usize * c.ways();
         assert_eq!(ways, 131_072);
         assert_eq!(std::mem::size_of_val(c.words.as_slice()), ways * 8);
+    }
+
+    #[test]
+    fn set_index_is_the_line_number_mod_the_set_count() {
+        // 24 MiB of 256 B lines, 8-way: 12,288 sets, indexed by `%`; the
+        // default 32 MiB LLC's 16,384 sets are indexed by mask.
+        for (mib, sets, masked) in [(24, 12_288, false), (32, 16_384, true)] {
+            let c = SetAssocCache::new(mib << 20, 256, 8).unwrap();
+            assert_eq!((c.sets(), c.set_mask.is_some()), (sets, masked));
+            for line in (0..40_000u64).chain([u64::MAX >> 8, (1 << 40) + 12_345]) {
+                let set = (line % sets) as usize;
+                assert_eq!(c.set_range(c.key(line << 8)), set * 8..set * 8 + 8);
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,18 @@ impl<S: Scheme, E: EventSink> System<S, E> {
     // ---- scheduling pass ----
 
     pub(super) fn schedule(&mut self) {
+        // Nothing queued, parked or scrubbed: of the phases below, only
+        // phase 2 acts, and it ends any burst.
+        if self.wrq.is_empty()
+            && self.overflow.is_empty()
+            && self.rdq.is_empty()
+            && self.pending_reads.is_empty()
+            && self.parked_mask == 0
+            && self.scrub_period.is_none()
+        {
+            self.burst = false;
+            return;
+        }
         // 1. Overflowed writes move into the queue as space frees.
         while self.wrq.len() < self.cfg.queues.write_entries {
             match self.overflow.pop_front() {
@@ -110,53 +122,50 @@ impl<S: Scheme, E: EventSink> System<S, E> {
         }
     }
 
+    /// Retries the banks in `parked_mask`, in ascending order: token
+    /// stalls, round boundaries and paused writes. Retrying bank `b`
+    /// changes only bank `b`, so the mask read up front is the set of
+    /// banks a scan over every bank would act on.
     pub(super) fn retry_parked(&mut self) {
-        for b in 0..self.banks.len() {
-            // Only token-starved states are retried; timed states are
-            // never taken out and put back (a replace-and-restore would
-            // look like a fresh install to the event heap).
-            let parked_kind = matches!(
-                self.banks[b].state,
-                BankState::WriteStalled { .. } | BankState::AwaitingRound { .. }
-            );
-            if parked_kind {
-                let state = std::mem::replace(&mut self.banks[b].state, BankState::Idle);
-                match state {
-                    BankState::WriteStalled { task, since } => {
-                        let ok = self.power.try_advance(task.id, task.round());
-                        self.emit_power(task.id.get(), PowerOp::Advance, ok);
-                        if ok {
-                            self.transition(
-                                task.id,
-                                b,
-                                WriteStage::TokenStalled,
-                                WriteStage::Iterating,
-                            );
-                            self.start_iteration(b, task, false);
-                        } else {
-                            self.banks[b].state = BankState::WriteStalled { task, since };
-                        }
-                    }
-                    BankState::AwaitingRound { mut task, since } => {
-                        let ok = task.try_admit(&mut self.power);
-                        self.emit_power(task.id.get(), PowerOp::Admit, ok);
-                        if ok {
-                            self.transition(
-                                task.id,
-                                b,
-                                WriteStage::RoundPending,
-                                WriteStage::Iterating,
-                            );
-                            task.round_started_at = self.now;
-                            self.start_iteration(b, task, false);
-                        } else {
-                            self.banks[b].state = BankState::AwaitingRound { task, since };
-                        }
-                    }
-                    other => {
-                        self.banks[b].state = other;
+        let mut pending = self.parked_mask;
+        while pending != 0 {
+            let b = pending.trailing_zeros() as usize;
+            pending &= pending - 1;
+            // Taking a state out and putting it back is safe for any
+            // state: `set_bank_state` recomputes the bank's facts.
+            match std::mem::replace(&mut self.banks[b].state, BankState::Idle) {
+                BankState::WriteStalled { task, since } => {
+                    let ok = self.power.try_advance(task.id, task.round());
+                    self.emit_power(task.id.get(), PowerOp::Advance, ok);
+                    if ok {
+                        self.transition(
+                            task.id,
+                            b,
+                            WriteStage::TokenStalled,
+                            WriteStage::Iterating,
+                        );
+                        self.start_iteration(b, task, false);
+                    } else {
+                        self.set_bank_state(b, BankState::WriteStalled { task, since });
                     }
                 }
+                BankState::AwaitingRound { mut task, since } => {
+                    let ok = task.try_admit(&mut self.power);
+                    self.emit_power(task.id.get(), PowerOp::Admit, ok);
+                    if ok {
+                        self.transition(
+                            task.id,
+                            b,
+                            WriteStage::RoundPending,
+                            WriteStage::Iterating,
+                        );
+                        task.round_started_at = self.now;
+                        self.start_iteration(b, task, false);
+                    } else {
+                        self.set_bank_state(b, BankState::AwaitingRound { task, since });
+                    }
+                }
+                other => self.set_bank_state(b, other),
             }
             // A parked write resumes once its bank has no waiting reads —
             // or unconditionally during a write burst, when writes own the
@@ -173,11 +182,17 @@ impl<S: Scheme, E: EventSink> System<S, E> {
                         self.transition(task.id, b, WriteStage::Paused, WriteStage::Iterating);
                         self.start_iteration(b, task, false);
                     } else {
-                        self.banks[b].parked = Some(task);
+                        self.park(b, task);
                     }
                 }
             }
         }
+    }
+
+    /// Parks a paused write in bank `b`'s parking slot.
+    pub(super) fn park(&mut self, b: usize, task: WriteTask) {
+        self.banks[b].parked = Some(task);
+        self.sync_bank(b);
     }
 
     // ---- request creation ----

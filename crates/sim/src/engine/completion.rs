@@ -94,10 +94,11 @@ impl<S: Scheme, E: EventSink> System<S, E> {
         task.watchdog_tripped = false;
         if task.next_round() {
             self.transition(task.id, bank, from, WriteStage::RoundPending);
-            self.banks[bank].state = BankState::AwaitingRound {
+            let awaiting = BankState::AwaitingRound {
                 task,
                 since: self.now,
             };
+            self.set_bank_state(bank, awaiting);
         } else {
             self.transition(task.id, bank, from, WriteStage::Done);
             if self.scrub_period.is_some() {
@@ -106,7 +107,7 @@ impl<S: Scheme, E: EventSink> System<S, E> {
                 }
                 self.recent_writes.push_back(task.line);
             }
-            self.banks[bank].state = BankState::Idle;
+            self.set_bank_state(bank, BankState::Idle);
             self.pool.recycle_rounds(task.rounds);
         }
     }

@@ -6,7 +6,6 @@
 use fpb_core::PowerPolicyConfig;
 use fpb_types::Cycles;
 
-use crate::bank::BankState;
 use crate::inspect::{EventSink, LifecycleEvent, PowerOp};
 use crate::scheme::Scheme;
 
@@ -40,12 +39,13 @@ impl<S: Scheme, E: EventSink> System<S, E> {
     /// Applies brownout window transitions due at the current time:
     /// withholds budget tokens at a window start, restores them at the
     /// end, and enters/leaves degraded mode when a window persists past
-    /// `faults.degraded_after_cycles`.
-    pub(super) fn update_brownout(&mut self) {
+    /// `faults.degraded_after_cycles`. Returns whether a window ended.
+    pub(super) fn update_brownout(&mut self) -> bool {
         let Some(inj) = self.faults.as_ref() else {
-            return;
+            return false;
         };
         let active = inj.brownout_active(self.now);
+        let ended = !active && self.power.in_brownout();
         if active && !self.power.in_brownout() {
             self.power
                 .begin_brownout(self.cfg.faults.brownout_budget_scale);
@@ -54,7 +54,7 @@ impl<S: Scheme, E: EventSink> System<S, E> {
             // begin_brownout audits the ledger, so the stats snapshot
             // must be re-recorded (id 0 = no associated write).
             self.emit_power(0, PowerOp::BrownoutBegin, true);
-        } else if !active && self.power.in_brownout() {
+        } else if ended {
             self.power.end_brownout();
             self.brownout_since = None;
             self.degraded = false;
@@ -67,20 +67,17 @@ impl<S: Scheme, E: EventSink> System<S, E> {
                 self.degraded = true;
             }
         }
+        ended
     }
 
     /// Charges the interval `[now, until)` to the activity counters.
     pub(super) fn account(&mut self, until: Cycles) {
         if until > self.now {
-            let writing = self
-                .banks
-                .iter()
-                .any(|b| matches!(b.state, BankState::Writing { .. }));
             self.emit(LifecycleEvent::TimeAdvance {
                 from: self.now.get(),
                 to: until.get(),
                 burst: self.burst,
-                writing,
+                writing: self.writing_mask != 0,
                 brownout: self.power.in_brownout(),
                 degraded: self.degraded,
             });

@@ -1,9 +1,10 @@
 //! End-to-end engine tests over the trace catalog: determinism, the
 //! paper's headline scheme orderings, and optional-feature behavior.
 
-use fpb_pcm::CellMapping;
+use fpb_core::WriteId;
+use fpb_pcm::{CellMapping, LineWrite, MlcLevel};
 use fpb_trace::catalog;
-use fpb_types::SystemConfig;
+use fpb_types::{SimError, SimRng, SystemConfig};
 
 use crate::scheme::SchemeSetup;
 
@@ -366,4 +367,45 @@ fn low_traffic_workload_runs_fast() {
     let m = run_workload(&wl, &cfg, &SchemeSetup::dimm_chip(&cfg), &small_opts());
     // xal has almost no PCM traffic; CPI must stay near 1.
     assert!(m.cpi() < 5.0, "CPI = {}", m.cpi());
+}
+
+#[test]
+fn a_budget_that_never_refills_under_brownouts_is_a_deadlock() {
+    // Periodic brownouts always leave a window edge pending, so "no event
+    // at all" never happens; the window's end must notice instead.
+    let mut cfg = cfg();
+    cfg.faults.brownout_period = 10_000;
+    cfg.faults.brownout_duration = 2_000;
+    let wl = catalog::workload("mum_m").unwrap();
+    let mut sys = System::new(&wl, &cfg, &SchemeSetup::dimm_only(&cfg), &small_opts());
+    // Leak the DIMM budget: one-cell writes under ids the engine never
+    // uses hold tokens until the ledger refuses one, so no write with a
+    // changed cell is ever admitted again.
+    let mut leaked = 0;
+    loop {
+        let mut w = LineWrite::from_cells(
+            &[(0, MlcLevel::L01)],
+            &sys.geom,
+            CellMapping::Naive,
+            &sys.sampler,
+            &mut SimRng::seed_from(leaked),
+            1,
+        );
+        if !sys.power.try_admit(WriteId::new(u64::MAX - leaked), &mut w) {
+            break;
+        }
+        leaked += 1;
+    }
+    assert!(leaked > 0, "the ledger refused the first one-cell write");
+    let mut steps = 0u64;
+    let outcome = loop {
+        match sys.try_step() {
+            Ok(true) if steps < 1_000_000 => steps += 1,
+            other => break other,
+        }
+    };
+    assert!(
+        matches!(outcome, Err(SimError::Deadlock { .. })),
+        "{outcome:?} after {steps} steps"
+    );
 }

@@ -84,7 +84,9 @@ impl CacheFrontEnd {
 pub struct CoreState {
     gen: CoreTraceGenerator,
     front: CacheFrontEnd,
-    line_bytes: u64,
+    /// log2 of the LLC line size (cache construction checks that it is a
+    /// power of two).
+    line_shift: u32,
     llc_lines: u64,
     /// When the pending operation arrives at the LLC.
     pub ready_at: Cycles,
@@ -157,7 +159,7 @@ impl CoreState {
         let llc_lines = cache.l3_mib_per_core as u64 * 1024 * 1024 / cache.l3_line_bytes as u64;
         Ok(CoreState {
             front,
-            line_bytes: cache.l3_line_bytes as u64,
+            line_shift: cache.l3_line_bytes.trailing_zeros(),
             llc_lines,
             ready_at: Cycles::new(first.gap_instructions),
             next_op: Some(first),
@@ -199,11 +201,11 @@ impl CoreState {
                 if !r.hit && !is_write {
                     // Demand load miss: blocking PCM fill. (Store misses
                     // are L2 write-backs and allocate without a fill.)
-                    out.fill = Some(addr / self.line_bytes);
+                    out.fill = Some(addr >> self.line_shift);
                 }
                 if let Some(v) = r.victim {
                     if v.dirty {
-                        out.writebacks.push(v.addr / self.line_bytes);
+                        out.writebacks.push(v.addr >> self.line_shift);
                     }
                 }
                 out
@@ -260,13 +262,14 @@ impl CoreState {
     ///    so the steady-state resident (hot) sets are in place.
     /// 3. Stream `ops` generator operations to mix recency realistically.
     pub fn warm_up(&mut self, ops: u64, rng: &mut SimRng) {
+        let line_bytes = 1u64 << self.line_shift;
         let lines = self.llc_lines;
-        let llc_bytes = lines * self.line_bytes;
+        let llc_bytes = lines * line_bytes;
         let base = self.gen.base_addr();
         let dirty_frac = self.gen.write_fraction();
         let region = fpb_trace::generator::CORE_REGION_BYTES;
         for i in 0..lines {
-            let addr = base + (i * self.line_bytes * 17) % region;
+            let addr = base + (i * line_bytes * 17) % region;
             self.front.touch(addr, rng.bernoulli(dirty_frac));
         }
         let mut regions = self.gen.tier_regions();
@@ -278,7 +281,7 @@ impl CoreState {
                 let addr = r.start - base + off;
                 self.front
                     .touch(base + addr % region, rng.bernoulli(r.write_fraction));
-                off += self.line_bytes;
+                off += line_bytes;
             }
         }
         for _ in 0..ops {

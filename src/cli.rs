@@ -693,6 +693,13 @@ FAULT INJECTION (run/compare; all off by default):
   --fault-degraded-after <n>     browned-out cycles before SLC  [0 = never]
   --audit-ledger                 check token conservation after every
                                  grant/release (reports violations)
+
+EXIT STATUS:
+  0  success
+  1  an error (named on stderr) or a bad argument
+  3  a sweep finished but left quarantined or skipped points
+  A closed stdout (`fpb list | head -1`) changes none of these: the rest
+  of the output is dropped, and files the command writes are written.
 ";
 
 #[cfg(test)]

@@ -27,6 +27,21 @@ fn list_names_all_workloads_and_schemes() {
 }
 
 #[test]
+fn a_closed_stdout_ends_quietly() {
+    for verb in ["list", "help"] {
+        // The pipe's reader is gone before `fpb` writes its first line.
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = fpb().arg(verb).stdout(writer).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "fpb {verb}: {stderr}");
+        assert_ne!(out.status.code(), Some(101), "fpb {verb}: {stderr}");
+        assert!(out.status.success(), "fpb {verb}: {:?}", out.status);
+        assert!(stderr.is_empty(), "fpb {verb}: {stderr}");
+    }
+}
+
+#[test]
 fn run_produces_metrics_table() {
     let out = fpb()
         .args([

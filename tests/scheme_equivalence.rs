@@ -2,8 +2,8 @@
 //! **byte-for-byte** invisible in the results.
 //!
 //! For two pinned workloads and two registry schemes (the full FPB
-//! extension stack and the paper's baseline), a run on the event-heap
-//! stepper and a twin run on the reference scan stepper
+//! extension stack and the paper's baseline), a run on the next-event
+//! array stepper and a twin run on the reference scan stepper
 //! ([`System::try_step_reference`]) must serialize to identical
 //! [`Metrics::to_json`] strings. CI's `scheme-matrix` job fails on any
 //! byte difference.
